@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,14 +35,22 @@ VERSION = 1
 NORMALIZATION_RMS_WINDOW = "rms_window_v1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
-    """Network weights plus everything needed to reproduce inference."""
+    """Network weights plus everything needed to reproduce inference.
+
+    ``params`` is a read-only mapping of read-only float64 copies of the
+    given arrays, so the caller's arrays stay theirs and writable.
+    ``params32`` holds their float32 cast, derived once here and used by
+    every inference call; since nothing can write the float64 weights,
+    it cannot go stale.
+    """
 
     spec: NetworkSpec
-    params: dict                      # name -> float64 ndarray
+    params: Mapping                   # name -> read-only float64 ndarray
     normalization: str = NORMALIZATION_RMS_WINDOW
     metadata: dict = field(default_factory=dict)
+    params32: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = self.spec.param_shapes()
@@ -51,6 +62,23 @@ class Checkpoint:
                 raise ShapeMismatchError(
                     f"{name} has shape {self.params[name].shape}, "
                     f"expected {shape}")
+        params = {name: _read_only(np.array(self.params[name],
+                                            dtype=np.float64))
+                  for name in expected}
+        params32 = {name: _read_only(p.astype(np.float32))
+                    for name, p in params.items()}
+        object.__setattr__(self, "params", MappingProxyType(params))
+        object.__setattr__(self, "params32", MappingProxyType(params32))
+
+    def __reduce__(self):
+        # pickle the float64 weights only; unpickling re-derives the rest
+        return (Checkpoint, (self.spec, dict(self.params),
+                             self.normalization, self.metadata))
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -84,6 +112,11 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A defect in the framing, the checksum, the header or the payload
+    raises ``FileFormatError`` (or a subclass of it).
+    """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 1 + 4 + 32:
         raise FileFormatError(f"{path}: truncated checkpoint")
@@ -100,28 +133,53 @@ def load_checkpoint(path) -> Checkpoint:
     header_end = 9 + header_len
     try:
         header = json.loads(raw[9:header_end].decode())
+        spec, normalization, metadata = _decode_header(header)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: unreadable header: {exc}") from exc
-    spec_dict = dict(header["spec"])
-    spec_dict["dense_widths"] = tuple(spec_dict["dense_widths"])
-    spec = NetworkSpec(**spec_dict)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(
+            f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
 
     params = {}
     offset = header_end
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
+    for name, shape in spec.param_shapes().items():
+        count = math.prod(shape)
         end = offset + count * 8
         if end > len(body):
             raise FileFormatError(f"{path}: weight payload truncated")
-        params[entry["name"]] = np.frombuffer(
-            body, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        params[name] = np.frombuffer(
+            body, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset = end
     if offset != len(body):
         raise FileFormatError(f"{path}: trailing bytes after weights")
-    return Checkpoint(spec=spec, params=params,
-                      normalization=header["normalization"],
-                      metadata=header["metadata"])
+    return Checkpoint(spec=spec, params=params, normalization=normalization,
+                      metadata=metadata)
+
+
+def _decode_header(header):
+    """Spec, normalization and metadata of a parsed header.
+
+    Raises KeyError, TypeError or ValueError (the spec's own InputError
+    included) on anything that ``save_checkpoint`` would not write.
+    """
+    names = [f.name for f in fields(NetworkSpec)]
+    spec_dict = header["spec"]
+    if not isinstance(spec_dict, dict) or sorted(spec_dict) != sorted(names):
+        raise ValueError(f"spec must have exactly the keys {names}")
+    widths = spec_dict["dense_widths"]
+    sizes = [spec_dict[n] for n in names if n != "dense_widths"]
+    if not isinstance(widths, list) or any(
+            type(v) is not int for v in sizes + widths):
+        raise TypeError("spec values must be integers")
+    spec = NetworkSpec(**{**spec_dict, "dense_widths": tuple(widths)})
+    manifest = [(entry["name"], entry["shape"]) for entry in header["params"]]
+    if manifest != [(n, list(s)) for n, s in spec.param_shapes().items()]:
+        raise ValueError("parameter manifest does not match the spec")
+    normalization, metadata = header["normalization"], header["metadata"]
+    if not isinstance(normalization, str) or not isinstance(metadata, dict):
+        raise TypeError("normalization must be a string and metadata an "
+                        "object")
+    return spec, normalization, metadata
 
 
 def export_weights_text(checkpoint: Checkpoint, path) -> None:

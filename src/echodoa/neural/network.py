@@ -8,6 +8,9 @@ autograd framework is involved.
 
 Internally activations live in (rows, batch, time, maps) layout so the
 row-sliced GEMMs of the convolutions operate on contiguous memory.
+Pooling works on strided views of that layout and copies nothing; it
+records the int8 window index of each maximum only for the training
+pass. Bias-add and ReLU run in place on the convolution output.
 """
 
 from __future__ import annotations
@@ -163,25 +166,54 @@ def _conv_same_grads(dy, w, cols, pad_r, pad_t, need_dx):
     return dw, db, dx
 
 
-def _maxpool(x, pr, pt):
+def _pool_slots(x, pr, pt):
+    """Strided views of each window slot of ``x``, in row-major order.
+
+    Slot ``i * pt + j`` holds element (i, j) of every pr x pt window of
+    the (R, B, T, C) activation; no data is copied.
+    """
     r_dim, b_dim, t_dim, c_dim = x.shape
-    rp, tp = r_dim // pr, t_dim // pt
-    windows = (x.reshape(rp, pr, b_dim, tp, pt, c_dim)
-               .transpose(0, 2, 3, 5, 1, 4)
-               .reshape(rp, b_dim, tp, c_dim, pr * pt))
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    v = x.reshape(r_dim // pr, pr, b_dim, t_dim // pt, pt, c_dim)
+    return [v[:, i, :, :, j] for i in range(pr) for j in range(pt)]
+
+
+def _maxpool(x, pr, pt, keep):
+    """Max over each pr x pt (row, time) window, and the window index.
+
+    The index is computed only when ``keep`` (the training pass needs it
+    to route gradients), else it is None. It is the int8 slot
+    ``i * pt + j`` of the first maximum in row-major window order, the
+    tie rule of ``argmax`` (for windows without NaN): the count of
+    leading slots that differ from the maximum.
+    """
+    slots = _pool_slots(x, pr, pt)
+    out = slots[0].copy()
+    for slot in slots[1:]:
+        np.maximum(out, slot, out=out)
+    if not keep:
+        return out, None
+    arg = np.zeros(out.shape, dtype=np.int8)
+    before_max = np.ones(out.shape, dtype=bool)
+    for slot in slots[:-1]:
+        before_max &= slot != out
+        arg += before_max
     return out, arg
 
 
 def _maxpool_grad(dy, arg, in_shape, pr, pt):
-    r_dim, b_dim, t_dim, c_dim = in_shape
-    rp, tp = r_dim // pr, t_dim // pt
-    dwin = np.zeros((rp, b_dim, tp, c_dim, pr * pt), dtype=dy.dtype)
-    np.put_along_axis(dwin, arg[..., None], dy[..., None], axis=-1)
-    return (dwin.reshape(rp, b_dim, tp, c_dim, pr, pt)
-            .transpose(0, 4, 1, 2, 5, 3)
-            .reshape(r_dim, b_dim, t_dim, c_dim))
+    """Route each pooled gradient to the window slot named by ``arg``.
+
+    ``arg`` is the int8 index from ``_maxpool``. Each slot receives
+    ``dy`` where ``arg`` names it and +0.0 elsewhere, as a scatter into
+    zeros would. The selection multiplies the integer bit patterns by
+    the 0/1 mask, because a float multiply would leave -0.0 (or NaN)
+    behind negative (or non-finite) gradients.
+    """
+    bits = np.dtype(f"i{dy.itemsize}")
+    dx = np.empty(in_shape, dtype=dy.dtype)
+    for k, slot in enumerate(_pool_slots(dx.view(bits), pr, pt)):
+        np.multiply(dy.view(bits), arg == k, out=slot)
+    return dx
 
 
 def _check_input(spec, x):
@@ -212,8 +244,8 @@ def _forward_impl(spec, params, x, keep):
     for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
         conv, cols = _conv_same(act, params[f"conv{s}_w"], pad_r, pad_t)
         conv += params[f"conv{s}_b"]
-        relu = np.maximum(conv, 0.0)
-        pooled, arg = _maxpool(relu, pr, pt)
+        relu = np.maximum(conv, 0.0, out=conv)
+        pooled, arg = _maxpool(relu, pr, pt, keep)
         stages.append({"cols": cols, "relu": relu, "arg": arg,
                        "pre_pool_shape": relu.shape} if keep else None)
         act = pooled
@@ -281,9 +313,9 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
     for s in range(spec.conv_stages, 0, -1):
         stage = cache["stages"][s - 1]
         pr, pt = schedule[s - 1]
-        drelu = _maxpool_grad(dact, stage["arg"], stage["pre_pool_shape"],
+        dconv = _maxpool_grad(dact, stage["arg"], stage["pre_pool_shape"],
                               pr, pt)
-        dconv = drelu * (stage["relu"] > 0)
+        dconv *= stage["relu"] > 0
         dw, db, dact = _conv_same_grads(dconv, params[f"conv{s}_w"],
                                         stage["cols"], pad_r, pad_t,
                                         need_dx=s > 1)

@@ -196,7 +196,7 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
 
     checkpoint = Checkpoint(
         spec=spec,
-        params={k: v.astype(np.float64) for k, v in best_params.items()},
+        params=best_params,
         normalization=NORMALIZATION_RMS_WINDOW,
         metadata={
             "seed": seed,
@@ -218,7 +218,8 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband,
     reports the 0-degree fallback, mirroring the MUSIC convention. The
     default gate is permissive: the network is trained on noisy windows
     and regresses toward zero on uninformative input by itself, so only
-    signal-free records are gated out.
+    signal-free records are gated out. The forward pass runs in float32
+    on the checkpoint's cached ``params32``.
     """
     if checkpoint.normalization != NORMALIZATION_RMS_WINDOW:
         raise IncompatibleCheckpointError(
@@ -229,8 +230,8 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband,
         return DoaEstimate(angle_deg=0.0, status=FALLBACK,
                            ambiguity_deg=(0.0,))
     rows = baseband_to_input(base, checkpoint.spec)
-    params = {k: v.astype(np.float32) for k, v in checkpoint.params.items()}
-    pred, _ = _forward_impl(checkpoint.spec, params, rows[None], keep=False)
+    pred, _ = _forward_impl(checkpoint.spec, checkpoint.params32, rows[None],
+                            keep=False)
     angle = float(pred[0]) * ANGLE_SCALE_DEG
     return DoaEstimate(angle_deg=angle, status=CONVERGED,
                        ambiguity_deg=(angle,))

@@ -177,6 +177,23 @@ class TestTrainEvalCommands:
                            "--out", str(tmp_path / "m.csv"))
         assert code == 3
 
+    def test_malformed_checkpoint_header_is_validation_error(
+            self, tiny_dataset_path, tmp_path, capsys):
+        import hashlib
+        import struct
+        blob = b"[1, 2]"
+        body = (b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
+        bad = tmp_path / "bad.edck"
+        bad.write_bytes(body + hashlib.sha256(body).digest())
+        code, out, err = run(capsys, "eval", "--dataset",
+                             str(tiny_dataset_path), "--checkpoint",
+                             str(bad), "--out", str(tmp_path / "m.csv"))
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileFormatError: ")
+
     def test_missing_dataset_file_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--dataset",
                            str(tmp_path / "absent.edds"),

@@ -17,11 +17,13 @@ from echodoa.evaluation import (
     MetricsRow,
     MetricsTable,
     MusicEstimator,
+    NeuralEstimator,
     emit_results,
     evaluate,
     load_results,
     snr_crossover,
 )
+from echodoa.neural import Checkpoint, NetworkSpec, init_params
 from echodoa.signal_sim import (
     ArrayGeometry,
     ComplexBaseband,
@@ -103,6 +105,22 @@ class TestEvaluate:
         serial = evaluate(small, [MusicEstimator()], workers=1)
         parallel = evaluate(small, [MusicEstimator()], workers=2)
         assert serial.rows == parallel.rows
+
+    def test_worker_count_does_not_change_cnn_table(self, sweep_dataset):
+        # the estimator, float32 weight cache included, crosses the
+        # process boundary by pickle
+        spec = NetworkSpec(input_time=256, feature_maps=8,
+                           dense_widths=(16, 8))
+        checkpoint = Checkpoint(spec=spec,
+                                params=init_params(spec, 2, np.float64))
+        small = Dataset(config=sweep_dataset.config,
+                        geometry=sweep_dataset.geometry,
+                        records=sweep_dataset.records[:40])
+        estimators = [NeuralEstimator(checkpoint)]
+        serial = evaluate(small, estimators, workers=1)
+        parallel = evaluate(small, estimators, workers=2)
+        assert serial.rows == parallel.rows
+        assert max(r.mae_deg for r in serial.rows) > 0.0
 
     def test_music_mae_monotone_in_snr(self, sweep_dataset):
         table = evaluate(sweep_dataset, [MusicEstimator()])

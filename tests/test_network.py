@@ -249,3 +249,76 @@ class TestConvolutionAgainstBruteForce:
                             if 0 <= ri < r_dim and 0 <= ti < t_dim:
                                 want[r, b, t] += x[ri, b, ti] @ w[dr, dt]
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def pool_reference(x, dy, pr, pt):
+    """Loop-based max pooling: first maximum in row-major window order."""
+    r_dim, b_dim, t_dim, c_dim = x.shape
+    out = np.zeros((r_dim // pr, b_dim, t_dim // pt, c_dim), dtype=x.dtype)
+    arg = np.zeros(out.shape, dtype=np.int8)
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    for idx in np.ndindex(out.shape):
+        r, b, t, c = idx
+        best = None
+        for i in range(pr):
+            for j in range(pt):
+                v = x[r * pr + i, b, t * pt + j, c]
+                if best is None or v > best:
+                    best, at = v, (i, j)
+        out[idx] = best
+        arg[idx] = at[0] * pt + at[1]
+        dx[r * pr + at[0], b, t * pt + at[1], c] = dy[idx]
+    return out, arg, dx
+
+
+class TestPoolingAgainstBruteForce:
+    @pytest.mark.parametrize("pr", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_indices_and_gradients_exact(self, pr, dtype):
+        from echodoa.neural.network import _maxpool, _maxpool_grad
+        rng = np.random.default_rng(pr)
+        shape = (2 * pr, 3, 16, 5)
+        # small integers give exact positive ties and all-zero windows;
+        # a ReLU'd normal block adds distinct values
+        x = rng.integers(0, 3, size=shape).astype(dtype)
+        x[..., :2] = np.maximum(rng.normal(size=shape[:-1] + (2,)), 0.0)
+        x[:, :, :4] = 0.0
+        out_shape = (2, 3, 8, 5)
+        dy = rng.normal(size=out_shape).astype(dtype)
+        dy[0, 0, :3] = -0.0
+        want_out, want_arg, want_dx = pool_reference(x, dy, pr, 2)
+        assert (want_arg == 0).any() and (want_arg > 0).any()
+
+        out, arg = _maxpool(x, pr, 2, keep=True)
+        assert out.tobytes() == want_out.tobytes()
+        assert arg.dtype == np.int8
+        np.testing.assert_array_equal(arg, want_arg)
+        dx = _maxpool_grad(dy, arg, x.shape, pr, 2)
+        assert dx.dtype == dtype
+        assert dx.tobytes() == want_dx.tobytes()
+
+        out_infer, arg_infer = _maxpool(x, pr, 2, keep=False)
+        assert arg_infer is None
+        assert out_infer.tobytes() == want_out.tobytes()
+
+    def test_ties_route_to_first_slot_in_row_major_order(self):
+        from echodoa.neural.network import _maxpool, _maxpool_grad
+        # one 2x2 window per case: slots (0,0) (0,1) (1,0) (1,1)
+        cases = {(0, 0, 0, 0): 0, (1, 2, 2, 2): 1, (1, 1, 2, 2): 2,
+                 (0, 1, 0, 1): 1, (0, 0, 1, 1): 2, (0, 0, 0, 3): 3}
+        x = np.zeros((2, 1, 2 * len(cases), 1))
+        for n, window in enumerate(cases):
+            x[:, 0, 2 * n:2 * n + 2, 0] = np.reshape(window, (2, 2))
+        _, arg = _maxpool(x, 2, 2, keep=True)
+        assert arg[0, 0, :, 0].tolist() == list(cases.values())
+        dx = _maxpool_grad(np.ones((1, 1, len(cases), 1)), arg, x.shape, 2, 2)
+        assert dx.sum() == len(cases)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keep_does_not_change_predictions(self, dtype):
+        from echodoa.neural.network import _forward_impl
+        params, x, _ = small_setup(batch=5, dtype=dtype)
+        kept, cache = _forward_impl(SMALL, params, x, keep=True)
+        plain, none = _forward_impl(SMALL, params, x, keep=False)
+        assert cache is not None and none is None
+        assert kept.tobytes() == plain.tobytes()

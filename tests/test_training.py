@@ -201,6 +201,130 @@ class TestPredict:
         assert float(np.mean(errors)) < 5.0
 
 
+class TestWeightCache:
+    def test_predict_matches_float32_forward_exactly(self, noiseless_32):
+        from echodoa.neural.network import forward
+        params = init_params(TINY, seed=4, dtype=np.float64)
+        checkpoint = Checkpoint(spec=TINY, params=params)
+        cast = {k: v.astype(np.float32) for k, v in params.items()}
+        for rec in noiseless_32.records[::5]:
+            est = predict_doa(checkpoint, rec.baseband)
+            rows = baseband_to_input(rec.baseband, TINY)
+            want = float(forward(TINY, cast, rows[None])[0]) * 90.0
+            assert est.status == CONVERGED
+            assert est.angle_deg == want
+
+    def test_weights_are_read_only(self):
+        checkpoint = Checkpoint(spec=TINY,
+                                params=init_params(TINY, 0, np.float64))
+        for table in (checkpoint.params, checkpoint.params32):
+            with pytest.raises(ValueError):
+                table["conv1_w"][0, 0, 0, 0] = 1.0
+            with pytest.raises(TypeError):
+                table["conv1_w"] = np.zeros(TINY.param_shapes()["conv1_w"])
+        with pytest.raises(AttributeError):
+            checkpoint.params = {}
+
+    def test_callers_arrays_stay_writable_and_unshared(self):
+        params = init_params(TINY, 0, np.float64)
+        before = {k: v.copy() for k, v in params.items()}
+        checkpoint = Checkpoint(spec=TINY, params=params)
+        for name, array in params.items():
+            assert array.flags.writeable
+            array += 1.0
+            np.testing.assert_array_equal(checkpoint.params[name],
+                                          before[name])
+            assert checkpoint.params[name].dtype == np.float64
+            assert checkpoint.params32[name].dtype == np.float32
+
+    def test_pickle_round_trip_rebuilds_cache(self):
+        import pickle
+        checkpoint = Checkpoint(spec=TINY,
+                                params=init_params(TINY, 1, np.float64),
+                                metadata={"seed": 1})
+        copy = pickle.loads(pickle.dumps(checkpoint))
+        assert copy.metadata == {"seed": 1}
+        for name in TINY.param_shapes():
+            assert not copy.params[name].flags.writeable
+            assert not copy.params32[name].flags.writeable
+            assert (copy.params32[name].tobytes()
+                    == checkpoint.params32[name].tobytes())
+
+
+def _rewrite_header(path, edit):
+    """Re-frame a saved checkpoint with ``edit(header)`` and a valid digest."""
+    import hashlib
+    import json
+    import struct
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 5)
+    header = edit(json.loads(raw[9:9 + length]))
+    blob = json.dumps(header).encode()
+    body = raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + length:-32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _set(key, value):
+    return lambda header: {**header, key: value}
+
+
+def _set_spec(key, value):
+    return lambda header: {**header, "spec": {**header["spec"], key: value}}
+
+
+def _drop(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+MALFORMED_HEADERS = {
+    "missing spec": _drop("spec"),
+    "missing params": _drop("params"),
+    "missing normalization": _drop("normalization"),
+    "missing metadata": _drop("metadata"),
+    "header is a list": lambda header: [header],
+    "spec is a list": _set("spec", [4, 256]),
+    "unknown spec key": _set_spec("dropout", 1),
+    "missing spec key": lambda h: {
+        **h, "spec": _drop("kernel_time")(h["spec"])},
+    "string spec value": _set_spec("feature_maps", "8"),
+    "float spec value": _set_spec("feature_maps", 8.0),
+    "invalid spec value": _set_spec("input_rows", 0),
+    "dense widths not a list": _set_spec("dense_widths", 16),
+    "params is an object": _set("params", {"conv1_w": [4, 16, 1, 8]}),
+    "param entry is a list": lambda h: {**h, "params": [
+        [e["name"], e["shape"]] for e in h["params"]]},
+    "bad shape": lambda h: {**h, "params": [
+        {**e, "shape": [1, 2]} if e["name"] == "dense1_w" else e
+        for e in h["params"]]},
+    "renamed param": lambda h: {**h, "params": [
+        {**e, "name": "x"} if e["name"] == "output_b" else e
+        for e in h["params"]]},
+    "normalization not a string": _set("normalization", 1),
+    "metadata not an object": _set("metadata", [1]),
+}
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_maps_to_file_format_error(self, case, tmp_path):
+        from echodoa.errors import FileFormatError
+        path = tmp_path / "model.edck"
+        save_checkpoint(Checkpoint(spec=TINY,
+                                   params=init_params(TINY, 0, np.float64)),
+                        path)
+        _rewrite_header(path, MALFORMED_HEADERS[case])
+        with pytest.raises(FileFormatError):
+            load_checkpoint(path)
+
+    def test_untouched_header_still_loads(self, tmp_path):
+        path = tmp_path / "model.edck"
+        save_checkpoint(Checkpoint(spec=TINY,
+                                   params=init_params(TINY, 0, np.float64)),
+                        path)
+        _rewrite_header(path, lambda header: header)
+        assert load_checkpoint(path).spec == TINY
+
+
 class TestCheckpointIO:
     def test_roundtrip_bit_exact(self, tmp_path):
         params = init_params(TINY, seed=3, dtype=np.float64)
