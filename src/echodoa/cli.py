@@ -86,14 +86,7 @@ def _sim_config(args) -> SimConfig:
             raise InputError(f"--sim expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
-        if key not in SimConfig.__dataclass_fields__:
-            raise InputError(f"unknown simulation key {key!r}")
-        if key == "envelope":
-            overrides[key] = value.strip()
-        elif key in ("decimation_factor", "rng_seed"):
-            overrides[key] = int(value)
-        else:
-            overrides[key] = float(value)
+        overrides[key] = SimConfig.parse_field(key, value)
     return replace(config, **overrides) if overrides else config
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,19 @@ def _angle_grid(domain_deg, step_deg):
     return lo + step_deg * np.arange(count + 1)
 
 
+@lru_cache(maxsize=16)
+def _steering_grid(element_x: tuple, wavelength_m: float, grid_step_deg: float,
+                   domain_deg: tuple):
+    """Angle grid and conjugated steering matrix (n, M), both read-only."""
+    angles = _angle_grid(domain_deg, grid_step_deg)
+    x = np.asarray(element_x) - element_x[0]
+    sines = np.sin(np.radians(angles))
+    steering_conj = np.exp(-2j * np.pi * np.outer(sines, x) / wavelength_m).conj()
+    angles.flags.writeable = False
+    steering_conj.flags.writeable = False
+    return angles, steering_conj
+
+
 def pseudospectrum(subspace: NoiseSubspace, geometry: ArrayGeometry,
                    wavelength_m: float, grid_step_deg: float = 0.25,
                    domain_deg=( -90.0, 90.0)) -> Pseudospectrum:
@@ -181,14 +195,15 @@ def pseudospectrum(subspace: NoiseSubspace, geometry: ArrayGeometry,
 
     The denominator is floored at 1e-12 times the numerator so exact
     nulls stay finite. Peaks are strict local maxima (grid endpoints
-    included) carrying their prominence.
+    included) carrying their prominence. The angle grid and the
+    conjugated steering matrix come from a read-only cache keyed by
+    (element positions, wavelength, grid step, domain); the returned
+    ``angles_deg`` is a fresh, writable copy.
     """
-    angles = _angle_grid(domain_deg, grid_step_deg)
-    x = np.asarray(geometry.element_x) - geometry.element_x[0]
+    angles, steering_conj = _steering_grid(geometry.element_x, wavelength_m,
+                                           grid_step_deg, tuple(domain_deg))
     m = geometry.num_elements
-    sines = np.sin(np.radians(angles))
-    steering = np.exp(-2j * np.pi * np.outer(sines, x) / wavelength_m)  # (n, M)
-    proj = steering.conj() @ subspace.matrix                            # (n, M-D)
+    proj = steering_conj @ subspace.matrix                              # (n, M-D)
     denom = np.sum(np.abs(proj) ** 2, axis=1)
     numer = float(m)
     power = numer / np.maximum(denom, _DENOM_FLOOR * numer)
@@ -201,7 +216,7 @@ def pseudospectrum(subspace: NoiseSubspace, geometry: ArrayGeometry,
                           prominence=float(p))
              for i, p in zip(idx, props["prominences"])]
     peaks.sort(key=lambda pk: (-pk.prominence, pk.angle_deg))
-    return Pseudospectrum(angles_deg=angles, power=power, peaks=peaks)
+    return Pseudospectrum(angles_deg=angles.copy(), power=power, peaks=peaks)
 
 
 def grating_lobe_set(doa_deg: float, geometry: ArrayGeometry,

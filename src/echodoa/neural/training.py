@@ -21,7 +21,12 @@ from ..errors import (
     InputError,
     TrainingDivergedError,
 )
-from ..signal_sim import ComplexBaseband, EchoWindow, detect_echo_window
+from ..signal_sim import (
+    ComplexBaseband,
+    EchoWindow,
+    _echo_windows,
+    detect_echo_window,
+)
 from .adam import AdamHyper, AdamState, adam_step
 from .checkpoint import NORMALIZATION_RMS_WINDOW, Checkpoint
 from .network import NetworkSpec, backward, init_params, _forward_impl
@@ -63,15 +68,19 @@ CROP_THRESHOLD_FACTOR = 5.0
 GATE_THRESHOLD_FACTOR = 1.5
 
 
+def _center_window(base: ComplexBaseband, spec: NetworkSpec) -> EchoWindow:
+    n = base.samples_per_channel
+    half = min(n, spec.input_time) // 2
+    return EchoWindow(start=max(0, n // 2 - half),
+                      stop=min(n, n // 2 + half), tof_s=math.nan)
+
+
 def _crop_window(base: ComplexBaseband, spec: NetworkSpec):
     """Echo window when confidently detected, else the record center."""
     try:
         return detect_echo_window(base, CROP_THRESHOLD_FACTOR)
     except EchoNotFoundError:
-        n = base.samples_per_channel
-        half = min(n, spec.input_time) // 2
-        return EchoWindow(start=max(0, n // 2 - half),
-                          stop=min(n, n // 2 + half), tof_s=math.nan)
+        return _center_window(base, spec)
 
 
 def baseband_to_input(base: ComplexBaseband, spec: NetworkSpec,
@@ -218,18 +227,21 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband,
     reports the 0-degree fallback, mirroring the MUSIC convention. The
     default gate is permissive: the network is trained on noisy windows
     and regresses toward zero on uninformative input by itself, so only
-    signal-free records are gated out. The forward pass runs in float32
-    on the checkpoint's cached ``params32``.
+    signal-free records are gated out. One detection pass over the
+    record yields both the gate and the crop window of
+    ``baseband_to_input``. The forward pass runs in float32 on the
+    checkpoint's cached ``params32``.
     """
     if checkpoint.normalization != NORMALIZATION_RMS_WINDOW:
         raise IncompatibleCheckpointError(
             f"unknown normalization rule {checkpoint.normalization!r}")
-    try:
-        detect_echo_window(base, threshold_factor)
-    except EchoNotFoundError:
+    gate, crop = _echo_windows(base, (threshold_factor, CROP_THRESHOLD_FACTOR))
+    if gate is None:
         return DoaEstimate(angle_deg=0.0, status=FALLBACK,
                            ambiguity_deg=(0.0,))
-    rows = baseband_to_input(base, checkpoint.spec)
+    if crop is None:
+        crop = _center_window(base, checkpoint.spec)
+    rows = baseband_to_input(base, checkpoint.spec, crop)
     pred, _ = _forward_impl(checkpoint.spec, checkpoint.params32, rows[None],
                             keep=False)
     angle = float(pred[0]) * ANGLE_SCALE_DEG

@@ -7,7 +7,9 @@ for the DoA estimators.
 
 All functions are pure: randomness enters only through explicit seeds
 (noise uses a counter-based Philox stream keyed by seed and channel so
-records can be generated in parallel without coordination).
+records can be generated in parallel without coordination). The one
+module-level cache, the demodulation plan, holds only read-only
+constants derived from its key, so it never changes a result.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import signal as sps
 
 from .errors import (
@@ -58,7 +61,10 @@ class SimConfig:
     def __post_init__(self):
         for name in ("carrier_freq", "sound_speed", "sample_rate",
                      "echo_duration", "listen_window"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite")
+            if value <= 0:
                 raise InputError(f"{name} must be positive")
         if self.sample_rate <= 2 * self.carrier_freq:
             raise InputError("sample_rate must exceed twice the carrier frequency")
@@ -82,13 +88,33 @@ class SimConfig:
         return self.sample_rate / self.decimation_factor
 
     @classmethod
+    def parse_field(cls, key: str, text: str):
+        """Typed value of field ``key`` from its text form.
+
+        Unknown keys and text that does not parse as the field's type
+        raise InputError; range checks are left to construction.
+        """
+        if key not in cls.__dataclass_fields__:
+            raise InputError(f"unknown simulation key {key!r}")
+        text = text.strip()
+        if key == "envelope":
+            return text
+        if key in ("decimation_factor", "rng_seed"):
+            kind, noun = int, "an integer"
+        else:
+            kind, noun = float, "a number"
+        try:
+            return kind(text)
+        except ValueError:
+            raise InputError(f"{key} expects {noun}, got {text!r}") from None
+
+    @classmethod
     def from_file(cls, path) -> "SimConfig":
         """Load from a plain-text file of ``key = value`` lines.
 
         Recognized keys are exactly the field names; ``#`` starts a
         comment. Unknown keys are rejected.
         """
-        fields = {f: None for f in cls.__dataclass_fields__}
         overrides = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -97,14 +123,9 @@ class SimConfig:
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in fields:
+            if key not in cls.__dataclass_fields__:
                 raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "envelope":
-                overrides[key] = value
-            elif key in ("decimation_factor", "rng_seed"):
-                overrides[key] = int(value)
-            else:
-                overrides[key] = float(value)
+            overrides[key] = cls.parse_field(key, value)
         return cls(**overrides)
 
 
@@ -298,8 +319,20 @@ def add_awgn(wave: RealWaveform, snr_db: float, seed: int,
 
 
 @lru_cache(maxsize=8)
-def _lowpass_taps(cutoff_hz: float, fs: float) -> np.ndarray:
-    return sps.firwin(_LOWPASS_TAPS, cutoff=cutoff_hz, fs=fs)
+def _demodulation_plan(samples: int, carrier_freq: float, sample_rate: float):
+    """Oscillator, FFT length and low-pass spectrum for one record shape.
+
+    These are exactly the values ``fftconvolve(mixed, taps, mode="same")``
+    would rebuild on every call; the arrays are read-only.
+    """
+    t = np.arange(samples) / sample_rate
+    oscillator = np.exp(-2j * np.pi * carrier_freq * t)
+    taps = sps.firwin(_LOWPASS_TAPS, cutoff=carrier_freq / 2.0, fs=sample_rate)
+    nfft = sp_fft.next_fast_len(samples + _LOWPASS_TAPS - 1, False)
+    spectrum = sp_fft.fftn(taps[None, :], [nfft], axes=[1])
+    oscillator.flags.writeable = False
+    spectrum.flags.writeable = False
+    return oscillator, nfft, spectrum
 
 
 def to_baseband(wave: RealWaveform, config: SimConfig) -> ComplexBaseband:
@@ -309,18 +342,26 @@ def to_baseband(wave: RealWaveform, config: SimConfig) -> ComplexBaseband:
     with cutoff at half the carrier (zero net delay), then keeps every
     decimation_factor-th sample. A unit-amplitude carrier tone maps to
     baseband magnitude 0.5 (analytic-signal halving).
+
+    The oscillator and the filter's spectrum come from a read-only plan
+    cached per (record length, carrier, sample rate); the filter runs as
+    one FFT product, bit for bit what ``scipy.signal.fftconvolve`` in
+    "same" mode computes.
     """
     if wave.sample_rate != config.sample_rate:
         raise RateMismatchError(
             f"waveform sampled at {wave.sample_rate} Hz, config expects "
             f"{config.sample_rate} Hz")
-    fs = config.sample_rate
-    t = np.arange(wave.samples_per_channel) / fs
-    mixed = wave.data * np.exp(-2j * np.pi * config.carrier_freq * t)
-    taps = _lowpass_taps(config.carrier_freq / 2.0, fs)
-    filtered = sps.fftconvolve(mixed, taps[None, :], mode="same", axes=1)
-    return ComplexBaseband(data=filtered[:, ::config.decimation_factor],
-                           sample_rate=config.effective_rate)
+    n = wave.samples_per_channel
+    oscillator, nfft, spectrum = _demodulation_plan(
+        n, config.carrier_freq, config.sample_rate)
+    product = sp_fft.fft(wave.data * oscillator, nfft, axis=1)
+    product *= spectrum
+    filtered = sp_fft.ifft(product, overwrite_x=True)
+    delay = (_LOWPASS_TAPS - 1) // 2
+    return ComplexBaseband(
+        data=filtered[:, delay:delay + n:config.decimation_factor].copy(),
+        sample_rate=config.effective_rate)
 
 
 def detect_echo_window(base: ComplexBaseband, threshold_factor: float = 5.0,
@@ -335,7 +376,20 @@ def detect_echo_window(base: ComplexBaseband, threshold_factor: float = 5.0,
     at least ``min_len`` samples. Time of flight is the onset sample
     over the effective sample rate.
     """
-    if threshold_factor <= 1.0:
+    (window,) = _echo_windows(base, (threshold_factor,), lead_fraction, min_len)
+    if window is None:
+        raise EchoNotFoundError("no sample crossed the detection threshold")
+    return window
+
+
+def _echo_windows(base: ComplexBaseband, threshold_factors,
+                  lead_fraction: float = 0.125, min_len: int = 1) -> list:
+    """``detect_echo_window`` at several thresholds from one pass.
+
+    The magnitude, the lead-segment median and the peak are computed
+    once; each factor gets its window, or None where nothing crossed.
+    """
+    if any(factor <= 1.0 for factor in threshold_factors):
         raise InputError("threshold_factor must exceed 1")
     mag = np.abs(base.data[0])
     n = mag.size
@@ -343,15 +397,20 @@ def detect_echo_window(base: ComplexBaseband, threshold_factor: float = 5.0,
         raise InputError(f"record has {n} samples, need at least {min_len}")
     lead = max(8, int(n * lead_fraction))
     noise_median = float(np.median(mag[:lead]))
-    threshold = max(threshold_factor * noise_median, _PEAK_FLOOR * float(mag.max()))
-    above = mag > threshold
-    if not above.any():
-        raise EchoNotFoundError("no sample crossed the detection threshold")
-    start = int(np.argmax(above))
-    below_after = ~above[start:]
-    stop = start + (int(np.argmax(below_after)) if below_after.any()
-                    else n - start)
-    if stop - start < min_len:
-        stop = min(n, start + min_len)
-        start = max(0, stop - min_len)
-    return EchoWindow(start=start, stop=stop, tof_s=start / base.sample_rate)
+    floor = _PEAK_FLOOR * float(mag.max())
+    windows = []
+    for factor in threshold_factors:
+        above = mag > max(factor * noise_median, floor)
+        if not above.any():
+            windows.append(None)
+            continue
+        start = int(np.argmax(above))
+        below_after = ~above[start:]
+        stop = start + (int(np.argmax(below_after)) if below_after.any()
+                        else n - start)
+        if stop - start < min_len:
+            stop = min(n, start + min_len)
+            start = max(0, stop - min_len)
+        windows.append(EchoWindow(start=start, stop=stop,
+                                  tof_s=start / base.sample_rate))
+    return windows

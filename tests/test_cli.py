@@ -274,3 +274,17 @@ class TestConfigPlumbing:
     def test_bad_sim_override_key(self, capsys):
         code, _, err = run(capsys, "music", "--sim", "who=1")
         assert code == 3
+
+    @pytest.mark.parametrize("key, value", [("decimation_factor", "abc"),
+                                            ("carrier_freq", "nan")])
+    def test_bad_config_value_is_one_line_input_error(self, key, value,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        for argv in (("--sim", f"{key}={value}"), ("--config", str(cfg))):
+            code, out, err = run(capsys, "music", *argv)
+            assert code == 3
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: InputError: {key} ")

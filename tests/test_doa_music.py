@@ -8,6 +8,7 @@ from echodoa.doa_music import (
     FALLBACK,
     DoaEstimate,
     MusicOptions,
+    SpectrumPeak,
     covariance,
     estimate_doa_music,
     grating_lobe_set,
@@ -200,6 +201,66 @@ class TestPseudospectrum:
         np.testing.assert_allclose([float(r[0]) for r in rows],
                                    ps.angles_deg)
         np.testing.assert_allclose([float(r[1]) for r in rows], ps.power)
+
+
+def reference_spectrum(subspace, geometry, wavelength_m, step, domain):
+    """Angles, power and peaks from the steering formula, without a cache."""
+    from scipy import signal as sps
+    lo, hi = domain
+    angles = lo + step * np.arange(round((hi - lo) / step) + 1)
+    x = np.asarray(geometry.element_x) - geometry.element_x[0]
+    steering = np.exp(-2j * np.pi * np.outer(np.sin(np.radians(angles)), x)
+                      / wavelength_m)
+    denom = np.sum(np.abs(steering.conj() @ subspace.matrix) ** 2, axis=1)
+    m = float(geometry.num_elements)
+    power = m / np.maximum(denom, 1e-12 * m)
+    padded = np.concatenate(([power.min()], power, [power.min()]))
+    idx, props = sps.find_peaks(padded, prominence=0.0)
+    peaks = sorted((SpectrumPeak(angle_deg=float(angles[i - 1]),
+                                 value=float(padded[i]), prominence=float(p))
+                    for i, p in zip(idx, props["prominences"])),
+                   key=lambda pk: (-pk.prominence, pk.angle_deg))
+    return angles, power, peaks
+
+
+class TestSteeringGridCache:
+    def test_matches_direct_formula_interleaved(self):
+        subspaces = [noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]])),
+                     noise_subspace(np.eye(2))]
+        for theta, geometry, snr in ((30.0, HALF_WL, 10.0),
+                                     (-20.0, ALIASED, 0.0),
+                                     (55.0, ALIASED, math.inf)):
+            wave = add_awgn(synthesize_echo(SourceScenario(theta, 0.8),
+                                            geometry, CFG), snr, seed=3)
+            base = to_baseband(wave, CFG)
+            subspaces.append(noise_subspace(covariance(base.data[:, 250:300])))
+        # alternate geometries and grids so cached grids cannot cross
+        for _ in range(2):
+            for subspace in subspaces:
+                for geometry in (HALF_WL, ALIASED):
+                    for step, domain in ((0.25, (-90.0, 90.0)),
+                                         (0.5, (-60.0, 45.0))):
+                        got = pseudospectrum(subspace, geometry, LAM, step,
+                                             domain)
+                        angles, power, peaks = reference_spectrum(
+                            subspace, geometry, LAM, step, domain)
+                        assert got.angles_deg.tobytes() == angles.tobytes()
+                        assert got.power.tobytes() == power.tobytes()
+                        assert got.peaks == peaks
+
+    def test_grid_is_read_only_and_angles_are_fresh(self):
+        from echodoa.doa_music import _steering_grid
+        angles, steering_conj = _steering_grid(HALF_WL.element_x, LAM, 0.25,
+                                               (-90.0, 90.0))
+        for array in (angles, steering_conj):
+            assert not array.flags.writeable
+        sub = noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
+        first = pseudospectrum(sub, HALF_WL, LAM)
+        assert first.angles_deg.flags.writeable
+        assert not np.shares_memory(first.angles_deg, angles)
+        first.angles_deg[...] = 0.0
+        again = pseudospectrum(sub, HALF_WL, LAM, domain_deg=[-90.0, 90.0])
+        assert again.angles_deg.tobytes() == angles.tobytes()
 
 
 class TestGratingLobes:

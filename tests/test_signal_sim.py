@@ -11,8 +11,10 @@ from echodoa.errors import (
     ScenarioOutOfWindowError,
 )
 from echodoa.signal_sim import (
+    ENVELOPE_KINDS,
     ArrayGeometry,
     ComplexBaseband,
+    RealWaveform,
     SimConfig,
     SourceScenario,
     add_awgn,
@@ -58,6 +60,41 @@ class TestSimConfig:
     def test_rejects_unknown_envelope(self):
         with pytest.raises(InputError):
             SimConfig(envelope="square")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["carrier_freq", "sound_speed",
+                                      "sample_rate", "echo_duration",
+                                      "listen_window"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(InputError, match=f"{name} must be finite"):
+            SimConfig(**{name: value})
+
+    def test_parse_field_types(self):
+        assert SimConfig.parse_field("decimation_factor", " 4 ") == 4
+        assert type(SimConfig.parse_field("rng_seed", "7")) is int
+        assert SimConfig.parse_field("carrier_freq", "4e4") == 40_000.0
+        assert SimConfig.parse_field("envelope", " flat_top\t") == "flat_top"
+        with pytest.raises(InputError, match="unknown simulation key"):
+            SimConfig.parse_field("carrier", "40000")
+
+    @pytest.mark.parametrize("line", ["decimation_factor = abc",
+                                      "decimation_factor = 8.0",
+                                      "rng_seed = -",
+                                      "carrier_freq = 40 kHz"])
+    def test_parse_failures_are_input_errors(self, line, tmp_path):
+        key, value = (part.strip() for part in line.split("="))
+        with pytest.raises(InputError, match=key):
+            SimConfig.parse_field(key, value)
+        path = tmp_path / "sim.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(InputError, match=key):
+            SimConfig.from_file(path)
+
+    def test_config_file_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("carrier_freq = nan\n")
+        with pytest.raises(InputError, match="finite"):
+            SimConfig.from_file(path)
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -269,6 +306,84 @@ class TestToBaseband:
         wave = RealWaveform(data=np.zeros((2, 4000)), sample_rate=5e5)
         with pytest.raises(RateMismatchError):
             to_baseband(wave, CFG)
+
+
+def reference_baseband(wave, config):
+    """Demodulation written out with fftconvolve, without any cache."""
+    from scipy import signal as sps
+    fs = config.sample_rate
+    t = np.arange(wave.samples_per_channel) / fs
+    mixed = wave.data * np.exp(-2j * np.pi * config.carrier_freq * t)
+    taps = sps.firwin(129, cutoff=config.carrier_freq / 2.0, fs=fs)
+    filtered = sps.fftconvolve(mixed, taps[None, :], mode="same", axes=1)
+    return filtered[:, ::config.decimation_factor]
+
+
+def assert_same_bytes(base, want):
+    assert base.data.shape == want.shape
+    assert base.data.dtype == want.dtype
+    assert base.data.tobytes() == want.tobytes()
+
+
+class TestBasebandPlan:
+    @pytest.mark.parametrize("spacing_wl", [0.5, 1.5])
+    @pytest.mark.parametrize("envelope", ENVELOPE_KINDS)
+    @pytest.mark.parametrize("decimation", [1, 4, 8, 10])
+    def test_bytes_match_fftconvolve(self, decimation, envelope, spacing_wl):
+        cfg = SimConfig(decimation_factor=decimation, envelope=envelope)
+        geometry = ArrayGeometry.pair(spacing_wl * wavelength(cfg))
+        clean = synthesize_echo(SourceScenario(doa_deg=25.0, range_m=0.7),
+                                geometry, cfg)
+        for seed, snr in enumerate((-30.0, -10.0, 0.0, 10.0, 20.0,
+                                    math.inf)):
+            wave = add_awgn(clean, snr, seed=seed)
+            assert_same_bytes(to_baseband(wave, cfg),
+                              reference_baseband(wave, cfg))
+
+    def test_other_carrier_and_rate(self):
+        for cfg in (SimConfig(carrier_freq=40_000.0),
+                    SimConfig(sample_rate=500_000.0, decimation_factor=4),
+                    CFG):
+            geometry = ArrayGeometry.pair(wavelength(cfg) / 2.0)
+            wave = add_awgn(synthesize_echo(
+                SourceScenario(doa_deg=-40.0, range_m=0.9), geometry, cfg),
+                5.0, seed=2)
+            assert_same_bytes(to_baseband(wave, cfg),
+                              reference_baseband(wave, cfg))
+
+    def test_record_lengths_interleaved(self):
+        # one plan per record length; alternating lengths must not cross
+        rng = np.random.default_rng(8)
+        for channels, n in ((3, 8003), (2, 8000), (3, 8003), (1, 4096),
+                            (2, 8000)):
+            noise = RealWaveform(data=rng.standard_normal((channels, n)),
+                                 sample_rate=CFG.sample_rate)
+            assert_same_bytes(to_baseband(noise, CFG),
+                              reference_baseband(noise, CFG))
+            zeros = RealWaveform(data=np.zeros((channels, n)),
+                                 sample_rate=CFG.sample_rate)
+            base = to_baseband(zeros, CFG)
+            assert_same_bytes(base, reference_baseband(zeros, CFG))
+            assert not base.data.any()
+
+    def test_plan_is_read_only_and_output_is_not(self):
+        from echodoa.signal_sim import _demodulation_plan
+        oscillator, nfft, spectrum = _demodulation_plan(
+            CFG.n_samples, CFG.carrier_freq, CFG.sample_rate)
+        assert nfft >= CFG.n_samples + 128
+        for array in (oscillator, spectrum):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        wave = add_awgn(synthesize_echo(
+            SourceScenario(doa_deg=10.0, range_m=0.8), HALF_WL_PAIR, CFG),
+            10.0, seed=4)
+        base = to_baseband(wave, CFG)
+        first = base.data.tobytes()
+        assert base.data.flags.writeable and base.data.flags.c_contiguous
+        assert not np.shares_memory(base.data, oscillator)
+        base.data[...] = 0.0
+        assert to_baseband(wave, CFG).data.tobytes() == first
 
 
 class TestDetectEchoWindow:

@@ -5,6 +5,7 @@ import pytest
 
 from echodoa.datasets import SweepSpec, generate_dataset
 from echodoa.errors import (
+    EchoNotFoundError,
     EmptyDatasetError,
     IncompatibleCheckpointError,
     TrainingDivergedError,
@@ -24,12 +25,17 @@ from echodoa.neural import (
     train,
 )
 from echodoa.neural.network import init_params
-from echodoa.neural.training import _mirror
+from echodoa.neural.training import (
+    CROP_THRESHOLD_FACTOR,
+    GATE_THRESHOLD_FACTOR,
+    _mirror,
+)
 from echodoa.datasets import Dataset
 from echodoa.signal_sim import (
     ArrayGeometry,
     ComplexBaseband,
     SimConfig,
+    detect_echo_window,
     wavelength,
 )
 
@@ -249,6 +255,67 @@ class TestWeightCache:
             assert not copy.params32[name].flags.writeable
             assert (copy.params32[name].tobytes()
                     == checkpoint.params32[name].tobytes())
+
+
+def two_pass_predict(checkpoint, base):
+    """predict_doa composed of two separate detections: gate, then crop."""
+    from echodoa.neural.network import forward
+    try:
+        detect_echo_window(base, GATE_THRESHOLD_FACTOR)
+    except EchoNotFoundError:
+        return 0.0, FALLBACK
+    rows = baseband_to_input(base, checkpoint.spec)
+    pred = forward(checkpoint.spec, dict(checkpoint.params32), rows[None])
+    return float(pred[0]) * 90.0, CONVERGED
+
+
+def detects(base, factor):
+    try:
+        detect_echo_window(base, factor)
+    except EchoNotFoundError:
+        return False
+    return True
+
+
+class TestOnePassDetection:
+    def test_matches_two_pass_prediction(self, noiseless_32):
+        checkpoint = Checkpoint(spec=TINY,
+                                params=init_params(TINY, seed=6,
+                                                   dtype=np.float64))
+        rng = np.random.default_rng(3)
+        noise = rng.normal(size=(2, 1000)) + 1j * rng.normal(size=(2, 1000))
+        cases = {
+            "gated": ComplexBaseband(data=np.zeros((2, 1000), dtype=complex),
+                                     sample_rate=CFG.effective_rate),
+            "center_cropped": ComplexBaseband(data=noise,
+                                              sample_rate=CFG.effective_rate),
+            "detected": noiseless_32.records[3].baseband,
+        }
+        assert not detects(cases["gated"], GATE_THRESHOLD_FACTOR)
+        assert detects(cases["center_cropped"], GATE_THRESHOLD_FACTOR)
+        assert not detects(cases["center_cropped"], CROP_THRESHOLD_FACTOR)
+        assert detects(cases["detected"], CROP_THRESHOLD_FACTOR)
+        for name, base in cases.items():
+            est = predict_doa(checkpoint, base)
+            assert (est.angle_deg, est.status) == two_pass_predict(
+                checkpoint, base), name
+
+    def test_detects_once_per_estimate(self, noiseless_32, monkeypatch):
+        import echodoa.signal_sim as signal_sim
+        calls = []
+        one_pass = signal_sim._echo_windows
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return one_pass(*args, **kwargs)
+
+        monkeypatch.setattr("echodoa.neural.training._echo_windows", counted)
+        monkeypatch.setattr(signal_sim, "_echo_windows", counted)
+        checkpoint = Checkpoint(spec=TINY,
+                                params=init_params(TINY, seed=6,
+                                                   dtype=np.float64))
+        predict_doa(checkpoint, noiseless_32.records[0].baseband)
+        assert calls == [(GATE_THRESHOLD_FACTOR, CROP_THRESHOLD_FACTOR)]
 
 
 def _rewrite_header(path, edit):
