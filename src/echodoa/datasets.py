@@ -201,9 +201,16 @@ def _config_dict(config: SimConfig) -> dict:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write ``dataset`` as an EDDS file.
+
+    The header and each record go straight to the file while a running
+    SHA-256 hashes them, so no image of the whole file is ever built.
+    """
     records = dataset.records
     channels = dataset.geometry.num_elements
     samples = records[0].baseband.samples_per_channel if records else 0
+    if any(rec.baseband.data.shape != (channels, samples) for rec in records):
+        raise InputError("records must share one payload shape")
     header = {
         "config": _config_dict(dataset.config),
         "element_x": list(dataset.geometry.element_x),
@@ -214,23 +221,97 @@ def save_dataset(dataset: Dataset, path) -> None:
         "effective_rate": dataset.config.effective_rate,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    out = bytearray()
-    out += DATASET_MAGIC
-    out += struct.pack("<B", FORMAT_VERSION)
-    out += struct.pack("<I", len(blob))
-    out += blob
-    for rec in records:
-        if rec.baseband.data.shape != (channels, samples):
-            raise InputError("records must share one payload shape")
-        out += _RECORD_HEADER.pack(rec.doa_deg, rec.snr_db, rec.range_m,
-                                   rec.seed, rec.tof_s)
-        out += np.ascontiguousarray(rec.baseband.data,
-                                    dtype="<c16").tobytes()
-    out += hashlib.sha256(out).digest()
-    Path(path).write_bytes(bytes(out))
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        def emit(chunk):
+            digest.update(chunk)
+            f.write(chunk)
+
+        emit(DATASET_MAGIC + struct.pack("<BI", FORMAT_VERSION, len(blob))
+             + blob)
+        for rec in records:
+            emit(_RECORD_HEADER.pack(rec.doa_deg, rec.snr_db, rec.range_m,
+                                     rec.seed, rec.tof_s))
+            emit(np.ascontiguousarray(rec.baseband.data, dtype="<c16"))
+        f.write(digest.digest())
+
+
+def _decode_header(raw, path, decode):
+    """``decode`` applied to the JSON header at offset 9, and its end.
+
+    Any header defect raises FileFormatError: bytes that are not UTF-8
+    JSON, a value that is not an object, and any KeyError, TypeError or
+    ValueError (InputError included) that ``decode`` raises on a missing
+    or mistyped key.
+    """
+    (header_len,) = struct.unpack_from("<I", raw, 5)
+    header_end = 9 + header_len
+    try:
+        header = json.loads(raw[9:header_end].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FileFormatError(f"{path}: unreadable header: {exc}") from exc
+    try:
+        if type(header) is not dict:
+            raise TypeError("header must be a JSON object")
+        return decode(header), header_end
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(
+            f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+
+
+_NUMBER = (int, float)
+_CONFIG_TYPES = {"envelope": (str,), "decimation_factor": (int,),
+                 "rng_seed": (int,)}
+
+
+def _field(header: dict, key: str, *types):
+    """``header[key]``; TypeError unless its type is one of ``types``."""
+    value = header[key]
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be {names}, got {value!r}")
+    return value
+
+
+def _count(header: dict, key: str) -> int:
+    value = _field(header, key, int)
+    if value < 0:
+        raise ValueError(f"{key} must not be negative, got {value}")
+    return value
+
+
+def _sim_config(header: dict) -> SimConfig:
+    config = _field(header, "config", dict)
+    for key in config:
+        if key not in SimConfig.__dataclass_fields__:
+            raise ValueError(f"unknown config key {key!r}")
+        _field(config, key, *_CONFIG_TYPES.get(key, _NUMBER))
+    return SimConfig(**config)
+
+
+def _geometry(header: dict) -> ArrayGeometry:
+    xs = _field(header, "element_x", list)
+    if any(type(x) not in _NUMBER for x in xs):
+        raise TypeError(f"element_x must hold numbers, got {xs!r}")
+    return ArrayGeometry(element_x=tuple(xs))
+
+
+def _dataset_header(header: dict) -> dict:
+    decoded = {key: _count(header, key)
+               for key in ("master_seed", "record_count", "channels",
+                           "samples_per_channel")}
+    decoded["effective_rate"] = _field(header, "effective_rate", *_NUMBER)
+    decoded["config"] = _sim_config(header)
+    decoded["geometry"] = _geometry(header)
+    return decoded
 
 
 def load_dataset(path) -> Dataset:
+    """Read an EDDS file written by ``save_dataset``.
+
+    A defect in the framing, the checksum, the header or the payload
+    length raises ``FileFormatError`` (or a subclass of it).
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 4 + 1 + 4 + 32:
         raise FileFormatError(f"{path}: truncated dataset file")
@@ -241,11 +322,7 @@ def load_dataset(path) -> Dataset:
             f"{path}: version {raw[4]}, expected {FORMAT_VERSION}")
     if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
         raise ChecksumError(f"{path}: checksum mismatch")
-    (header_len,) = struct.unpack_from("<I", raw, 5)
-    header_end = 9 + header_len
-    header = json.loads(raw[9:header_end].decode())
-    config = SimConfig(**header["config"])
-    geometry = ArrayGeometry(element_x=tuple(header["element_x"]))
+    header, header_end = _decode_header(raw, path, _dataset_header)
     channels = header["channels"]
     samples = header["samples_per_channel"]
     stride = _RECORD_HEADER.size + channels * samples * 16
@@ -266,8 +343,8 @@ def load_dataset(path) -> Dataset:
             baseband=ComplexBaseband(data=data,
                                      sample_rate=header["effective_rate"]),
             tof_s=tof))
-    return Dataset(config=config, geometry=geometry, records=records,
-                   master_seed=header["master_seed"])
+    return Dataset(config=header["config"], geometry=header["geometry"],
+                   records=records, master_seed=header["master_seed"])
 
 
 def write_index_text(dataset: Dataset, path) -> None:
@@ -357,7 +434,11 @@ def write_capture(path, wave: RealWaveform, geometry: ArrayGeometry,
 
 
 def read_capture(path):
-    """Raw waveform, geometry, and annotation from a capture file."""
+    """Raw waveform, geometry, and annotation from a capture file.
+
+    A defect in the framing, the header or the payload length raises
+    ``FileFormatError`` (or a subclass of it).
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 9:
         raise FileFormatError(f"{path}: truncated capture file")
@@ -366,9 +447,7 @@ def read_capture(path):
     if raw[4] != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"{path}: version {raw[4]}, expected {FORMAT_VERSION}")
-    (header_len,) = struct.unpack_from("<I", raw, 5)
-    header_end = 9 + header_len
-    header = json.loads(raw[9:header_end].decode())
+    header, header_end = _decode_header(raw, path, _capture_header)
     channels = header["channels"]
     frames = header["frame_count"]
     expected = header_end + channels * frames * 8
@@ -379,8 +458,15 @@ def read_capture(path):
     data = np.frombuffer(raw, dtype="<f8", count=channels * frames,
                          offset=header_end).reshape(channels, frames).copy()
     wave = RealWaveform(data=data, sample_rate=header["sample_rate"])
-    geometry = ArrayGeometry(element_x=tuple(header["element_x"]))
-    return wave, geometry, header["annotation"]
+    return wave, header["geometry"], header["annotation"]
+
+
+def _capture_header(header: dict) -> dict:
+    return {"channels": _count(header, "channels"),
+            "frame_count": _count(header, "frame_count"),
+            "sample_rate": _field(header, "sample_rate", *_NUMBER),
+            "annotation": _field(header, "annotation", str),
+            "geometry": _geometry(header)}
 
 
 def _parse_annotation(text: str) -> dict:

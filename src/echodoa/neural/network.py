@@ -11,6 +11,16 @@ row-sliced GEMMs of the convolutions operate on contiguous memory.
 Pooling works on strided views of that layout and copies nothing; it
 records the int8 window index of each maximum only for the training
 pass. Bias-add and ReLU run in place on the convolution output.
+
+The training pass caches, per convolution stage, three things: the
+im2col column buffer of the stage input, the int8 window index of each
+pooled maximum, and a bool mask of the positive pooled outputs (one
+byte per pooling window, in place of the full-size ReLU output). The
+convolution output itself is freed once pooled. The reverse pass
+releases each stage's cache as soon as that stage's gradients exist,
+and builds the input-gradient columns into the stage's spent forward
+column buffer, so the working set stays close to the column buffers
+alone.
 """
 
 from __future__ import annotations
@@ -112,18 +122,24 @@ def _same_pads(k: int) -> tuple:
     return ((k - 1) // 2, k // 2)
 
 
-def _conv_same(x, w, pad_r, pad_t):
+def _conv_same(x, w, pad_r, pad_t, cols=None):
     """Same-size 2-D convolution; returns output and the column buffer.
 
     ``x`` is (R, B, T, C) and ``w`` is (kr, kt, C, F). Row offsets whose
     taps land entirely in padding are skipped; time padding is explicit.
-    The column buffer is reused by the weight-gradient pass.
+    The column buffer is (R, B, T, kt * C); the training pass keeps it
+    for the weight gradient. A contiguous ``cols`` of that shape and of
+    ``x``'s dtype is overwritten instead of allocating a fresh buffer.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = x.shape
     xpt = np.pad(x, ((0, 0), (0, 0), pad_t, (0, 0)))
     win = sliding_window_view(xpt, kt, axis=2)               # (R,B,T,C,kt)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 3))
+    win = win.transpose(0, 1, 2, 4, 3)
+    if cols is None:
+        cols = np.ascontiguousarray(win)
+    else:
+        np.copyto(cols.reshape(win.shape), win, casting="no")
     cols = cols.reshape(r_dim, b_dim, t_dim, kt * c_in)
     wm = w.reshape(kr, kt * c_in, f_out)
     y = np.zeros((r_dim, b_dim, t_dim, f_out), dtype=x.dtype)
@@ -140,7 +156,14 @@ def _conv_same(x, w, pad_r, pad_t):
 
 
 def _conv_same_grads(dy, w, cols, pad_r, pad_t, need_dx):
-    """Gradients of _conv_same w.r.t. weights, bias, and (optionally) input."""
+    """Gradients of _conv_same w.r.t. weights, bias, and (optionally) input.
+
+    ``cols`` is the forward column buffer. When the input gradient is
+    needed, ``dy``'s columns are built into ``cols`` once the weight
+    gradient has used it, so its contents are then spent. That needs
+    C == F, which holds for every stage but the first, the only one
+    whose input gradient is never needed.
+    """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = dy.shape
     dwm = np.zeros((kr, kt * c_in, f_out), dtype=dy.dtype)
@@ -162,7 +185,7 @@ def _conv_same_grads(dy, w, cols, pad_r, pad_t, need_dx):
         # channel-transposed kernel and mirrored padding
         wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
         dx, _ = _conv_same(dy, wflip, (pad_r[1], pad_r[0]),
-                           (pad_t[1], pad_t[0]))
+                           (pad_t[1], pad_t[0]), cols=cols)
     return dw, db, dx
 
 
@@ -244,11 +267,12 @@ def _forward_impl(spec, params, x, keep):
     for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
         conv, cols = _conv_same(act, params[f"conv{s}_w"], pad_r, pad_t)
         conv += params[f"conv{s}_b"]
-        relu = np.maximum(conv, 0.0, out=conv)
-        pooled, arg = _maxpool(relu, pr, pt, keep)
-        stages.append({"cols": cols, "relu": relu, "arg": arg,
-                       "pre_pool_shape": relu.shape} if keep else None)
-        act = pooled
+        np.maximum(conv, 0.0, out=conv)                      # ReLU
+        act, arg = _maxpool(conv, pr, pt, keep)
+        if keep:
+            stages.append({"cols": cols, "arg": arg, "mask": act > 0,
+                           "pre_pool_shape": conv.shape})
+        del conv, cols
 
     flat = act[0].reshape(act.shape[1], -1)
     z1 = flat @ params["dense1_w"] + params["dense1_b"]
@@ -276,6 +300,17 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
 
     ``labels`` are normalized targets in [-1, 1]. Gradient arrays
     mirror the parameter shapes one to one.
+
+    Each stage's cache entry (column buffer, window index, pooled mask)
+    is taken out of the cache and freed once that stage's gradients
+    exist, and the input gradient reuses the stage's column buffer.
+    The ReLU mask is applied to the pooled gradient before routing:
+    a routed slot holds its window's maximum, so its ReLU output is
+    positive exactly when the pooled output is, and unrouted slots
+    are +0.0 either way. This matches masking the routed gradient bit
+    for bit on finite activations; a window holding NaN could route
+    differently, but a NaN activation already makes the loss
+    non-finite.
     """
     x = _check_input(spec, x)
     _check_params(spec, params)
@@ -310,15 +345,17 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
     pad_r = _same_pads(spec.kernel_rows)
     pad_t = _same_pads(spec.kernel_time)
     schedule = spec.pool_schedule()
+    stages = cache.pop("stages")
     for s in range(spec.conv_stages, 0, -1):
-        stage = cache["stages"][s - 1]
+        stage = stages.pop()
         pr, pt = schedule[s - 1]
+        dact *= stage["mask"]
         dconv = _maxpool_grad(dact, stage["arg"], stage["pre_pool_shape"],
                               pr, pt)
-        dconv *= stage["relu"] > 0
         dw, db, dact = _conv_same_grads(dconv, params[f"conv{s}_w"],
                                         stage["cols"], pad_r, pad_t,
                                         need_dx=s > 1)
+        del stage, dconv
         grads[f"conv{s}_w"] = dw
         grads[f"conv{s}_b"] = db
     return loss, grads

@@ -114,6 +114,36 @@ class TestSimulateCommand:
         assert code == 3
 
 
+def _malformed_capture(raw, how):
+    import struct
+    (n,) = struct.unpack_from("<I", raw, 5)
+    if how == "length_off_by_five":
+        return raw[:5] + struct.pack("<I", n + 5) + raw[9:]
+    if how == "bracket_first":
+        return raw[:9] + b"[" + raw[10:]
+    header = json.loads(raw[9:9 + n])
+    del header["annotation"]
+    blob = json.dumps(header).encode()
+    return raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + n:]
+
+
+class TestMalformedCaptureHeader:
+    @pytest.mark.parametrize("how", ["length_off_by_five", "bracket_first",
+                                     "missing_annotation"])
+    def test_one_line_file_format_error(self, how, tmp_path, capsys):
+        capture = tmp_path / "echo.edcf"
+        code, _, _ = run(capsys, "simulate", "--doa", "30",
+                         "--range", "1.0", "--out", str(capture))
+        assert code == 0
+        capture.write_bytes(_malformed_capture(capture.read_bytes(), how))
+        code, out, err = run(capsys, "music", "--capture", str(capture))
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileFormatError: ")
+
+
 class TestDatasetCommand:
     def test_generates_expected_cardinality(self, tmp_path, capsys):
         out_path = tmp_path / "grid.edds"

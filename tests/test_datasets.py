@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -318,3 +320,193 @@ class TestCaptureFiles:
         path.write_bytes(raw[:-16])
         with pytest.raises(FileFormatError):
             read_capture(path)
+
+
+# --- streamed writer and strict header decoding ------------------------------
+
+SPEC_27 = SweepSpec(angles_deg=(-20.0, 0.0, 20.0), snrs_db=(0.0, 10.0, 20.0),
+                    records_per_cell=3)
+
+
+def framed_in_memory(dataset):
+    """The EDDS image built in memory: magic, version, header, records, hash."""
+    records = dataset.records
+    cfg = dataset.config
+    header = {
+        "config": {"carrier_freq": cfg.carrier_freq,
+                   "sound_speed": cfg.sound_speed,
+                   "sample_rate": cfg.sample_rate,
+                   "echo_duration": cfg.echo_duration,
+                   "listen_window": cfg.listen_window,
+                   "decimation_factor": cfg.decimation_factor,
+                   "rng_seed": cfg.rng_seed,
+                   "envelope": cfg.envelope},
+        "element_x": list(dataset.geometry.element_x),
+        "master_seed": dataset.master_seed,
+        "record_count": len(records),
+        "channels": dataset.geometry.num_elements,
+        "samples_per_channel": records[0].baseband.samples_per_channel,
+        "effective_rate": cfg.effective_rate,
+    }
+    blob = json.dumps(header, sort_keys=True).encode()
+    out = bytearray(b"EDDS" + struct.pack("<B", 1) + struct.pack("<I", len(blob)))
+    out += blob
+    for rec in records:
+        out += struct.pack("<dddQd", rec.doa_deg, rec.snr_db, rec.range_m,
+                           rec.seed, rec.tof_s)
+        out += np.ascontiguousarray(rec.baseband.data, dtype="<c16").tobytes()
+    out += hashlib.sha256(out).digest()
+    return bytes(out)
+
+
+def reframe(raw, header_bytes, checksum=True):
+    """``raw`` with its header replaced and, for EDDS, the hash refreshed."""
+    (n,) = struct.unpack_from("<I", raw, 5)
+    tail = raw[9 + n:-32] if checksum else raw[9 + n:]
+    body = raw[:5] + struct.pack("<I", len(header_bytes)) + header_bytes + tail
+    return body + hashlib.sha256(body).digest() if checksum else body
+
+
+def header_of(raw):
+    (n,) = struct.unpack_from("<I", raw, 5)
+    return json.loads(raw[9:9 + n])
+
+
+class TestStreamedSave:
+    @pytest.fixture(scope="class")
+    def dataset_27(self):
+        return generate_dataset(SPEC_27)
+
+    def test_bytes_equal_in_memory_framing(self, dataset_27, tmp_path):
+        assert len(dataset_27.records) == 27
+        path = tmp_path / "ds.edds"
+        save_dataset(dataset_27, path)
+        assert path.read_bytes() == framed_in_memory(dataset_27)
+
+    def test_roundtrip(self, dataset_27, tmp_path):
+        path = tmp_path / "ds.edds"
+        save_dataset(dataset_27, path)
+        loaded = load_dataset(path)
+        assert len(loaded.records) == 27
+        for a, b in zip(dataset_27.records, loaded.records):
+            assert (a.doa_deg, a.snr_db, a.range_m, a.seed) \
+                == (b.doa_deg, b.snr_db, b.range_m, b.seed)
+            assert a.baseband.data.tobytes() == b.baseband.data.tobytes()
+        save_dataset(loaded, tmp_path / "again.edds")
+        assert (tmp_path / "again.edds").read_bytes() == path.read_bytes()
+
+    def test_mixed_shapes_write_nothing(self, dataset_27, tmp_path):
+        records = list(dataset_27.records[:2])
+        short = records[1].baseband.data[:, :-1]
+        records[1] = DatasetRecord(0.0, 0.0, 1.0, 0,
+                                   ComplexBaseband(short, CFG.effective_rate))
+        path = tmp_path / "mixed.edds"
+        with pytest.raises(InputError):
+            save_dataset(Dataset(CFG, GEO, records), path)
+        assert not path.exists()
+
+    def test_peak_memory_is_about_one_record(self, tmp_path):
+        import tracemalloc
+
+        sweep = generate_dataset(SweepSpec(records_per_cell=1))
+        assert len(sweep.records) == 143
+        record_bytes = 40 + sweep.records[0].baseband.data.nbytes
+        path = tmp_path / "sweep.edds"
+        tracemalloc.start()
+        try:
+            save_dataset(sweep, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * record_bytes, (peak, record_bytes)
+
+
+def _mutated(header, key, value):
+    header = dict(header)
+    if value is KeyError:
+        del header[key]
+    else:
+        header[key] = value
+    return header
+
+
+class TestMalformedDatasetHeader:
+    """Headers that pass the checksum but are not what the writer emits."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, small_dataset, tmp_path_factory):
+        path = tmp_path_factory.mktemp("hdr") / "ds.edds"
+        save_dataset(small_dataset, path)
+        return path.read_bytes()
+
+    def _load(self, raw, tmp_path):
+        path = tmp_path / "bad.edds"
+        path.write_bytes(raw)
+        return load_dataset(path)
+
+    @pytest.mark.parametrize("header_bytes", [
+        b"\xff\xfe not utf-8", b"[1, 2]", b"42", b"{", b"[" * 100_000])
+    def test_unreadable_or_non_object(self, saved, tmp_path, header_bytes):
+        with pytest.raises(FileFormatError, match="header"):
+            self._load(reframe(saved, header_bytes), tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("channels", KeyError), ("record_count", KeyError),
+        ("config", KeyError), ("element_x", KeyError),
+        ("effective_rate", KeyError), ("master_seed", KeyError),
+        ("samples_per_channel", KeyError),
+        ("channels", "2"), ("channels", 2.0), ("channels", True),
+        ("record_count", -1), ("samples_per_channel", [1000]),
+        ("effective_rate", "125000"), ("master_seed", None),
+        ("element_x", "ab"), ("element_x", [0.0, "x"]), ("element_x", [0.0]),
+        ("config", [1]), ("config", {"carrier": 1.0}),
+        ("config", {"envelope": 5}), ("config", {"carrier_freq": "51200"}),
+        ("config", {"decimation_factor": 8.0}),
+        ("config", {"sample_rate": -1.0})])
+    def test_missing_or_mistyped_key(self, saved, tmp_path, key, value):
+        header = _mutated(header_of(saved), key, value)
+        raw = reframe(saved, json.dumps(header).encode())
+        with pytest.raises(FileFormatError, match="malformed header"):
+            self._load(raw, tmp_path)
+
+    def test_reframed_unchanged_header_still_loads(self, saved, tmp_path):
+        raw = reframe(saved, json.dumps(header_of(saved)).encode())
+        assert len(self._load(raw, tmp_path).records) == 18
+
+
+class TestMalformedCaptureHeader:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=0.8),
+                               GEO, CFG)
+        path = tmp_path_factory.mktemp("cap") / "echo.edcf"
+        write_capture(path, wave, GEO, annotation="doa_deg=0")
+        return path.read_bytes()
+
+    def _read(self, raw, tmp_path):
+        path = tmp_path / "bad.edcf"
+        path.write_bytes(raw)
+        return read_capture(path)
+
+    @pytest.mark.parametrize("header_bytes", [b"\xc3\x28", b"[]", b"null"])
+    def test_unreadable_or_non_object(self, saved, tmp_path, header_bytes):
+        with pytest.raises(FileFormatError, match="header"):
+            self._read(reframe(saved, header_bytes, checksum=False), tmp_path)
+
+    def test_header_length_off_by_five(self, saved, tmp_path):
+        (n,) = struct.unpack_from("<I", saved, 5)
+        raw = saved[:5] + struct.pack("<I", n + 5) + saved[9:]
+        with pytest.raises(FileFormatError, match="header"):
+            self._read(raw, tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("annotation", KeyError), ("channels", KeyError),
+        ("frame_count", KeyError), ("sample_rate", KeyError),
+        ("element_x", KeyError), ("annotation", 5), ("channels", "2"),
+        ("frame_count", -8000), ("sample_rate", "1e6"),
+        ("element_x", {"x": 0})])
+    def test_missing_or_mistyped_key(self, saved, tmp_path, key, value):
+        header = _mutated(header_of(saved), key, value)
+        raw = reframe(saved, json.dumps(header).encode(), checksum=False)
+        with pytest.raises(FileFormatError, match="malformed header"):
+            self._read(raw, tmp_path)

@@ -322,3 +322,203 @@ class TestPoolingAgainstBruteForce:
         plain, none = _forward_impl(SMALL, params, x, keep=False)
         assert cache is not None and none is None
         assert kept.tobytes() == plain.tobytes()
+
+
+# --- lean training pass against the unshared reference -------------------
+
+MID = NetworkSpec(input_time=128, feature_maps=8, dense_widths=(16, 8))
+
+
+def reference_conv(x, w, pad_r, pad_t):
+    """im2col convolution with a fresh column buffer on every call."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    kr, kt, c_in, f_out = w.shape
+    r_dim, b_dim, t_dim, _ = x.shape
+    xpt = np.pad(x, ((0, 0), (0, 0), pad_t, (0, 0)))
+    cols = np.ascontiguousarray(
+        sliding_window_view(xpt, kt, axis=2).transpose(0, 1, 2, 4, 3))
+    cols = cols.reshape(r_dim, b_dim, t_dim, kt * c_in)
+    wm = w.reshape(kr, kt * c_in, f_out)
+    y = np.zeros((r_dim, b_dim, t_dim, f_out), dtype=x.dtype)
+    for dr in range(kr):
+        r_lo = max(0, pad_r[0] - dr)
+        r_hi = min(r_dim, r_dim + pad_r[0] - dr)
+        if r_lo >= r_hi:
+            continue
+        i_lo = r_lo + dr - pad_r[0]
+        rows = r_hi - r_lo
+        xs = cols[i_lo:i_lo + rows].reshape(rows * b_dim * t_dim, kt * c_in)
+        y[r_lo:r_hi] += (xs @ wm[dr]).reshape(rows, b_dim, t_dim, f_out)
+    return y, cols
+
+
+def reference_backward(spec, params, x, labels):
+    """Loss, gradients and predictions with every buffer kept.
+
+    Keeps each stage's full ReLU output, masks the routed gradient with
+    it, and builds the input-gradient columns in a second buffer.
+    """
+    from echodoa.neural.network import _maxpool, _maxpool_grad, _same_pads
+    dtype = params["conv1_w"].dtype
+    act = np.ascontiguousarray(
+        x.astype(dtype, copy=False).transpose(1, 0, 2))[..., None]
+    pad_r, pad_t = _same_pads(spec.kernel_rows), _same_pads(spec.kernel_time)
+    schedule = spec.pool_schedule()
+    stages = []
+    for s, (pr, pt) in enumerate(schedule, start=1):
+        conv, cols = reference_conv(act, params[f"conv{s}_w"], pad_r, pad_t)
+        relu = np.maximum(conv + params[f"conv{s}_b"], 0.0)
+        act, arg = _maxpool(relu, pr, pt, keep=True)
+        stages.append((cols, relu, arg))
+    flat = act[0].reshape(act.shape[1], -1)
+    a1 = np.maximum(flat @ params["dense1_w"] + params["dense1_b"], 0.0)
+    a2 = np.maximum(a1 @ params["dense2_w"] + params["dense2_b"], 0.0)
+    z3 = a2 @ params["output_w"] + params["output_b"]
+    bound = np.nextafter(dtype.type(1.0), dtype.type(0.0))
+    pred = np.clip(np.tanh(z3[:, 0]), -bound, bound)
+
+    labels = labels.astype(dtype, copy=False)
+    residual = pred - labels
+    loss = float(np.mean(residual ** 2))
+    grads = {}
+    dz3 = ((2.0 / x.shape[0]) * residual
+           * (1.0 - pred ** 2))[:, None].astype(dtype)
+    grads["output_w"] = a2.T @ dz3
+    grads["output_b"] = dz3.sum(axis=0)
+    dz2 = (dz3 @ params["output_w"].T) * (a2 > 0)
+    grads["dense2_w"] = a1.T @ dz2
+    grads["dense2_b"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ params["dense2_w"].T) * (a1 > 0)
+    grads["dense1_w"] = flat.T @ dz1
+    grads["dense1_b"] = dz1.sum(axis=0)
+    dact = (dz1 @ params["dense1_w"].T).reshape(act.shape)
+    for s in range(spec.conv_stages, 0, -1):
+        cols, relu, arg = stages[s - 1]
+        pr, pt = schedule[s - 1]
+        dconv = _maxpool_grad(dact, arg, relu.shape, pr, pt)
+        dconv *= relu > 0
+        w = params[f"conv{s}_w"]
+        kr, kt, c_in, f_out = w.shape
+        r_dim, b_dim, t_dim, _ = dconv.shape
+        dwm = np.zeros((kr, kt * c_in, f_out), dtype=dtype)
+        for dr in range(kr):
+            r_lo = max(0, pad_r[0] - dr)
+            r_hi = min(r_dim, r_dim + pad_r[0] - dr)
+            if r_lo >= r_hi:
+                continue
+            i_lo = r_lo + dr - pad_r[0]
+            n = (r_hi - r_lo) * b_dim * t_dim
+            dwm[dr] = (cols[i_lo:i_lo + r_hi - r_lo].reshape(n, kt * c_in).T
+                       @ dconv[r_lo:r_hi].reshape(n, f_out))
+        grads[f"conv{s}_w"] = dwm.reshape(w.shape)
+        grads[f"conv{s}_b"] = dconv.sum(axis=(0, 1, 2))
+        if s > 1:
+            wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
+            dact, _ = reference_conv(dconv, wflip, (pad_r[1], pad_r[0]),
+                                     (pad_t[1], pad_t[0]))
+    return loss, grads, pred
+
+
+def crafted_batch(spec, params, batch, seed):
+    """Inputs with exact pooling ties, all-zero windows and zero residuals.
+
+    A zero stretch of input meets positive conv biases, so every stage
+    has windows of equal positive outputs; negative biases on some maps
+    give all-zero windows; labels equal to the prediction on every third
+    record give zero (and sign-carrying zero) upstream gradients.
+    """
+    rng = np.random.default_rng(seed)
+    dtype = params["conv1_w"].dtype
+    params = dict(params)
+    for s in range(1, spec.conv_stages + 1):
+        b = np.full(spec.feature_maps, 0.05, dtype=dtype)
+        b[::3] = -0.5
+        params[f"conv{s}_b"] = b
+    x = rng.normal(size=(batch, spec.input_rows, spec.input_time))
+    x[:, :, : spec.input_time // 2] = 0.0
+    x = x.astype(dtype)
+    labels = rng.uniform(-0.9, 0.9, batch).astype(dtype)
+    labels[::3] = forward(spec, params, x)[::3]
+    return params, x, labels
+
+
+def assert_same_bytes(got, want):
+    loss, grads = got
+    want_loss, want_grads, _ = want
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert set(grads) == set(want_grads)
+    for name in want_grads:
+        assert grads[name].dtype == want_grads[name].dtype, name
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+class TestLeanBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_reference_across_interleaved_batches(self, dtype):
+        params = init_params(MID, 4, dtype=dtype)
+        crafted = init_params(MID, 5, dtype=dtype)
+        for batch in (1, 8, 51, 8, 1, 51):
+            rng = np.random.default_rng(batch)
+            x = rng.normal(size=(batch, 4, MID.input_time)).astype(dtype)
+            y = rng.uniform(-0.9, 0.9, batch).astype(dtype)
+            assert_same_bytes(backward(MID, params, x, y),
+                              reference_backward(MID, params, x, y))
+            p, x, y = crafted_batch(MID, crafted, batch, seed=batch)
+            assert_same_bytes(backward(MID, p, x, y),
+                              reference_backward(MID, p, x, y))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_before_routing_equals_mask_after(self, dtype):
+        # the identity backward relies on: for a ReLU output, masking the
+        # pooled gradient by (pooled > 0) before routing gives the bytes of
+        # masking the routed gradient by (relu > 0)
+        from echodoa.neural.network import _maxpool, _maxpool_grad
+        rng = np.random.default_rng(7)
+        for pr in (1, 2):
+            shape = (2 * pr, 3, 16, 5)
+            relu = np.maximum(rng.integers(-2, 3, size=shape), 0).astype(dtype)
+            relu[:, :, :4] = 0.0
+            pooled, arg = _maxpool(relu, pr, 2, keep=True)
+            assert (pooled == 0).any() and (pooled > 0).any()
+            dy = rng.normal(size=pooled.shape).astype(dtype)
+            dy[..., 0] = -0.0
+            dy[..., 1] = 0.0
+            after = _maxpool_grad(dy, arg, shape, pr, 2)
+            after *= relu > 0
+            before = _maxpool_grad(dy * (pooled > 0), arg, shape, pr, 2)
+            assert before.tobytes() == after.tobytes()
+            assert np.signbit(after).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_forward_unchanged(self, dtype):
+        for spec, batch in ((MID, 51), (NetworkSpec(), 3)):
+            params = init_params(spec, 6, dtype=dtype)
+            x = np.random.default_rng(batch).normal(
+                size=(batch, 4, spec.input_time)).astype(dtype)
+            _, _, want = reference_backward(spec, params, x,
+                                            np.zeros(batch, dtype))
+            assert forward(spec, params, x).tobytes() == want.tobytes()
+
+    def test_training_step_peak_memory_near_the_column_buffers(self):
+        # the only large buffers a training step must hold at once are the
+        # forward column buffers; the conv outputs, the input-gradient
+        # columns and the full-size ReLU masks must not add a second set
+        import tracemalloc
+        spec, batch = NetworkSpec(), 8
+        params = init_params(spec, 0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(batch, 4, spec.input_time)).astype(np.float32)
+        y = rng.uniform(-0.9, 0.9, batch).astype(np.float32)
+        rows, time, c_in, col_bytes = spec.input_rows, spec.input_time, 1, 0
+        for pr, pt in spec.pool_schedule():
+            col_bytes += rows * batch * time * spec.kernel_time * c_in * 4
+            rows, time, c_in = rows // pr, time // pt, spec.feature_maps
+        backward(spec, params, x, y)                 # warm up
+        tracemalloc.start()
+        try:
+            got = backward(spec, params, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * col_bytes, (peak, col_bytes)
+        assert_same_bytes(got, reference_backward(spec, params, x, y))
