@@ -23,12 +23,9 @@ from .doa_music import (
     CONVERGED,
     DoaEstimate,
     MusicOptions,
-    estimate_doa_music,
-    pseudospectrum,
-    noise_subspace,
-    covariance,
+    music_with_spectrum,
 )
-from .errors import EchoDoaError, InputError, ProcessingError
+from .errors import EchoDoaError, EchoNotFoundError, InputError, ProcessingError
 from .signal_sim import (
     ArrayGeometry,
     SimConfig,
@@ -129,8 +126,10 @@ def _cmd_simulate(args) -> int:
         datasets.save_dataset(ds, args.baseband_out)
         outputs["baseband"] = str(args.baseband_out)
     if args.spectrum_out:
-        estimate, spectrum = _music_with_spectrum(base, geometry, config,
-                                                  args.grid_step)
+        _, spectrum = music_with_spectrum(
+            base, geometry, config, MusicOptions(grid_step_deg=args.grid_step))
+        if spectrum is None:
+            raise EchoNotFoundError("no sample crossed the detection threshold")
         spectrum.write_table(args.spectrum_out)
         outputs["spectrum"] = str(args.spectrum_out)
     if not outputs:
@@ -140,19 +139,6 @@ def _cmd_simulate(args) -> int:
                               "snr_db": args.snr},
                  "outputs": outputs})
     return 0
-
-
-def _music_with_spectrum(base, geometry, config, grid_step):
-    options = MusicOptions(grid_step_deg=grid_step)
-    estimate = estimate_doa_music(base, geometry, config, options)
-    from .signal_sim import detect_echo_window
-    window = detect_echo_window(base, options.threshold_factor,
-                                min_len=options.min_snapshots)
-    subspace = noise_subspace(
-        covariance(base.data[:, window.start:window.stop]))
-    spectrum = pseudospectrum(subspace, geometry, wavelength(config),
-                              grid_step, options.domain_deg)
-    return estimate, spectrum
 
 
 def _sweep_spec(args, config) -> datasets.SweepSpec:
@@ -255,11 +241,9 @@ def _cmd_music(args) -> int:
         wave = add_awgn(synthesize_echo(scenario, geometry, config),
                         scenario.snr_db, args.seed)
         base = to_baseband(wave, config)
-    options = MusicOptions(grid_step_deg=args.grid_step)
-    estimate = estimate_doa_music(base, geometry, config, options)
+    estimate, spectrum = music_with_spectrum(
+        base, geometry, config, MusicOptions(grid_step_deg=args.grid_step))
     if args.spectrum_out and estimate.status == CONVERGED:
-        _, spectrum = _music_with_spectrum(base, geometry, config,
-                                           args.grid_step)
         spectrum.write_table(args.spectrum_out)
     _print_json(_estimate_json(estimate))
     return 0

@@ -6,15 +6,16 @@ a fixed echo position. Record seeds derive from the master seed and the
 cell indices, so generation order and worker count never change the
 output.
 
-Two binary containers are defined: ``EDDS`` dataset files (fixed-stride
-records plus a trailing SHA-256, suitable for memory-mapped reads) and
-``EDCF`` capture files holding externally recorded raw waveforms.
+Two file formats live here: ``EDDS`` dataset files, whose payload is
+fixed-size records (``_record_layout``: five labels, then the baseband
+samples), and ``EDCF`` capture files, whose payload is an externally
+recorded raw waveform. Their shared framing (magic, version, JSON
+header, SHA-256 trailer on EDDS only) is defined in ``container.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -23,15 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import (
     ApertureViolationError,
-    ChecksumError,
     EmptyDatasetError,
     FileFormatError,
     InputError,
     RateMismatchError,
     ScenarioOutOfWindowError,
-    UnsupportedVersionError,
 )
 from .signal_sim import (
     ArrayGeometry,
@@ -184,7 +184,11 @@ def _make_record_star(args):
 
 # --- persistence -----------------------------------------------------------
 
-_RECORD_HEADER = struct.Struct("<dddQd")   # doa, snr, range, seed, tof
+def _record_layout(channels: int, samples: int) -> np.dtype:
+    """One EDDS payload record: its labels, then its baseband samples."""
+    return np.dtype([("doa_deg", "<f8"), ("snr_db", "<f8"), ("range_m", "<f8"),
+                     ("seed", "<u8"), ("tof_s", "<f8"),
+                     ("data", "<c16", (channels, samples))])
 
 
 def _config_dict(config: SimConfig) -> dict:
@@ -201,11 +205,7 @@ def _config_dict(config: SimConfig) -> dict:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write ``dataset`` as an EDDS file.
-
-    The header and each record go straight to the file while a running
-    SHA-256 hashes them, so no image of the whole file is ever built.
-    """
+    """Write ``dataset`` as an EDDS file, one record at a time."""
     records = dataset.records
     channels = dataset.geometry.num_elements
     samples = records[0].baseband.samples_per_channel if records else 0
@@ -220,43 +220,11 @@ def save_dataset(dataset: Dataset, path) -> None:
         "samples_per_channel": samples,
         "effective_rate": dataset.config.effective_rate,
     }
-    blob = json.dumps(header, sort_keys=True).encode()
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        def emit(chunk):
-            digest.update(chunk)
-            f.write(chunk)
-
-        emit(DATASET_MAGIC + struct.pack("<BI", FORMAT_VERSION, len(blob))
-             + blob)
-        for rec in records:
-            emit(_RECORD_HEADER.pack(rec.doa_deg, rec.snr_db, rec.range_m,
-                                     rec.seed, rec.tof_s))
-            emit(np.ascontiguousarray(rec.baseband.data, dtype="<c16"))
-        f.write(digest.digest())
-
-
-def _decode_header(raw, path, decode):
-    """``decode`` applied to the JSON header at offset 9, and its end.
-
-    Any header defect raises FileFormatError: bytes that are not UTF-8
-    JSON, a value that is not an object, and any KeyError, TypeError or
-    ValueError (InputError included) that ``decode`` raises on a missing
-    or mistyped key.
-    """
-    (header_len,) = struct.unpack_from("<I", raw, 5)
-    header_end = 9 + header_len
-    try:
-        header = json.loads(raw[9:header_end].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FileFormatError(f"{path}: unreadable header: {exc}") from exc
-    try:
-        if type(header) is not dict:
-            raise TypeError("header must be a JSON object")
-        return decode(header), header_end
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(
-            f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+    layout = _record_layout(channels, samples)
+    rows = (np.array((rec.doa_deg, rec.snr_db, rec.range_m, rec.seed,
+                      rec.tof_s, rec.baseband.data), dtype=layout)
+            for rec in records)
+    container.write(path, DATASET_MAGIC, FORMAT_VERSION, header, rows)
 
 
 _NUMBER = (int, float)
@@ -303,6 +271,10 @@ def _dataset_header(header: dict) -> dict:
     decoded["effective_rate"] = _field(header, "effective_rate", *_NUMBER)
     decoded["config"] = _sim_config(header)
     decoded["geometry"] = _geometry(header)
+    # built here so that a record too large for a NumPy dtype (a
+    # ValueError) reads as a malformed header
+    decoded["layout"] = _record_layout(decoded["channels"],
+                                       decoded["samples_per_channel"])
     return decoded
 
 
@@ -312,37 +284,20 @@ def load_dataset(path) -> Dataset:
     A defect in the framing, the checksum, the header or the payload
     length raises ``FileFormatError`` (or a subclass of it).
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 + 1 + 4 + 32:
-        raise FileFormatError(f"{path}: truncated dataset file")
-    if raw[:4] != DATASET_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if raw[4] != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: version {raw[4]}, expected {FORMAT_VERSION}")
-    if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
-        raise ChecksumError(f"{path}: checksum mismatch")
-    header, header_end = _decode_header(raw, path, _dataset_header)
-    channels = header["channels"]
-    samples = header["samples_per_channel"]
-    stride = _RECORD_HEADER.size + channels * samples * 16
-    expected_end = header_end + header["record_count"] * stride
-    if expected_end != len(raw) - 32:
+    header, payload = container.read(path, DATASET_MAGIC, FORMAT_VERSION,
+                                     _dataset_header)
+    layout = header["layout"]
+    if len(payload) != header["record_count"] * layout.itemsize:
         raise FileFormatError(f"{path}: payload length mismatch")
-
-    records = []
-    offset = header_end
-    for _ in range(header["record_count"]):
-        doa, snr, range_m, seed, tof = _RECORD_HEADER.unpack_from(raw, offset)
-        offset += _RECORD_HEADER.size
-        data = np.frombuffer(raw, dtype="<c16", count=channels * samples,
-                             offset=offset).reshape(channels, samples).copy()
-        offset += channels * samples * 16
-        records.append(DatasetRecord(
-            doa_deg=doa, snr_db=snr, range_m=range_m, seed=seed,
-            baseband=ComplexBaseband(data=data,
-                                     sample_rate=header["effective_rate"]),
-            tof_s=tof))
+    rows = np.frombuffer(payload, dtype=layout)
+    labels = rows[["doa_deg", "snr_db", "range_m", "seed", "tof_s"]].tolist()
+    rate = header["effective_rate"]
+    records = [DatasetRecord(doa_deg=doa, snr_db=snr, range_m=range_m,
+                             seed=seed, tof_s=tof,
+                             baseband=ComplexBaseband(data=data.copy(),
+                                                      sample_rate=rate))
+               for (doa, snr, range_m, seed, tof), data
+               in zip(labels, rows["data"])]
     return Dataset(config=header["config"], geometry=header["geometry"],
                    records=records, master_seed=header["master_seed"])
 
@@ -423,14 +378,9 @@ def write_capture(path, wave: RealWaveform, geometry: ArrayGeometry,
         "element_x": list(geometry.element_x),
         "annotation": annotation,
     }
-    blob = json.dumps(header, sort_keys=True).encode()
-    out = bytearray()
-    out += CAPTURE_MAGIC
-    out += struct.pack("<B", FORMAT_VERSION)
-    out += struct.pack("<I", len(blob))
-    out += blob
-    out += np.ascontiguousarray(wave.data, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    container.write(path, CAPTURE_MAGIC, FORMAT_VERSION, header,
+                    [np.ascontiguousarray(wave.data, dtype="<f8")],
+                    checksum=False)
 
 
 def read_capture(path):
@@ -439,24 +389,15 @@ def read_capture(path):
     A defect in the framing, the header or the payload length raises
     ``FileFormatError`` (or a subclass of it).
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 9:
-        raise FileFormatError(f"{path}: truncated capture file")
-    if raw[:4] != CAPTURE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if raw[4] != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: version {raw[4]}, expected {FORMAT_VERSION}")
-    header, header_end = _decode_header(raw, path, _capture_header)
+    header, payload = container.read(path, CAPTURE_MAGIC, FORMAT_VERSION,
+                                     _capture_header, checksum=False)
     channels = header["channels"]
     frames = header["frame_count"]
-    expected = header_end + channels * frames * 8
-    if expected != len(raw):
+    if len(payload) != channels * frames * 8:
         raise FileFormatError(
             f"{path}: declared {frames} frames x {channels} channels does "
             f"not match payload size")
-    data = np.frombuffer(raw, dtype="<f8", count=channels * frames,
-                         offset=header_end).reshape(channels, frames).copy()
+    data = np.frombuffer(payload, dtype="<f8").reshape(channels, frames).copy()
     wave = RealWaveform(data=data, sample_rate=header["sample_rate"])
     return wave, header["geometry"], header["annotation"]
 

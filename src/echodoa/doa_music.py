@@ -259,31 +259,41 @@ def estimate_doa_music(base: ComplexBaseband, geometry: ArrayGeometry,
     not detected, no peak is prominent enough, or the eigenvalue
     spectrum is degenerate. Estimation failure is never an exception.
     """
+    return music_with_spectrum(base, geometry, config, options)[0]
+
+
+def music_with_spectrum(base: ComplexBaseband, geometry: ArrayGeometry,
+                        config: SimConfig,
+                        options: MusicOptions = MusicOptions()
+                        ) -> tuple[DoaEstimate, Pseudospectrum | None]:
+    """``estimate_doa_music`` and the pseudospectrum it searched.
+
+    The spectrum is None when no echo was detected; every other
+    estimate, fallbacks included, comes with the spectrum of the
+    detected window.
+    """
     if base.data.shape[0] != geometry.num_elements:
         raise InputError("baseband channel count does not match the geometry")
     try:
         window = detect_echo_window(base, options.threshold_factor,
                                     min_len=options.min_snapshots)
     except EchoNotFoundError:
-        return _fallback()
+        return _fallback(), None
 
     snapshots = base.data[:, window.start:window.stop]
     r = covariance(snapshots)
     subspace = noise_subspace(r, options.source_count)
-    if subspace.gap_ratio > options.degeneracy_max:
-        return _fallback()
-
     lam = wavelength(config)
     spectrum = pseudospectrum(subspace, geometry, lam,
                               options.grid_step_deg, options.domain_deg)
-    if not spectrum.peaks:
-        return _fallback()
+    if subspace.gap_ratio > options.degeneracy_max or not spectrum.peaks:
+        return _fallback(), spectrum
     prominence_min = (options.prominence_min if options.prominence_min is not None
                       else 3.0 * float(np.median(spectrum.power)))
     best = spectrum.peaks[0]
     if best.prominence < prominence_min:
-        return _fallback()
+        return _fallback(), spectrum
     ambiguity = grating_lobe_set(best.angle_deg, geometry, lam)
     return DoaEstimate(angle_deg=best.angle_deg, status=CONVERGED,
                        ambiguity_deg=tuple(ambiguity),
-                       prominence=best.prominence)
+                       prominence=best.prominence), spectrum

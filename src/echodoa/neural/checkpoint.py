@@ -1,18 +1,14 @@
-"""Versioned binary container for trained network weights.
+"""Versioned binary file format for trained network weights.
 
-Layout: magic ``EDCK``, one version byte, a little-endian u32 length
-followed by a JSON header (architecture, normalization rule, training
-metadata, parameter manifest), the weight arrays as little-endian
-64-bit floats in declaration order, and a trailing SHA-256 of
-everything before it.
+An ``EDCK`` file is a container (framing and SHA-256 trailer in
+``container.py``) whose JSON header holds the architecture, the
+normalization rule, training metadata and the parameter manifest, and
+whose payload is the weight arrays as little-endian 64-bit floats in
+declaration order.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
-import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -20,12 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..errors import (
-    ChecksumError,
-    FileFormatError,
-    ShapeMismatchError,
-    UnsupportedVersionError,
-)
+from .. import container
+from ..errors import FileFormatError, ShapeMismatchError
 from .network import NetworkSpec
 
 MAGIC = b"EDCK"
@@ -98,17 +90,9 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "params": [{"name": n, "shape": list(s)}
                    for n, s in spec.param_shapes().items()],
     }
-    blob = json.dumps(header, sort_keys=True).encode()
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<B", VERSION)
-    out += struct.pack("<I", len(blob))
-    out += blob
-    for name in spec.param_shapes():
-        out += np.ascontiguousarray(checkpoint.params[name],
-                                    dtype="<f8").tobytes()
-    out += hashlib.sha256(out).digest()
-    Path(path).write_bytes(bytes(out))
+    container.write(path, MAGIC, VERSION, header,
+                    (np.ascontiguousarray(checkpoint.params[name], dtype="<f8")
+                     for name in spec.param_shapes()))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -117,47 +101,19 @@ def load_checkpoint(path) -> Checkpoint:
     A defect in the framing, the checksum, the header or the payload
     raises ``FileFormatError`` (or a subclass of it).
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 1 + 4 + 32:
-        raise FileFormatError(f"{path}: truncated checkpoint")
-    if raw[:4] != MAGIC:
-        raise FileFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if raw[4] != VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: version {raw[4]}, expected {VERSION}")
-    digest = raw[-32:]
-    body = raw[:-32]
-    if hashlib.sha256(body).digest() != digest:
-        raise ChecksumError(f"{path}: checksum mismatch")
-    (header_len,) = struct.unpack_from("<I", raw, 5)
-    header_end = 9 + header_len
-    try:
-        header = json.loads(raw[9:header_end].decode())
-        spec, normalization, metadata = _decode_header(header)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: unreadable header: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(
-            f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
-
-    params = {}
-    offset = header_end
-    for name, shape in spec.param_shapes().items():
-        count = math.prod(shape)
-        end = offset + count * 8
-        if end > len(body):
-            raise FileFormatError(f"{path}: weight payload truncated")
-        params[name] = np.frombuffer(
-            body, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset = end
-    if offset != len(body):
-        raise FileFormatError(f"{path}: trailing bytes after weights")
-    return Checkpoint(spec=spec, params=params, normalization=normalization,
-                      metadata=metadata)
+    (spec, normalization, metadata, layout), payload = container.read(
+        path, MAGIC, VERSION, _checkpoint_header)
+    if len(payload) != layout.itemsize:
+        raise FileFormatError(f"{path}: {len(payload)} bytes of weights, "
+                              f"the spec needs {layout.itemsize}")
+    weights = np.frombuffer(payload, dtype=layout)[0]
+    return Checkpoint(spec=spec,
+                      params={name: weights[name] for name in layout.names},
+                      normalization=normalization, metadata=metadata)
 
 
-def _decode_header(header):
-    """Spec, normalization and metadata of a parsed header.
+def _checkpoint_header(header):
+    """Spec, normalization, metadata and payload layout of a header.
 
     Raises KeyError, TypeError or ValueError (the spec's own InputError
     included) on anything that ``save_checkpoint`` would not write.
@@ -179,7 +135,11 @@ def _decode_header(header):
     if not isinstance(normalization, str) or not isinstance(metadata, dict):
         raise TypeError("normalization must be a string and metadata an "
                         "object")
-    return spec, normalization, metadata
+    # the payload: every parameter as float64, in declaration order; a
+    # spec too large for a NumPy dtype raises ValueError here
+    layout = np.dtype([(name, "<f8", shape)
+                       for name, shape in spec.param_shapes().items()])
+    return spec, normalization, metadata, layout
 
 
 def export_weights_text(checkpoint: Checkpoint, path) -> None:

@@ -6,7 +6,23 @@ import pytest
 
 from echodoa.cli import build_parser, main
 from echodoa.datasets import load_dataset
+from echodoa.doa_music import (
+    MusicOptions,
+    covariance,
+    noise_subspace,
+    pseudospectrum,
+)
 from echodoa.evaluation import load_results
+from echodoa.signal_sim import (
+    ArrayGeometry,
+    SimConfig,
+    SourceScenario,
+    add_awgn,
+    detect_echo_window,
+    synthesize_echo,
+    to_baseband,
+    wavelength,
+)
 
 SUBCOMMANDS = ("simulate", "dataset", "train", "eval", "music",
                "triangulate", "sweep", "gradcheck")
@@ -114,6 +130,75 @@ class TestSimulateCommand:
         assert code == 3
 
 
+def reference_spectrum_table(path, doa, snr, grid_step, seed=0):
+    """The --spectrum-out table of a second, separate MUSIC pass."""
+    config = SimConfig()
+    geometry = ArrayGeometry.pair(0.5 * wavelength(config))
+    wave = synthesize_echo(SourceScenario(doa_deg=doa, range_m=1.0,
+                                          snr_db=snr), geometry, config)
+    base = to_baseband(add_awgn(wave, snr, seed), config)
+    options = MusicOptions(grid_step_deg=grid_step)
+    window = detect_echo_window(base, options.threshold_factor,
+                                min_len=options.min_snapshots)
+    subspace = noise_subspace(covariance(base.data[:, window.start:window.stop]))
+    pseudospectrum(subspace, geometry, wavelength(config), grid_step,
+                   options.domain_deg).write_table(path)
+    return path.read_bytes()
+
+
+class TestSpectrumOut:
+    """``--spectrum-out`` of ``music`` (converged only) and ``simulate``."""
+
+    @pytest.mark.parametrize("doa, snr, grid_step", [
+        (30.0, math.inf, 0.25), (-12.5, 10.0, 0.5), (45.0, 0.0, 1.0)])
+    def test_music_table_bytes(self, doa, snr, grid_step, tmp_path, capsys):
+        table = tmp_path / "spectrum.txt"
+        code, out, _ = run(capsys, "music", "--doa", str(doa), "--snr",
+                           str(snr), "--grid-step", str(grid_step),
+                           "--spectrum-out", str(table))
+        assert code == 0
+        assert json.loads(out)["status"] == "converged"
+        assert table.read_bytes() == reference_spectrum_table(
+            tmp_path / "ref.txt", doa, snr, grid_step)
+
+    @pytest.mark.parametrize("argv", [
+        ("--snr", "-40"),                        # no echo detected
+        ("--doa", "0", "--grid-step", "60")])    # detected, no prominent peak
+    def test_music_fallback_writes_no_table(self, argv, tmp_path, capsys):
+        table = tmp_path / "spectrum.txt"
+        code, out, _ = run(capsys, "music", *argv, "--spectrum-out",
+                           str(table))
+        assert code == 0
+        assert json.loads(out)["status"] == "fallback"
+        assert not table.exists()
+
+    @pytest.mark.parametrize("doa, snr, grid_step", [
+        (30.0, math.inf, 0.25), (-12.5, 10.0, 0.5),
+        (0.0, math.inf, 60.0)])                  # the estimate falls back
+    def test_simulate_table_bytes(self, doa, snr, grid_step, tmp_path,
+                                  capsys):
+        table = tmp_path / "spectrum.txt"
+        code, out, _ = run(capsys, "simulate", "--doa", str(doa), "--range",
+                           "1.0", "--snr", str(snr), "--grid-step",
+                           str(grid_step), "--spectrum-out", str(table))
+        assert code == 0
+        assert json.loads(out)["outputs"] == {"spectrum": str(table)}
+        assert table.read_bytes() == reference_spectrum_table(
+            tmp_path / "ref.txt", doa, snr, grid_step)
+
+    def test_simulate_without_echo_is_runtime_error(self, tmp_path, capsys):
+        table = tmp_path / "spectrum.txt"
+        code, out, err = run(capsys, "simulate", "--doa", "30", "--range",
+                             "1.0", "--snr", "-40", "--spectrum-out",
+                             str(table))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: EchoNotFoundError: no sample crossed the detection "
+            "threshold"]
+        assert not table.exists()
+
+
 def _malformed_capture(raw, how):
     import struct
     (n,) = struct.unpack_from("<I", raw, 5)
@@ -214,6 +299,23 @@ class TestTrainEvalCommands:
         blob = b"[1, 2]"
         body = (b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
         bad = tmp_path / "bad.edck"
+        bad.write_bytes(body + hashlib.sha256(body).digest())
+        code, out, err = run(capsys, "eval", "--dataset",
+                             str(tiny_dataset_path), "--checkpoint",
+                             str(bad), "--out", str(tmp_path / "m.csv"))
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileFormatError: ")
+
+    def test_deeply_nested_checkpoint_header_is_validation_error(
+            self, tiny_dataset_path, tmp_path, capsys):
+        import hashlib
+        import struct
+        blob = b"[" * 100_000
+        body = (b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
+        bad = tmp_path / "nested.edck"
         bad.write_bytes(body + hashlib.sha256(body).digest())
         code, out, err = run(capsys, "eval", "--dataset",
                              str(tiny_dataset_path), "--checkpoint",

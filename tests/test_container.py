@@ -1,0 +1,199 @@
+"""The shared container codec, and truncated or bit-flipped EDDS, EDCK
+and EDCF files.
+
+Each file is cut, or has one byte flipped, at the start, the middle and
+the end of every region: the 9-byte prefix (magic, version, header
+length), the JSON header, the payload and, for the checksummed EDDS and
+EDCK, the SHA-256 trailer. Only ``FileFormatError`` and its subclasses
+may come out of the readers.
+"""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from echodoa import container
+from echodoa.datasets import (
+    SweepSpec,
+    generate_dataset,
+    load_dataset,
+    read_capture,
+    save_dataset,
+    write_capture,
+)
+from echodoa.errors import (
+    ChecksumError,
+    FileFormatError,
+    UnsupportedVersionError,
+)
+from echodoa.neural import (
+    Checkpoint,
+    NetworkSpec,
+    load_checkpoint,
+    save_checkpoint,
+)
+from echodoa.neural.network import init_params
+from echodoa.signal_sim import (
+    ArrayGeometry,
+    SimConfig,
+    SourceScenario,
+    synthesize_echo,
+    wavelength,
+)
+
+CFG = SimConfig()
+GEO = ArrayGeometry.pair(wavelength(CFG) / 2.0)
+TINY = NetworkSpec(input_time=256, feature_maps=8, dense_widths=(16, 8))
+
+
+@pytest.mark.parametrize("checksum", [True, False])
+def test_codec_frames_and_reads_back(checksum, tmp_path):
+    path = tmp_path / "file.bin"
+    samples = np.arange(3, dtype="<f8")
+    container.write(path, b"TEST", 3, {"b": 1, "a": [2]},
+                    iter([b"xy", samples]), checksum=checksum)
+    blob = b'{"a": [2], "b": 1}'
+    body = (b"TEST" + struct.pack("<BI", 3, len(blob)) + blob + b"xy"
+            + samples.tobytes())
+    digest = hashlib.sha256(body).digest() if checksum else b""
+    assert path.read_bytes() == body + digest
+    header, payload = container.read(path, b"TEST", 3, dict,
+                                     checksum=checksum)
+    assert header == {"a": [2], "b": 1}
+    assert isinstance(payload, memoryview)
+    assert payload.tobytes() == b"xy" + samples.tobytes()
+
+
+@pytest.mark.parametrize("checksum", [True, False])
+def test_header_length_past_the_payload(checksum, tmp_path):
+    path = tmp_path / "file.bin"
+    body = b"TEST" + struct.pack("<BI", 3, 3) + b"{}"
+    path.write_bytes(body + (hashlib.sha256(body).digest() if checksum
+                             else b""))
+    with pytest.raises(FileFormatError, match="runs past the payload"):
+        container.read(path, b"TEST", 3, dict, checksum=checksum)
+
+
+def _write_edds(path):
+    save_dataset(generate_dataset(SweepSpec(
+        angles_deg=(10.0,), snrs_db=(20.0,), records_per_cell=2)), path)
+
+
+def _write_edck(path):
+    save_checkpoint(Checkpoint(spec=TINY,
+                               params=init_params(TINY, 1, np.float64)), path)
+
+
+def _write_edcf(path):
+    wave = synthesize_echo(SourceScenario(doa_deg=20.0, range_m=0.8), GEO, CFG)
+    write_capture(path, wave, GEO, annotation="doa_deg=20")
+
+
+# name -> (writer, reader, carries a SHA-256 trailer)
+FORMATS = {
+    "edds": (_write_edds, load_dataset, True),
+    "edck": (_write_edck, load_checkpoint, True),
+    "edcf": (_write_edcf, read_capture, False),
+}
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corrupt")
+    files = {}
+    for name, (writer, _, _) in FORMATS.items():
+        path = directory / f"good.{name}"
+        writer(path)
+        files[name] = path.read_bytes()
+    return files
+
+
+def regions(raw, checksum):
+    """(start, stop) of each region of a container image."""
+    (header_len,) = struct.unpack_from("<I", raw, 5)
+    payload_end = len(raw) - 32 if checksum else len(raw)
+    spans = {"prefix": (0, 9), "header": (9, 9 + header_len),
+             "payload": (9 + header_len, payload_end)}
+    if checksum:
+        spans["trailer"] = (payload_end, len(raw))
+    return spans
+
+
+def offset_in(span, where):
+    start, stop = span
+    return {"start": start, "middle": (start + stop) // 2,
+            "end": stop - 1}[where]
+
+
+CASES = [(fmt, region, where)
+         for fmt, (_, _, checksum) in FORMATS.items()
+         for region in ("prefix", "header", "payload", "trailer")
+         if checksum or region != "trailer"
+         for where in ("start", "middle", "end")]
+
+
+def _read(fmt, raw, tmp_path):
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(raw)
+    return FORMATS[fmt][1](path)
+
+
+def test_untouched_files_read(saved, tmp_path):
+    for fmt, raw in saved.items():
+        _read(fmt, raw, tmp_path)
+
+
+@pytest.mark.parametrize("fmt, region, where", CASES)
+def test_truncation_is_file_format_error(fmt, region, where, saved,
+                                         tmp_path):
+    raw = saved[fmt]
+    cut = offset_in(regions(raw, FORMATS[fmt][2])[region], where)
+    with pytest.raises(FileFormatError):
+        _read(fmt, raw[:cut], tmp_path)
+
+
+@pytest.mark.parametrize("fmt, region, where", CASES)
+def test_flipped_byte(fmt, region, where, saved, tmp_path):
+    raw = bytearray(saved[fmt])
+    checksum = FORMATS[fmt][2]
+    offset = offset_in(regions(raw, checksum)[region], where)
+    raw[offset] ^= 0xFF
+    if offset < 4:
+        expected = FileFormatError          # bad magic
+    elif offset == 4:
+        expected = UnsupportedVersionError
+    elif checksum:
+        expected = ChecksumError
+    elif region == "payload":
+        # EDCF has no checksum: a flipped sample reads as another value
+        try:
+            wave, _, _ = _read(fmt, bytes(raw), tmp_path)
+        except FileFormatError:
+            return
+        assert wave.data.shape[0] == 2
+        return
+    else:
+        expected = FileFormatError
+    with pytest.raises(expected):
+        _read(fmt, bytes(raw), tmp_path)
+
+
+def _with_payload(raw, checksum, payload):
+    """``raw`` with its payload replaced and, if checksummed, re-hashed."""
+    body = raw[:regions(raw, checksum)["payload"][0]] + payload
+    return body + hashlib.sha256(body).digest() if checksum else body
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("change", ["one value short", "one value over"])
+def test_payload_length_must_match_the_header(fmt, change, saved, tmp_path):
+    raw = saved[fmt]
+    checksum = FORMATS[fmt][2]
+    start, stop = regions(raw, checksum)["payload"]
+    payload = raw[start:stop - 8] if change == "one value short" \
+        else raw[start:stop] + bytes(8)
+    with pytest.raises(FileFormatError) as info:
+        _read(fmt, _with_payload(raw, checksum, payload), tmp_path)
+    assert type(info.value) is FileFormatError

@@ -359,6 +359,37 @@ def framed_in_memory(dataset):
     return bytes(out)
 
 
+def framed_capture(wave, geometry, annotation):
+    """The EDCF image built in memory: magic, version, header, samples."""
+    header = {"sample_rate": wave.sample_rate,
+              "channels": wave.channels,
+              "frame_count": wave.samples_per_channel,
+              "element_x": list(geometry.element_x),
+              "annotation": annotation}
+    blob = json.dumps(header, sort_keys=True).encode()
+    return (b"EDCF" + struct.pack("<BI", 1, len(blob)) + blob
+            + np.asarray(wave.data, dtype="<f8").tobytes())
+
+
+class TestCaptureBytes:
+    @pytest.mark.parametrize("snr, annotation", [
+        (math.inf, ""), (10.0, "doa_deg=12;snr_db=10;range_m=0.8")])
+    def test_bytes_equal_reference_and_roundtrip(self, snr, annotation,
+                                                 tmp_path):
+        scenario = SourceScenario(doa_deg=12.0, range_m=0.8, snr_db=snr)
+        wave = add_awgn(synthesize_echo(scenario, GEO, CFG), snr, seed=7)
+        path = tmp_path / "echo.edcf"
+        write_capture(path, wave, GEO, annotation)
+        assert path.read_bytes() == framed_capture(wave, GEO, annotation)
+        loaded, geometry, note = read_capture(path)
+        assert loaded.data.tobytes() == wave.data.tobytes()
+        assert loaded.sample_rate == wave.sample_rate
+        assert geometry.element_x == GEO.element_x
+        assert note == annotation
+        write_capture(tmp_path / "again.edcf", loaded, geometry, note)
+        assert (tmp_path / "again.edcf").read_bytes() == path.read_bytes()
+
+
 def reframe(raw, header_bytes, checksum=True):
     """``raw`` with its header replaced and, for EDDS, the hash refreshed."""
     (n,) = struct.unpack_from("<I", raw, 5)

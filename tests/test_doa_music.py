@@ -12,6 +12,7 @@ from echodoa.doa_music import (
     covariance,
     estimate_doa_music,
     grating_lobe_set,
+    music_with_spectrum,
     noise_subspace,
     pseudospectrum,
 )
@@ -22,6 +23,7 @@ from echodoa.signal_sim import (
     SimConfig,
     SourceScenario,
     add_awgn,
+    detect_echo_window,
     steering_vector,
     synthesize_echo,
     to_baseband,
@@ -341,3 +343,41 @@ class TestEstimateDoaMusic:
             DoaEstimate(angle_deg=5.0, status=FALLBACK, ambiguity_deg=(5.0,))
         with pytest.raises(InputError):
             DoaEstimate(angle_deg=5.0, status=CONVERGED, ambiguity_deg=(4.0,))
+
+
+class TestMusicWithSpectrum:
+    """The estimate of ``estimate_doa_music`` and the spectrum it searched."""
+
+    @staticmethod
+    def window_spectrum(base, options):
+        window = detect_echo_window(base, options.threshold_factor,
+                                    min_len=options.min_snapshots)
+        subspace = noise_subspace(
+            covariance(base.data[:, window.start:window.stop]))
+        return pseudospectrum(subspace, HALF_WL, LAM, options.grid_step_deg,
+                              options.domain_deg)
+
+    @pytest.mark.parametrize("options, status", [
+        (MusicOptions(), CONVERGED),
+        (MusicOptions(grid_step_deg=0.5, domain_deg=(-60.0, 60.0)),
+         CONVERGED),
+        (MusicOptions(degeneracy_max=0.0), FALLBACK),      # degenerate
+        (MusicOptions(prominence_min=math.inf), FALLBACK)])
+    def test_estimate_and_spectrum(self, options, status):
+        scenario = SourceScenario(doa_deg=-20.0, range_m=1.0, snr_db=10.0)
+        base = to_baseband(add_awgn(synthesize_echo(scenario, HALF_WL, CFG),
+                                    10.0, seed=3), CFG)
+        estimate, spectrum = music_with_spectrum(base, HALF_WL, CFG, options)
+        assert estimate == estimate_doa_music(base, HALF_WL, CFG, options)
+        assert estimate.status == status
+        expected = self.window_spectrum(base, options)
+        assert spectrum.angles_deg.tobytes() == expected.angles_deg.tobytes()
+        assert spectrum.power.tobytes() == expected.power.tobytes()
+        assert spectrum.peaks == expected.peaks
+
+    def test_no_echo_has_no_spectrum(self):
+        base = ComplexBaseband(np.zeros((2, 1000), dtype=complex),
+                               CFG.effective_rate)
+        estimate, spectrum = music_with_spectrum(base, HALF_WL, CFG)
+        assert estimate.status == FALLBACK
+        assert spectrum is None

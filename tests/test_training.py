@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -319,14 +322,14 @@ class TestOnePassDetection:
 
 
 def _rewrite_header(path, edit):
-    """Re-frame a saved checkpoint with ``edit(header)`` and a valid digest."""
-    import hashlib
-    import json
-    import struct
+    """Re-frame a saved checkpoint with ``edit(header)`` and a valid digest.
+
+    An edit that returns bytes supplies the raw header itself.
+    """
     raw = path.read_bytes()
     (length,) = struct.unpack_from("<I", raw, 5)
     header = edit(json.loads(raw[9:9 + length]))
-    blob = json.dumps(header).encode()
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
     body = raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + length:-32]
     path.write_bytes(body + hashlib.sha256(body).digest())
 
@@ -368,6 +371,7 @@ MALFORMED_HEADERS = {
         for e in h["params"]]},
     "normalization not a string": _set("normalization", 1),
     "metadata not an object": _set("metadata", [1]),
+    "nested too deeply": lambda header: b"[" * 100_000,
 }
 
 
@@ -441,6 +445,77 @@ class TestCheckpointIO:
         total = sum(p.size for p in params.values())
         values = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert len(values) == total
+
+
+def framed_checkpoint(checkpoint):
+    """The EDCK image built in memory: magic, version, header, weights, hash."""
+    spec = checkpoint.spec
+    header = {
+        "spec": {"input_rows": spec.input_rows,
+                 "input_time": spec.input_time,
+                 "conv_stages": spec.conv_stages,
+                 "feature_maps": spec.feature_maps,
+                 "kernel_rows": spec.kernel_rows,
+                 "kernel_time": spec.kernel_time,
+                 "dense_widths": list(spec.dense_widths)},
+        "normalization": checkpoint.normalization,
+        "metadata": checkpoint.metadata,
+        "params": [{"name": n, "shape": list(s)}
+                   for n, s in spec.param_shapes().items()],
+    }
+    blob = json.dumps(header, sort_keys=True).encode()
+    out = bytearray(b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
+    for name in spec.param_shapes():
+        out += np.asarray(checkpoint.params[name], dtype="<f8").tobytes()
+    out += hashlib.sha256(out).digest()
+    return bytes(out)
+
+
+class TestCheckpointBytes:
+    """``save_checkpoint`` writes exactly the reference framing."""
+
+    @pytest.mark.parametrize("spec", [TINY, NetworkSpec()],
+                             ids=["tiny", "default"])
+    def test_bytes_equal_reference_and_roundtrip(self, spec, tmp_path):
+        checkpoint = Checkpoint(spec=spec,
+                                params=init_params(spec, 4, np.float64),
+                                metadata={"seed": 4, "best_epoch": 2,
+                                          "best_val_loss": 0.125})
+        path = tmp_path / "model.edck"
+        save_checkpoint(checkpoint, path)
+        assert path.read_bytes() == framed_checkpoint(checkpoint)
+        loaded = load_checkpoint(path)
+        assert loaded.spec == spec
+        assert loaded.normalization == checkpoint.normalization
+        assert loaded.metadata == checkpoint.metadata
+        for name, value in checkpoint.params.items():
+            assert loaded.params[name].tobytes() == value.tobytes()
+            assert loaded.params32[name].tobytes() \
+                == checkpoint.params32[name].tobytes()
+        save_checkpoint(loaded, tmp_path / "again.edck")
+        assert (tmp_path / "again.edck").read_bytes() == path.read_bytes()
+
+    def test_peak_memory(self, tmp_path):
+        """Saving copies no weights; loading holds the file, the float64
+        weights and their float32 cast, about 2.5 times the file."""
+        import tracemalloc
+
+        spec = NetworkSpec()
+        checkpoint = Checkpoint(spec=spec,
+                                params=init_params(spec, 0, np.float64))
+        path = tmp_path / "model.edck"
+        peaks = []
+        for step in (lambda: save_checkpoint(checkpoint, path),
+                     lambda: load_checkpoint(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        size = path.stat().st_size
+        assert peaks[0] < 0.05 * size, (peaks, size)
+        assert peaks[1] < 2.6 * size, (peaks, size)
 
 
 class TestMirrorAugmentation:
