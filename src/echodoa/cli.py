@@ -469,6 +469,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every seed ends up in a uint64 (Philox keys, EDDS records)
+        if not 0 <= args.seed < 2**64:
+            raise InputError(f"--seed must lie in [0, 2**64), got {args.seed}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

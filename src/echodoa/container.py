@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import struct
+import uuid
 from pathlib import Path
 
 from .errors import ChecksumError, FileFormatError, UnsupportedVersionError
@@ -26,17 +28,27 @@ def write(path, magic: bytes, version: int, header: dict, chunks,
     Each chunk (bytes or a C-contiguous array) goes straight to the file
     while a running SHA-256 hashes it, so no image of the whole file is
     built; each is written before the next is taken from ``chunks``.
+    The bytes go to a temporary file beside ``path`` that replaces it
+    only once complete, so a writer that fails part way leaves the old
+    file, or none, and never a truncated one.
     """
+    path = Path(path)
     blob = json.dumps(header, sort_keys=True).encode()
     digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        for chunk in itertools.chain(
-                [_PREFIX.pack(magic, version, len(blob)), blob], chunks):
+    temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(temp, "xb") as f:
+            for chunk in itertools.chain(
+                    [_PREFIX.pack(magic, version, len(blob)), blob], chunks):
+                if checksum:
+                    digest.update(chunk)
+                f.write(chunk)
             if checksum:
-                digest.update(chunk)
-            f.write(chunk)
-        if checksum:
-            f.write(digest.digest())
+                f.write(digest.digest())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def read(path, magic: bytes, version: int, decode, checksum: bool = True):

@@ -19,7 +19,7 @@ import hashlib
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -191,19 +191,6 @@ def _record_layout(channels: int, samples: int) -> np.dtype:
                      ("data", "<c16", (channels, samples))])
 
 
-def _config_dict(config: SimConfig) -> dict:
-    return {
-        "carrier_freq": config.carrier_freq,
-        "sound_speed": config.sound_speed,
-        "sample_rate": config.sample_rate,
-        "echo_duration": config.echo_duration,
-        "listen_window": config.listen_window,
-        "decimation_factor": config.decimation_factor,
-        "rng_seed": config.rng_seed,
-        "envelope": config.envelope,
-    }
-
-
 def save_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` as an EDDS file, one record at a time."""
     records = dataset.records
@@ -212,7 +199,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     if any(rec.baseband.data.shape != (channels, samples) for rec in records):
         raise InputError("records must share one payload shape")
     header = {
-        "config": _config_dict(dataset.config),
+        "config": asdict(dataset.config),
         "element_x": list(dataset.geometry.element_x),
         "master_seed": dataset.master_seed,
         "record_count": len(records),
@@ -228,8 +215,6 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 _NUMBER = (int, float)
-_CONFIG_TYPES = {"envelope": (str,), "decimation_factor": (int,),
-                 "rng_seed": (int,)}
 
 
 def _field(header: dict, key: str, *types):
@@ -251,9 +236,8 @@ def _count(header: dict, key: str) -> int:
 def _sim_config(header: dict) -> SimConfig:
     config = _field(header, "config", dict)
     for key in config:
-        if key not in SimConfig.__dataclass_fields__:
-            raise ValueError(f"unknown config key {key!r}")
-        _field(config, key, *_CONFIG_TYPES.get(key, _NUMBER))
+        kind = SimConfig.kind(key)
+        _field(config, key, *(_NUMBER if kind is float else (kind,)))
     return SimConfig(**config)
 
 
@@ -264,10 +248,18 @@ def _geometry(header: dict) -> ArrayGeometry:
     return ArrayGeometry(element_x=tuple(xs))
 
 
+def _channels(header: dict) -> int:
+    channels = _count(header, "channels")
+    if channels != 2:
+        raise ValueError(f"channels must be 2 (a pair), got {channels}")
+    return channels
+
+
 def _dataset_header(header: dict) -> dict:
     decoded = {key: _count(header, key)
-               for key in ("master_seed", "record_count", "channels",
+               for key in ("master_seed", "record_count",
                            "samples_per_channel")}
+    decoded["channels"] = _channels(header)
     decoded["effective_rate"] = _field(header, "effective_rate", *_NUMBER)
     decoded["config"] = _sim_config(header)
     decoded["geometry"] = _geometry(header)
@@ -403,7 +395,7 @@ def read_capture(path):
 
 
 def _capture_header(header: dict) -> dict:
-    return {"channels": _count(header, "channels"),
+    return {"channels": _channels(header),
             "frame_count": _count(header, "frame_count"),
             "sample_rate": _field(header, "sample_rate", *_NUMBER),
             "annotation": _field(header, "annotation", str),

@@ -1,4 +1,4 @@
-"""MUSIC direction-of-arrival estimation for a small array.
+"""MUSIC direction-of-arrival estimation for a sensor pair.
 
 Covariance estimation, closed-form 2x2 noise-subspace extraction,
 pseudospectrum search with a 0-degree fallback when no convincing peak
@@ -38,9 +38,9 @@ _DEGENERATE_GAP = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class NoiseSubspace:
-    """Orthonormal basis of the noise subspace plus spectrum metadata."""
+    """Unit eigenvector of the noise subspace plus spectrum metadata."""
 
-    matrix: np.ndarray      # (M, M - D), unit columns
+    matrix: np.ndarray      # (2, 1), one unit column
     gap_ratio: float        # lambda_min / lambda_max
     degenerate: bool
 
@@ -94,7 +94,6 @@ class MusicOptions:
     threshold_factor: float = 5.0
     min_snapshots: int = 16
     degeneracy_max: float = _DEGENERATE_GAP
-    source_count: int = 1
 
 
 def covariance(snapshots: np.ndarray) -> np.ndarray:
@@ -112,56 +111,40 @@ def covariance(snapshots: np.ndarray) -> np.ndarray:
     return (y @ y.conj().T) / k
 
 
-def noise_subspace(r: np.ndarray, source_count: int = 1) -> NoiseSubspace:
-    """Eigenvectors of the smallest M - D covariance eigenvalues.
+def noise_subspace(r: np.ndarray) -> NoiseSubspace:
+    """Eigenvector of the smaller eigenvalue of a 2x2 covariance.
 
-    For two channels the closed-form Hermitian eigendecomposition is
-    used: eigenvalues (a+c)/2 +- sqrt(((a-c)/2)^2 + |b|^2). Columns are
-    unit norm with the first nonzero component made real positive. A
-    near-flat eigenvalue spectrum is reported via ``degenerate``, not
-    raised.
+    With two channels and one source the noise subspace is a single
+    eigenvector, taken from the closed-form Hermitian eigendecomposition:
+    eigenvalues (a+c)/2 +- sqrt(((a-c)/2)^2 + |b|^2). It is unit norm
+    with its first nonzero component made real positive. A near-flat
+    eigenvalue spectrum is reported via ``degenerate``, not raised.
     """
     r = np.asarray(r)
-    m = r.shape[0]
-    if r.shape != (m, m):
-        raise InputError("covariance must be square")
-    if not 1 <= source_count < m:
-        raise InputError("source count must satisfy 1 <= D < M")
-
-    if m == 2:
-        a = float(r[0, 0].real)
-        c = float(r[1, 1].real)
-        b = complex(r[0, 1])
-        mean = 0.5 * (a + c)
-        half = math.hypot(0.5 * (a - c), abs(b))
-        lam_max, lam_min = mean + half, mean - half
-        scale = max(abs(a), abs(c), abs(b))
-        if scale == 0.0 or half <= 1e-15 * scale:
-            # flat spectrum: deterministic tie-break on the second axis
-            return NoiseSubspace(matrix=np.array([[0.0], [1.0]], dtype=complex),
-                                 gap_ratio=1.0 if scale else 0.0,
-                                 degenerate=True)
-        # pick the better conditioned of the two eigenvector formulas
-        if abs(lam_min - a) >= abs(lam_min - c):
-            v = np.array([b, lam_min - a], dtype=complex)
-        else:
-            v = np.array([lam_min - c, np.conj(b)], dtype=complex)
-        vecs = v[:, None]
+    if r.shape != (2, 2):
+        raise InputError(f"covariance must be 2x2, got shape {r.shape}")
+    a = float(r[0, 0].real)
+    c = float(r[1, 1].real)
+    b = complex(r[0, 1])
+    mean = 0.5 * (a + c)
+    half = math.hypot(0.5 * (a - c), abs(b))
+    lam_max, lam_min = mean + half, mean - half
+    scale = max(abs(a), abs(c), abs(b))
+    if scale == 0.0 or half <= 1e-15 * scale:
+        # flat spectrum: deterministic tie-break on the second axis
+        return NoiseSubspace(matrix=np.array([[0.0], [1.0]], dtype=complex),
+                             gap_ratio=1.0 if scale else 0.0,
+                             degenerate=True)
+    # pick the better conditioned of the two eigenvector formulas
+    if abs(lam_min - a) >= abs(lam_min - c):
+        v = np.array([b, lam_min - a], dtype=complex)
     else:
-        eigvals, eigvecs = np.linalg.eigh(r)
-        lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
-        vecs = eigvecs[:, :m - source_count]
-
-    cols = []
-    for j in range(vecs.shape[1]):
-        v = vecs[:, j]
-        v = v / np.linalg.norm(v)
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
-        lead = v[nz[0]]
-        cols.append(v * (np.conj(lead) / abs(lead)))
-    basis = np.stack(cols, axis=1)
+        v = np.array([lam_min - c, np.conj(b)], dtype=complex)
+    v = v / np.linalg.norm(v)
+    lead = v[0] if abs(v[0]) > 1e-12 else v[1]
+    v = v * (np.conj(lead) / abs(lead))
     gap = 1.0 if lam_max <= 0 else max(lam_min, 0.0) / lam_max
-    return NoiseSubspace(matrix=basis, gap_ratio=gap,
+    return NoiseSubspace(matrix=v.reshape(2, 1), gap_ratio=gap,
                          degenerate=gap > _DEGENERATE_GAP)
 
 
@@ -178,7 +161,7 @@ def _angle_grid(domain_deg, step_deg):
 @lru_cache(maxsize=16)
 def _steering_grid(element_x: tuple, wavelength_m: float, grid_step_deg: float,
                    domain_deg: tuple):
-    """Angle grid and conjugated steering matrix (n, M), both read-only."""
+    """Angle grid and conjugated steering matrix (n, 2), both read-only."""
     angles = _angle_grid(domain_deg, grid_step_deg)
     x = np.asarray(element_x) - element_x[0]
     sines = np.sin(np.radians(angles))
@@ -202,10 +185,9 @@ def pseudospectrum(subspace: NoiseSubspace, geometry: ArrayGeometry,
     """
     angles, steering_conj = _steering_grid(geometry.element_x, wavelength_m,
                                            grid_step_deg, tuple(domain_deg))
-    m = geometry.num_elements
-    proj = steering_conj @ subspace.matrix                              # (n, M-D)
+    proj = steering_conj @ subspace.matrix                              # (n, 1)
     denom = np.sum(np.abs(proj) ** 2, axis=1)
-    numer = float(m)
+    numer = 2.0                                                         # a^H a
     power = numer / np.maximum(denom, _DENOM_FLOOR * numer)
 
     # pad with the global minimum so boundary maxima are eligible
@@ -228,8 +210,7 @@ def grating_lobe_set(doa_deg: float, geometry: ArrayGeometry,
     """
     if abs(doa_deg) > 90.0:
         raise InputError("doa_deg must lie in [-90, 90]")
-    d = geometry.element_x[1] - geometry.element_x[0]
-    ratio = wavelength_m / d
+    ratio = wavelength_m / geometry.spacing
     s0 = math.sin(math.radians(doa_deg))
     k_lo = math.ceil((-1.0 - s0) / ratio - 1e-12)
     k_hi = math.floor((1.0 - s0) / ratio + 1e-12)
@@ -282,7 +263,7 @@ def music_with_spectrum(base: ComplexBaseband, geometry: ArrayGeometry,
 
     snapshots = base.data[:, window.start:window.stop]
     r = covariance(snapshots)
-    subspace = noise_subspace(r, options.source_count)
+    subspace = noise_subspace(r)
     lam = wavelength(config)
     spectrum = pseudospectrum(subspace, geometry, lam,
                               options.grid_step_deg, options.domain_deg)

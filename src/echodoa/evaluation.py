@@ -19,12 +19,11 @@ from .doa_music import FALLBACK, MusicOptions, estimate_doa_music
 from .errors import (
     EmptyDatasetError,
     FileFormatError,
-    IncompatibleCheckpointError,
     InputError,
     NonOverlappingCurvesError,
 )
 from .neural.checkpoint import Checkpoint
-from .neural.training import GATE_THRESHOLD_FACTOR, predict_doa
+from .neural.training import predict_doa
 
 DOMAIN_FULL = "full"
 DOMAIN_INSIDE_30 = "inside_30"
@@ -80,18 +79,12 @@ class MusicEstimator:
 class NeuralEstimator:
     """Trained-network inference bound to a checkpoint."""
 
-    def __init__(self, checkpoint: Checkpoint, name: str = "cnn",
-                 threshold_factor: float = GATE_THRESHOLD_FACTOR):
+    def __init__(self, checkpoint: Checkpoint, name: str = "cnn"):
         self.checkpoint = checkpoint
         self.name = name
-        self.threshold_factor = threshold_factor
 
     def estimate(self, base, geometry, config):
-        if base.channels * 2 != self.checkpoint.spec.input_rows:
-            raise IncompatibleCheckpointError(
-                f"checkpoint expects {self.checkpoint.spec.input_rows // 2} "
-                f"channels, record has {base.channels}")
-        return predict_doa(self.checkpoint, base, self.threshold_factor)
+        return predict_doa(self.checkpoint, base)
 
     def describe(self) -> str:
         meta = self.checkpoint.metadata

@@ -68,6 +68,13 @@ CROP_THRESHOLD_FACTOR = 5.0
 GATE_THRESHOLD_FACTOR = 1.5
 
 
+def _check_rows(base: ComplexBaseband, spec: NetworkSpec) -> None:
+    if base.channels * 2 != spec.input_rows:
+        raise IncompatibleCheckpointError(
+            f"{base.channels}-channel record feeds {base.channels * 2} rows, "
+            f"network expects {spec.input_rows}")
+
+
 def _center_window(base: ComplexBaseband, spec: NetworkSpec) -> EchoWindow:
     n = base.samples_per_channel
     half = min(n, spec.input_time) // 2
@@ -92,10 +99,7 @@ def baseband_to_input(base: ComplexBaseband, spec: NetworkSpec,
     interleaves channels as (re, im) row pairs, and divides by the RMS
     magnitude over the window.
     """
-    if base.channels * 2 != spec.input_rows:
-        raise IncompatibleCheckpointError(
-            f"{base.channels}-channel record feeds {base.channels * 2} rows, "
-            f"network expects {spec.input_rows}")
+    _check_rows(base, spec)
     if window is None:
         window = _crop_window(base, spec)
     n = base.samples_per_channel
@@ -230,8 +234,11 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband,
     signal-free records are gated out. One detection pass over the
     record yields both the gate and the crop window of
     ``baseband_to_input``. The forward pass runs in float32 on the
-    checkpoint's cached ``params32``.
+    checkpoint's cached ``params32``. A record whose channel count does
+    not match the checkpoint's input rows raises before the gate, so
+    even a signal-free record cannot pass for a fallback.
     """
+    _check_rows(base, checkpoint.spec)
     if checkpoint.normalization != NORMALIZATION_RMS_WINDOW:
         raise IncompatibleCheckpointError(
             f"unknown normalization rule {checkpoint.normalization!r}")

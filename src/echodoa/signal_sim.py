@@ -1,7 +1,7 @@
 """Ultrasonic array echo synthesis and baseband conversion.
 
-Generates the multi-channel carrier bursts seen by a small linear array
-after reflecting off an obstacle, adds power-calibrated white Gaussian
+Generates the two-channel carrier bursts seen by a sensor pair after
+reflecting off an obstacle, adds power-calibrated white Gaussian
 noise, and demodulates the real waveforms to decimated complex baseband
 for the DoA estimators.
 
@@ -88,24 +88,29 @@ class SimConfig:
         return self.sample_rate / self.decimation_factor
 
     @classmethod
+    def kind(cls, key: str) -> type:
+        """``float``, ``int`` or ``str``: the type of field ``key``'s values.
+
+        It is the type of the field's default; an unknown key raises
+        InputError.
+        """
+        if key not in cls.__dataclass_fields__:
+            raise InputError(f"unknown simulation key {key!r}")
+        return type(cls.__dataclass_fields__[key].default)
+
+    @classmethod
     def parse_field(cls, key: str, text: str):
         """Typed value of field ``key`` from its text form.
 
         Unknown keys and text that does not parse as the field's type
         raise InputError; range checks are left to construction.
         """
-        if key not in cls.__dataclass_fields__:
-            raise InputError(f"unknown simulation key {key!r}")
+        kind = cls.kind(key)
         text = text.strip()
-        if key == "envelope":
-            return text
-        if key in ("decimation_factor", "rng_seed"):
-            kind, noun = int, "an integer"
-        else:
-            kind, noun = float, "a number"
         try:
             return kind(text)
         except ValueError:
+            noun = "an integer" if kind is int else "a number"
             raise InputError(f"{key} expects {noun}, got {text!r}") from None
 
     @classmethod
@@ -131,16 +136,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Element positions (meters) along the array baseline."""
+    """Positions (meters) of the sensor pair along its baseline."""
 
     element_x: tuple
 
     def __post_init__(self):
         xs = tuple(float(x) for x in self.element_x)
         object.__setattr__(self, "element_x", xs)
-        if len(xs) < 2:
-            raise InputError("array needs at least two elements")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if len(xs) != 2:
+            raise InputError(f"the array is a pair, got {len(xs)} elements")
+        if xs[1] <= xs[0]:
             raise InputError("element positions must be strictly increasing")
 
     @classmethod
@@ -152,10 +157,10 @@ class ArrayGeometry:
     def num_elements(self) -> int:
         return len(self.element_x)
 
-    def spacing_wavelengths(self, wavelength_m: float) -> tuple:
-        """Adjacent spacings expressed in wavelengths."""
-        return tuple((b - a) / wavelength_m
-                     for a, b in zip(self.element_x, self.element_x[1:]))
+    @property
+    def spacing(self) -> float:
+        """Distance between the two elements in meters."""
+        return self.element_x[1] - self.element_x[0]
 
 
 @dataclass(frozen=True)

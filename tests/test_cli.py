@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -229,7 +231,30 @@ class TestMalformedCaptureHeader:
         assert lines[0].startswith("error: FileFormatError: ")
 
 
+def _edds_with_header(raw, **changes):
+    """EDDS bytes with some header keys replaced and the digest redone."""
+    (n,) = struct.unpack_from("<I", raw, 5)
+    header = {**json.loads(raw[9:9 + n]), **changes}
+    blob = json.dumps(header, sort_keys=True).encode()
+    body = raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + n:-32]
+    return body + hashlib.sha256(body).digest()
+
+
 class TestDatasetCommand:
+    def test_three_element_dataset_fails_at_load(self, tmp_path, capsys):
+        path = tmp_path / "three.edds"
+        code, _, _ = run(capsys, "dataset", "--angles", "10", "--snrs", "inf",
+                         "--records-per-cell", "1", "--out", str(path))
+        assert code == 0
+        path.write_bytes(_edds_with_header(path.read_bytes(),
+                                           element_x=[0.0, 0.003, 0.006]))
+        code, out, err = run(capsys, "music", "--dataset", str(path))
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileFormatError: ")
+
     def test_generates_expected_cardinality(self, tmp_path, capsys):
         out_path = tmp_path / "grid.edds"
         code, out, _ = run(capsys, "dataset", "--angles=-20:20:20",
@@ -384,6 +409,26 @@ class TestGradcheckCommand:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["max_rel_error"] < 1e-4
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("argv, written", [
+        (("simulate", "--doa", "0", "--range", "1", "--snr", "10",
+          "--seed", "-1", "--out", "x.edcf"), "x.edcf"),
+        (("dataset", "--seed", "-1", "--angles=0", "--snrs=20",
+          "--records-per-cell", "1", "--out", "n.edds"), "n.edds"),
+        (("simulate", "--doa", "0", "--range", "1",
+          "--seed", str(2**64), "--baseband-out", "b.edds"), "b.edds")])
+    def test_out_of_range_seed_is_one_line_input_error(
+            self, argv, written, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: InputError: --seed ")
+        assert not (tmp_path / written).exists()
 
 
 class TestConfigPlumbing:

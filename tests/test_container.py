@@ -76,6 +76,28 @@ def test_header_length_past_the_payload(checksum, tmp_path):
         container.read(path, b"TEST", 3, dict, checksum=checksum)
 
 
+@pytest.mark.parametrize("old", [b"the previous file", None])
+def test_failed_write_leaves_the_old_file_or_none(old, tmp_path):
+    path = tmp_path / "file.bin"
+    if old is not None:
+        path.write_bytes(old)
+
+    def chunks():
+        yield b"xy"
+        raise RuntimeError("source failed mid-payload")
+
+    with pytest.raises(RuntimeError, match="mid-payload"):
+        container.write(path, b"TEST", 3, {}, chunks())
+    if old is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == old
+    container.write(path, b"TEST", 3, {}, [b"xy"])
+    assert list(tmp_path.iterdir()) == [path]
+    assert container.read(path, b"TEST", 3, dict)[1].tobytes() == b"xy"
+
+
 def _write_edds(path):
     save_dataset(generate_dataset(SweepSpec(
         angles_deg=(10.0,), snrs_db=(20.0,), records_per_cell=2)), path)

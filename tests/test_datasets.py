@@ -493,7 +493,8 @@ class TestMalformedDatasetHeader:
         ("config", [1]), ("config", {"carrier": 1.0}),
         ("config", {"envelope": 5}), ("config", {"carrier_freq": "51200"}),
         ("config", {"decimation_factor": 8.0}),
-        ("config", {"sample_rate": -1.0})])
+        ("config", {"sample_rate": -1.0}),
+        ("element_x", [0.0, 0.003, 0.006]), ("channels", 3)])
     def test_missing_or_mistyped_key(self, saved, tmp_path, key, value):
         header = _mutated(header_of(saved), key, value)
         raw = reframe(saved, json.dumps(header).encode())
@@ -535,7 +536,8 @@ class TestMalformedCaptureHeader:
         ("frame_count", KeyError), ("sample_rate", KeyError),
         ("element_x", KeyError), ("annotation", 5), ("channels", "2"),
         ("frame_count", -8000), ("sample_rate", "1e6"),
-        ("element_x", {"x": 0})])
+        ("element_x", {"x": 0}), ("element_x", [0.0, 0.003, 0.006]),
+        ("channels", 3)])
     def test_missing_or_mistyped_key(self, saved, tmp_path, key, value):
         header = _mutated(header_of(saved), key, value)
         raw = reframe(saved, json.dumps(header).encode(), checksum=False)

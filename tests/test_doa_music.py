@@ -146,9 +146,10 @@ class TestNoiseSubspace:
         sub = noise_subspace(covariance(base.data[:, 400:460]))
         assert sub.gap_ratio < 1e-10
 
-    def test_rejects_bad_source_count(self):
-        with pytest.raises(InputError):
-            noise_subspace(np.eye(2, dtype=complex), source_count=2)
+    def test_rejects_covariance_not_2x2(self):
+        for shape in ((3, 3), (1, 1), (2, 3), (4,)):
+            with pytest.raises(InputError):
+                noise_subspace(np.ones(shape, dtype=complex))
 
 
 class TestPseudospectrum:
@@ -333,10 +334,11 @@ class TestEstimateDoaMusic:
             assert abs(est.angle_deg - theta) <= 0.25, f"theta={theta}"
 
     def test_channel_mismatch_raises(self):
-        base = steering_baseband(0.0, HALF_WL)
-        three = ArrayGeometry(element_x=(0.0, 0.003, 0.006))
+        pair = steering_baseband(0.0, HALF_WL)
+        three = ComplexBaseband(data=np.vstack([pair.data, pair.data[:1]]),
+                                sample_rate=pair.sample_rate)
         with pytest.raises(InputError):
-            estimate_doa_music(base, three, CFG)
+            estimate_doa_music(three, HALF_WL, CFG)
 
     def test_fallback_estimate_invariants(self):
         with pytest.raises(InputError):

@@ -118,6 +118,18 @@ class TestSimConfig:
             SimConfig.from_file(path)
 
 
+class TestArrayGeometry:
+    def test_pair_spacing(self):
+        assert ArrayGeometry.pair(0.004).spacing == 0.004
+        assert ArrayGeometry(element_x=(-0.002, 0.003)).spacing == 0.005
+
+    @pytest.mark.parametrize("xs", [(0.0,), (0.0, 0.003, 0.006),
+                                    (0.003, 0.0), (0.003, 0.003)])
+    def test_rejects_anything_but_an_increasing_pair(self, xs):
+        with pytest.raises(InputError):
+            ArrayGeometry(element_x=xs)
+
+
 class TestSteeringVector:
     def test_broadside_is_all_ones(self):
         a = steering_vector(HALF_WL_PAIR, 0.0, LAM)
@@ -135,10 +147,11 @@ class TestSteeringVector:
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(7)
-        geo = ArrayGeometry(element_x=(0.0, 0.004, 0.011))
-        for theta in rng.uniform(-90, 90, 50):
-            a = steering_vector(geo, theta, LAM)
-            np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
+        for geo in (ArrayGeometry.pair(0.004), ArrayGeometry.pair(1.5 * LAM),
+                    ArrayGeometry(element_x=(-0.003, 0.011))):
+            for theta in rng.uniform(-90, 90, 50):
+                a = steering_vector(geo, theta, LAM)
+                np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(8)

@@ -188,6 +188,18 @@ class TestPredict:
         assert est.status == FALLBACK
         assert est.angle_deg == 0.0
 
+    def test_channel_mismatch_raises_before_the_gate(self, noiseless_32):
+        # a signal-free record must not pass for a fallback either
+        spec = NetworkSpec(input_rows=8, input_time=256, feature_maps=4,
+                           dense_widths=(8, 4))
+        params = {k: np.zeros(s) for k, s in spec.param_shapes().items()}
+        checkpoint = Checkpoint(spec=spec, params=params)
+        silent = ComplexBaseband(data=np.zeros((2, 600), dtype=complex),
+                                 sample_rate=CFG.effective_rate)
+        for base in (silent, noiseless_32.records[0].baseband):
+            with pytest.raises(IncompatibleCheckpointError):
+                predict_doa(checkpoint, base)
+
     def test_pure_noise_with_strict_gate_falls_back(self):
         rng = np.random.default_rng(3)
         noise = rng.normal(size=(2, 600)) + 1j * rng.normal(size=(2, 600))
