@@ -152,8 +152,8 @@ def _angle_grid(domain_deg, step_deg):
     lo, hi = domain_deg
     if not (-90.0 <= lo < hi <= 90.0):
         raise InputError("domain must be an interval inside [-90, 90]")
-    if step_deg <= 0:
-        raise InputError("grid step must be positive")
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise InputError("grid step must be positive and finite")
     count = round((hi - lo) / step_deg)
     return lo + step_deg * np.arange(count + 1)
 

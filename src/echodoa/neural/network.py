@@ -12,15 +12,40 @@ Pooling works on strided views of that layout and copies nothing; it
 records the int8 window index of each maximum only for the training
 pass. Bias-add and ReLU run in place on the convolution output.
 
+Each convolution runs in one of two forms, picked by ``_spectral_wins``
+from the shape alone:
+
+- im2col (``_conv_same``): one real GEMM per kernel row offset over a
+  column buffer of every 16-tap time window. It takes the first stage
+  (one input map), every stage of a network narrower than 32 maps, and
+  every stage whose rows times batch is below 32. So batch-1 inference
+  (``predict_doa``, ``evaluate``) and default-spec batches up to 15 run
+  exactly as before, byte for byte.
+- spectral (``_conv_spectral``): ``rfft`` along time to
+  ``next_fast_len(T + kt - 1)`` points, one batched complex GEMM per
+  row offset and frequency, and one ``irfft``. It takes stages 2-5 of
+  the default spec once rows times batch reaches 32: stage 2 from
+  batch 16, stages 3-5 from batch 32, so every stage but the first of
+  a 64-record training batch. It does about 7x fewer multiply-adds.
+
+The spectral form is float reordering only. In float64 it agrees with
+im2col to about 1e-14 relative. In float32 its forward pass and both
+gradients are no further from the float64 result than im2col's (both
+are a few 1e-7 relative to the largest value). Whole-network float32
+gradients of a large batch can still differ from the im2col ones by a
+few 1e-3 of their maximum, because a last-bit change can flip a
+max-pool or ReLU near-tie; compare the forms per stage, not per
+network.
+
 The training pass caches, per convolution stage, three things: the
-im2col column buffer of the stage input, the int8 window index of each
-pooled maximum, and a bool mask of the positive pooled outputs (one
-byte per pooling window, in place of the full-size ReLU output). The
-convolution output itself is freed once pooled. The reverse pass
-releases each stage's cache as soon as that stage's gradients exist,
-and builds the input-gradient columns into the stage's spent forward
-column buffer, so the working set stays close to the column buffers
-alone.
+stage input in the form its gradient needs (the im2col column buffer,
+or the input spectrum, which is about 14x smaller), the
+int8 window index of each pooled maximum, and a bool mask of the
+positive pooled outputs (one byte per pooling window, in place of the
+full-size ReLU output). The convolution output itself is freed once
+pooled. The reverse pass releases each stage's cache as soon as that
+stage's gradients exist; an im2col stage builds its input-gradient
+columns into its spent forward column buffer rather than a second one.
 """
 
 from __future__ import annotations
@@ -28,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import InputError, ShapeMismatchError
@@ -122,6 +148,20 @@ def _same_pads(k: int) -> tuple:
     return ((k - 1) // 2, k // 2)
 
 
+def _row_bands(kr, r_dim, pad_r):
+    """(dr, r_lo, r_hi, i_lo) for each kernel row offset with work to do.
+
+    Output rows ``r_lo:r_hi`` take kernel row ``dr`` from input rows
+    starting at ``i_lo``; offsets whose taps land entirely in the row
+    padding are skipped.
+    """
+    for dr in range(kr):
+        r_lo = max(0, pad_r[0] - dr)
+        r_hi = min(r_dim, r_dim + pad_r[0] - dr)
+        if r_lo < r_hi:
+            yield dr, r_lo, r_hi, r_lo + dr - pad_r[0]
+
+
 def _conv_same(x, w, pad_r, pad_t, cols=None):
     """Same-size 2-D convolution; returns output and the column buffer.
 
@@ -143,12 +183,7 @@ def _conv_same(x, w, pad_r, pad_t, cols=None):
     cols = cols.reshape(r_dim, b_dim, t_dim, kt * c_in)
     wm = w.reshape(kr, kt * c_in, f_out)
     y = np.zeros((r_dim, b_dim, t_dim, f_out), dtype=x.dtype)
-    for dr in range(kr):
-        r_lo = max(0, pad_r[0] - dr)
-        r_hi = min(r_dim, r_dim + pad_r[0] - dr)
-        if r_lo >= r_hi:
-            continue
-        i_lo = r_lo + dr - pad_r[0]
+    for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
         rows = r_hi - r_lo
         xs = cols[i_lo:i_lo + rows].reshape(rows * b_dim * t_dim, kt * c_in)
         y[r_lo:r_hi] += (xs @ wm[dr]).reshape(rows, b_dim, t_dim, f_out)
@@ -168,12 +203,7 @@ def _conv_same_grads(dy, w, cols, pad_r, pad_t, need_dx):
     r_dim, b_dim, t_dim, _ = dy.shape
     dwm = np.zeros((kr, kt * c_in, f_out), dtype=dy.dtype)
     db = dy.sum(axis=(0, 1, 2))
-    for dr in range(kr):
-        r_lo = max(0, pad_r[0] - dr)
-        r_hi = min(r_dim, r_dim + pad_r[0] - dr)
-        if r_lo >= r_hi:
-            continue
-        i_lo = r_lo + dr - pad_r[0]
+    for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
         rows = r_hi - r_lo
         xs = cols[i_lo:i_lo + rows].reshape(rows * b_dim * t_dim, kt * c_in)
         gy = dy[r_lo:r_hi].reshape(rows * b_dim * t_dim, f_out)
@@ -186,6 +216,127 @@ def _conv_same_grads(dy, w, cols, pad_r, pad_t, need_dx):
         wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
         dx, _ = _conv_same(dy, wflip, (pad_r[1], pad_r[0]),
                            (pad_t[1], pad_t[0]), cols=cols)
+    return dw, db, dx
+
+
+# Crossover of the two convolution forms, measured on 2 CPUs with
+# OpenBLAS on one thread in float32, as (im2col time) / (spectral time)
+# for a forward pass plus both gradients, kt = 16, C = F:
+#
+#   rows x batch      1x8   2x8   1x16  2x16  1x32  1x64  2x32
+#   C=64, T=256      0.94  1.14  1.42  1.77  1.95  2.41  2.51
+#   C=64, T=128      0.97  1.14  1.45  1.72  1.98  2.36  2.35
+#   C=64, T=32       0.73  0.76  1.06  1.22  1.48  1.80  1.69
+#   C=8,  T=128      0.85  0.83  1.00  1.36  2.04  1.84  1.89
+#
+# From rows x batch 32 on the spectral form wins at every width and
+# length; below 16 it loses (stage 2 at batch 1: 14.3 ms against
+# 3.0 ms). The first stage has one input map, so each per-frequency
+# product is a 1-deep outer product: the spectral form took 2.7x as
+# long at batch 64. Networks narrower than 32 maps would save about a
+# millisecond per step; they stay on im2col so that their training
+# results do not move.
+def _spectral_wins(x_shape, w_shape) -> bool:
+    """Whether the spectral form runs the convolution of this shape."""
+    rows_by_batch = x_shape[0] * x_shape[1]
+    return w_shape[2] >= 32 and rows_by_batch >= 32
+
+
+def _spectral_size(t_dim, kt):
+    """FFT length that holds a full linear convolution along time."""
+    return scipy.fft.next_fast_len(t_dim + kt - 1, real=True)
+
+
+def _phases(n, shifts):
+    """(n // 2 + 1, len(shifts)) complex128 factors exp(-2 pi i k s / n)."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(n // 2 + 1), shifts) / n)
+
+
+def _tap_spectrum(w_row, n, ctype):
+    """Spectrum of one kernel row's time-reversed taps at ``n`` points.
+
+    ``w_row`` is (kt, C, F) and the result (n // 2 + 1, C, F). With 16
+    taps a DFT matrix product costs far less than an ``rfft`` of n
+    mostly-zero points per (input, output) map pair.
+    """
+    kt, c_in, f_out = w_row.shape
+    dft = _phases(n, kt - 1 - np.arange(kt)).astype(ctype)
+    taps = w_row.reshape(kt, c_in * f_out).astype(ctype)
+    return (dft @ taps).reshape(-1, c_in, f_out)
+
+
+def _spectral_apply(xf, w, pad_r, pad_t, t_dim):
+    """Same-size convolution of the input whose spectrum is ``xf``.
+
+    ``xf`` is (R, B, Nf, C), the ``rfft`` along time at an ``n`` that
+    holds the full linear convolution, so nothing wraps around. The
+    time-reversed kernel turns the correlation into a convolution whose
+    same-size part starts at ``kt - 1 - pad_t[0]``.
+    """
+    kr, kt, c_in, f_out = w.shape
+    r_dim, b_dim, nf, _ = xf.shape
+    n = _spectral_size(t_dim, kt)
+    yf = np.zeros((r_dim, b_dim, nf, f_out), dtype=xf.dtype)
+    # (Nf, R * B, maps) views: one GEMM per frequency and row offset
+    xv = xf.reshape(r_dim * b_dim, nf, c_in).transpose(1, 0, 2)
+    yv = yf.reshape(r_dim * b_dim, nf, f_out).transpose(1, 0, 2)
+    for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
+        rows = r_hi - r_lo
+        yv[:, r_lo * b_dim:r_hi * b_dim] += \
+            xv[:, i_lo * b_dim:(i_lo + rows) * b_dim] \
+            @ _tap_spectrum(w[dr], n, xf.dtype)
+    lo = kt - 1 - pad_t[0]
+    y = scipy.fft.irfft(yf, n=n, axis=2)
+    return np.ascontiguousarray(y[:, :, lo:lo + t_dim])
+
+
+def _conv_spectral(x, w, pad_r, pad_t):
+    """Spectral form of ``_conv_same``; returns output and input spectrum.
+
+    The training pass keeps the spectrum, (R, B, Nf, C) complex, for the
+    weight gradient.
+    """
+    xf = scipy.fft.rfft(x, n=_spectral_size(x.shape[2], w.shape[1]), axis=2)
+    return _spectral_apply(xf, w, pad_r, pad_t, x.shape[2]), xf
+
+
+def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
+    """Gradients of ``_conv_spectral``; ``xf`` is its input spectrum.
+
+    The input gradient is ``_spectral_apply`` of ``dy``'s spectrum with
+    the kernel flipped in space and its channel axes swapped. The weight
+    gradient at tap ``dt`` is the circular cross-correlation of input
+    and output gradient at lag ``dt - pad_t[0]``: per frequency the
+    (C, F) product ``X^T conj(DY)``, summed over rows and batch, then
+    an inverse real DFT evaluated at those ``kt`` lags only. That last
+    sum runs over every frequency, so it runs in double precision: in
+    single precision its rounding alone matched im2col's whole error.
+    """
+    kr, kt, c_in, f_out = w.shape
+    r_dim, b_dim, t_dim, _ = dy.shape
+    n = _spectral_size(t_dim, kt)
+    nf = xf.shape[2]
+    db = dy.sum(axis=(0, 1, 2))
+    dyf = scipy.fft.rfft(dy, n=n, axis=2)
+    dx = None
+    if need_dx:
+        wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
+        dx = _spectral_apply(dyf, wflip, (pad_r[1], pad_r[0]),
+                             (pad_t[1], pad_t[0]), t_dim)
+    np.conjugate(dyf, out=dyf)
+    # irfft weights: every bin but DC and Nyquist stands for two
+    k = np.arange(nf)
+    weight = np.where((k == 0) | (2 * k == n), 1.0, 2.0) / n
+    lags = (_phases(n, pad_t[0] - np.arange(kt)) * weight[:, None]).T
+    xv = xf.reshape(r_dim * b_dim, nf, c_in).transpose(1, 2, 0)
+    gv = dyf.reshape(r_dim * b_dim, nf, f_out).transpose(1, 0, 2)
+    dw = np.zeros(w.shape, dtype=dy.dtype)
+    for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
+        rows = r_hi - r_lo
+        cross = (xv[:, :, i_lo * b_dim:(i_lo + rows) * b_dim]
+                 @ gv[:, r_lo * b_dim:r_hi * b_dim])          # (Nf, C, F)
+        cross = cross.reshape(nf, c_in * f_out).astype(np.complex128)
+        dw[dr] = (lags @ cross).real.reshape(kt, c_in, f_out)
     return dw, db, dx
 
 
@@ -265,14 +416,17 @@ def _forward_impl(spec, params, x, keep):
     pad_t = _same_pads(spec.kernel_time)
     stages = []
     for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
-        conv, cols = _conv_same(act, params[f"conv{s}_w"], pad_r, pad_t)
+        w = params[f"conv{s}_w"]
+        spectral = _spectral_wins(act.shape, w.shape)
+        conv, saved = (_conv_spectral if spectral else _conv_same)(
+            act, w, pad_r, pad_t)
         conv += params[f"conv{s}_b"]
         np.maximum(conv, 0.0, out=conv)                      # ReLU
         act, arg = _maxpool(conv, pr, pt, keep)
         if keep:
-            stages.append({"cols": cols, "arg": arg, "mask": act > 0,
-                           "pre_pool_shape": conv.shape})
-        del conv, cols
+            stages.append({"saved": saved, "spectral": spectral, "arg": arg,
+                           "mask": act > 0, "pre_pool_shape": conv.shape})
+        del conv, saved
 
     flat = act[0].reshape(act.shape[1], -1)
     z1 = flat @ params["dense1_w"] + params["dense1_b"]
@@ -301,9 +455,10 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
     ``labels`` are normalized targets in [-1, 1]. Gradient arrays
     mirror the parameter shapes one to one.
 
-    Each stage's cache entry (column buffer, window index, pooled mask)
-    is taken out of the cache and freed once that stage's gradients
-    exist, and the input gradient reuses the stage's column buffer.
+    Each stage's cache entry (column buffer or input spectrum, window
+    index, pooled mask) is taken out of the cache and freed once that
+    stage's gradients exist; an im2col stage's input gradient reuses
+    its column buffer.
     The ReLU mask is applied to the pooled gradient before routing:
     a routed slot holds its window's maximum, so its ReLU output is
     positive exactly when the pooled output is, and unrouted slots
@@ -352,9 +507,10 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
         dact *= stage["mask"]
         dconv = _maxpool_grad(dact, stage["arg"], stage["pre_pool_shape"],
                               pr, pt)
-        dw, db, dact = _conv_same_grads(dconv, params[f"conv{s}_w"],
-                                        stage["cols"], pad_r, pad_t,
-                                        need_dx=s > 1)
+        grads_of = (_conv_spectral_grads if stage["spectral"]
+                    else _conv_same_grads)
+        dw, db, dact = grads_of(dconv, params[f"conv{s}_w"], stage["saved"],
+                                pad_r, pad_t, need_dx=s > 1)
         del stage, dconv
         grads[f"conv{s}_w"] = dw
         grads[f"conv{s}_b"] = db

@@ -173,10 +173,13 @@ class SourceScenario:
     label: str = ""
 
     def __post_init__(self):
-        if abs(self.doa_deg) > 90.0:
+        # written so that NaN fails every check
+        if not abs(self.doa_deg) <= 90.0:
             raise InputError("doa_deg must lie in [-90, 90]")
-        if self.range_m <= 0:
+        if not self.range_m > 0:
             raise InputError("range_m must be positive")
+        if not self.snr_db > -math.inf:
+            raise InputError("snr_db must be finite, or +inf for noiseless")
 
 
 @dataclass

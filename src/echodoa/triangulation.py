@@ -44,10 +44,10 @@ class RangeMeasurement:
     sigma_r: float = 0.0
 
     def __post_init__(self):
-        if self.range_m <= 0:
-            raise InputError("range_m must be positive")
-        if self.sigma_r < 0:
-            raise InputError("sigma_r must be non-negative")
+        if not (math.isfinite(self.range_m) and self.range_m > 0):
+            raise InputError("range_m must be positive and finite")
+        if not (math.isfinite(self.sigma_r) and self.sigma_r >= 0):
+            raise InputError("sigma_r must be non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -465,3 +465,32 @@ class TestConfigPlumbing:
             lines = err.splitlines()
             assert len(lines) == 1
             assert lines[0].startswith(f"error: InputError: {key} ")
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, field, written", [
+        (("simulate", "--doa", "30", "--range", "1", "--snr", "nan",
+          "--out", "a.edcf"), "snr_db", "a.edcf"),
+        (("simulate", "--doa", "30", "--range", "1", "--snr=-inf",
+          "--out", "a.edcf"), "snr_db", "a.edcf"),
+        (("simulate", "--doa", "30", "--range", "nan",
+          "--baseband-out", "b.edds"), "range_m", "b.edds"),
+        (("dataset", "--angles=0", "--snrs=nan", "--records-per-cell", "1",
+          "--out", "d.edds"), "snr_db", "d.edds"),
+        (("music", "--doa", "nan"), "doa_deg", None),
+        (("music", "--grid-step", "nan"), "grid step", None),
+        (("music", "--grid-step", "inf"), "grid step", None),
+        (("triangulate", "--r1", "nan", "--r2", "1"), "range_m", None),
+        (("triangulate", "--r1", "1", "--r2", "inf"), "range_m", None),
+        (("triangulate", "--r1", "1", "--r2", "1", "--sigma-r", "nan"),
+         "sigma_r", None)])
+    def test_one_line_input_error(self, argv, field, written, tmp_path,
+                                  capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: InputError: {field} ")
+        assert list(tmp_path.iterdir()) == []

@@ -153,6 +153,12 @@ class TestNoiseSubspace:
 
 
 class TestPseudospectrum:
+    @pytest.mark.parametrize("step", [0.0, -0.25, math.nan, math.inf])
+    def test_rejects_step_not_positive_and_finite(self, step):
+        sub = noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
+        with pytest.raises(InputError, match="grid step"):
+            pseudospectrum(sub, HALF_WL, LAM, grid_step_deg=step)
+
     def test_peak_at_thirty_degrees(self):
         sub = noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
         ps = pseudospectrum(sub, HALF_WL, LAM, grid_step_deg=0.25)

@@ -165,6 +165,21 @@ class TestSteeringVector:
             steering_vector(HALF_WL_PAIR, 95.0, LAM)
 
 
+class TestSourceScenario:
+    @pytest.mark.parametrize("field, value", [
+        ("doa_deg", math.nan), ("doa_deg", -90.5), ("range_m", math.nan),
+        ("range_m", 0.0), ("snr_db", math.nan), ("snr_db", -math.inf)])
+    def test_rejects_nan_and_out_of_range(self, field, value):
+        kwargs = {"doa_deg": 30.0, "range_m": 1.0, "snr_db": 10.0,
+                  field: value}
+        with pytest.raises(InputError, match=field):
+            SourceScenario(**kwargs)
+
+    def test_infinite_snr_means_noiseless(self):
+        scenario = SourceScenario(doa_deg=30.0, range_m=1.0, snr_db=math.inf)
+        assert scenario.snr_db == math.inf
+
+
 class TestSynthesizeEcho:
     def test_broadside_channels_bit_identical(self):
         wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),

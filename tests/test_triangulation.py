@@ -26,6 +26,15 @@ def meas(x, y, r, sigma=0.01):
     return RangeMeasurement(sensor=SensorPose(x, y), range_m=r, sigma_r=sigma)
 
 
+class TestRangeMeasurement:
+    @pytest.mark.parametrize("r, sigma", [
+        (0.0, 0.01), (math.nan, 0.01), (math.inf, 0.01),
+        (1.0, -0.01), (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_bad_range_or_sigma(self, r, sigma):
+        with pytest.raises(InputError):
+            meas(0.0, 0.0, r, sigma)
+
+
 class TestIntersectTwoCircles:
     def test_symmetric_forward_point(self):
         r = math.hypot(0.25, 2.0)
