@@ -181,10 +181,10 @@ def _write_history(history, path) -> None:
 
 
 def _cmd_train(args) -> int:
-    ds = datasets.load_dataset(args.dataset)
-    spec = neural.NetworkSpec()
+    train_config = _train_config(args)
     hyper = neural.AdamHyper(learning_rate=args.learning_rate)
-    checkpoint, history = neural.train(ds, spec, _train_config(args),
+    ds = datasets.load_dataset(args.dataset)
+    checkpoint, history = neural.train(ds, neural.NetworkSpec(), train_config,
                                        hyper, seed=args.seed)
     neural.save_checkpoint(checkpoint, args.out)
     if args.history:
@@ -281,6 +281,8 @@ def _cmd_triangulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    train_config = _train_config(args)
+    hyper = neural.AdamHyper(learning_rate=args.learning_rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _sim_config(args)
@@ -289,8 +291,6 @@ def _cmd_sweep(args) -> int:
     dataset_path = out_dir / "dataset.edds"
     datasets.save_dataset(ds, dataset_path)
 
-    train_config = _train_config(args)
-    hyper = neural.AdamHyper(learning_rate=args.learning_rate)
     checkpoint, history = neural.train(ds, neural.NetworkSpec(),
                                        train_config, hyper, seed=args.seed)
     checkpoint_path = out_dir / "checkpoint.edck"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,10 @@ class AdamHyper:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InputError("learning_rate must be positive")
+        for name in ("learning_rate", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be positive and finite")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise InputError("betas must lie in [0, 1)")
 

@@ -12,15 +12,20 @@ Pooling works on strided views of that layout and copies nothing; it
 records the int8 window index of each maximum only for the training
 pass. Bias-add and ReLU run in place on the convolution output.
 
-Each convolution runs in one of two forms, picked by ``_spectral_wins``
+Each convolution runs in one of three forms, picked by ``_conv_form``
 from the shape alone:
 
 - im2col (``_conv_same``): one real GEMM per kernel row offset over a
-  column buffer of every 16-tap time window. It takes the first stage
-  (one input map), every stage of a network narrower than 32 maps, and
-  every stage whose rows times batch is below 32. So batch-1 inference
-  (``predict_doa``, ``evaluate``) and default-spec batches up to 15 run
-  exactly as before, byte for byte.
+  column buffer of every 16-tap time window. It takes every stage of a
+  network narrower than 32 maps, the first stage (one input map) at
+  batches below 16, and every later stage whose rows times batch is
+  below 32. So batch-1 inference (``predict_doa``, ``evaluate``) and
+  default-spec batches up to 15 run exactly as before, byte for byte.
+- folded (``_conv_folded``): the first stage of a network at least 32
+  maps wide from batch 16 on. Its columns hold every input row's 16
+  taps side by side, so each output row is one GEMM whose inner
+  dimension spans all the input rows it reads (32-64 deep in place of
+  16), written straight into the output.
 - spectral (``_conv_spectral``): ``rfft`` along time to
   ``next_fast_len(T + kt - 1)`` points, one batched complex GEMM per
   row offset and frequency, and one ``irfft``. It takes stages 2-5 of
@@ -28,18 +33,20 @@ from the shape alone:
   batch 16, stages 3-5 from batch 32, so every stage but the first of
   a 64-record training batch. It does about 7x fewer multiply-adds.
 
-The spectral form is float reordering only. In float64 it agrees with
-im2col to about 1e-14 relative. In float32 its forward pass and both
-gradients are no further from the float64 result than im2col's (both
-are a few 1e-7 relative to the largest value). Whole-network float32
-gradients of a large batch can still differ from the im2col ones by a
-few 1e-3 of their maximum, because a last-bit change can flip a
-max-pool or ReLU near-tie; compare the forms per stage, not per
+The folded and spectral forms are float reordering only. In float64
+each agrees with im2col to about 1e-14 relative. In float32 all three
+stay a few 1e-7 from the float64 result, relative to its largest value:
+the spectral forward pass and gradients no further than im2col's, the
+folded output and weight gradient within 1e-6 (about 3e-7, where
+im2col's are 1-9e-7), its bias gradient bit for bit. Whole-network
+float32 gradients of a large batch can still differ from the im2col
+ones by a few 1e-3 of their maximum, because a last-bit change can
+flip a max-pool or ReLU near-tie; compare the forms per stage, not per
 network.
 
 The training pass caches, per convolution stage, three things: the
-stage input in the form its gradient needs (the im2col column buffer,
-or the input spectrum, which is about 14x smaller), the
+stage input in the form its gradient needs (the im2col or folded
+column buffer, or the input spectrum, which is about 14x smaller), the
 int8 window index of each pooled maximum, and a bool mask of the
 positive pooled outputs (one byte per pooling window, in place of the
 full-size ReLU output). The convolution output itself is freed once
@@ -219,27 +226,62 @@ def _conv_same_grads(dy, w, cols, pad_r, pad_t, need_dx):
     return dw, db, dx
 
 
-# Crossover of the two convolution forms, measured on 2 CPUs with
-# OpenBLAS on one thread in float32, as (im2col time) / (spectral time)
-# for a forward pass plus both gradients, kt = 16, C = F:
-#
-#   rows x batch      1x8   2x8   1x16  2x16  1x32  1x64  2x32
-#   C=64, T=256      0.94  1.14  1.42  1.77  1.95  2.41  2.51
-#   C=64, T=128      0.97  1.14  1.45  1.72  1.98  2.36  2.35
-#   C=64, T=32       0.73  0.76  1.06  1.22  1.48  1.80  1.69
-#   C=8,  T=128      0.85  0.83  1.00  1.36  2.04  1.84  1.89
-#
-# From rows x batch 32 on the spectral form wins at every width and
-# length; below 16 it loses (stage 2 at batch 1: 14.3 ms against
-# 3.0 ms). The first stage has one input map, so each per-frequency
-# product is a 1-deep outer product: the spectral form took 2.7x as
-# long at batch 64. Networks narrower than 32 maps would save about a
-# millisecond per step; they stay on im2col so that their training
-# results do not move.
-def _spectral_wins(x_shape, w_shape) -> bool:
-    """Whether the spectral form runs the convolution of this shape."""
-    rows_by_batch = x_shape[0] * x_shape[1]
-    return w_shape[2] >= 32 and rows_by_batch >= 32
+def _out_rows(kr, r_dim, pad_r):
+    """(r, d_lo, d_hi, i_lo) for each output row with work to do.
+
+    Output row ``r`` takes kernel rows ``d_lo:d_hi`` from the input rows
+    starting at ``i_lo``; kernel rows whose taps land in the row padding
+    are left out.
+    """
+    for r in range(r_dim):
+        d_lo = max(0, pad_r[0] - r)
+        d_hi = min(kr, r_dim + pad_r[0] - r)
+        if d_lo < d_hi:
+            yield r, d_lo, d_hi, r + d_lo - pad_r[0]
+
+
+def _conv_folded(x, w, pad_r, pad_t):
+    """Row-folded form of ``_conv_same``; returns output and columns.
+
+    The column buffer is (B * T, R * kt * C): each row holds the time
+    window of every input row side by side, so the input rows that one
+    output row reads form one contiguous band of columns. Each output
+    row is then one GEMM of that band with the matching kernel rows,
+    written into the output without an accumulator.
+    """
+    kr, kt, c_in, f_out = w.shape
+    r_dim, b_dim, t_dim, _ = x.shape
+    k = kt * c_in
+    xpt = np.pad(x, ((0, 0), (0, 0), pad_t, (0, 0)))
+    win = sliding_window_view(xpt, kt, axis=2)               # (R,B,T,C,kt)
+    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 4, 3))
+    cols = cols.reshape(b_dim * t_dim, r_dim * k)
+    y = np.empty((r_dim, b_dim, t_dim, f_out), dtype=x.dtype)
+    for r, d_lo, d_hi, i_lo in _out_rows(kr, r_dim, pad_r):
+        i_hi = i_lo + d_hi - d_lo
+        np.matmul(cols[:, i_lo * k:i_hi * k],
+                  w[d_lo:d_hi].reshape(-1, f_out),
+                  out=y[r].reshape(b_dim * t_dim, f_out))
+    return y, cols
+
+
+def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx):
+    """Weight and bias gradients of ``_conv_folded``.
+
+    The folded form runs only first stages, whose input gradient is
+    never needed, so ``dx`` is always None.
+    """
+    kr, kt, c_in, f_out = w.shape
+    r_dim, b_dim, t_dim, _ = dy.shape
+    k = kt * c_in
+    dw = np.zeros(w.shape, dtype=dy.dtype)
+    dwm = dw.reshape(kr * k, f_out)
+    db = dy.sum(axis=(0, 1, 2))
+    for r, d_lo, d_hi, i_lo in _out_rows(kr, r_dim, pad_r):
+        i_hi = i_lo + d_hi - d_lo
+        dwm[d_lo * k:d_hi * k] += (cols[:, i_lo * k:i_hi * k].T
+                                   @ dy[r].reshape(b_dim * t_dim, f_out))
+    return dw, db, None
 
 
 def _spectral_size(t_dim, kt):
@@ -340,6 +382,51 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
     return dw, db, dx
 
 
+_FORMS = {"im2col": (_conv_same, _conv_same_grads),
+          "folded": (_conv_folded, _conv_folded_grads),
+          "spectral": (_conv_spectral, _conv_spectral_grads)}
+
+
+# Crossover of the convolution forms, measured on 2 CPUs with OpenBLAS
+# on one thread in float32, as (im2col time) / (other form's time) for
+# a forward pass plus the gradients, kt = 16.
+#
+# Spectral against im2col, C = F, both gradients:
+#
+#   rows x batch      1x8   2x8   1x16  2x16  1x32  1x64  2x32
+#   C=64, T=256      0.94  1.14  1.42  1.77  1.95  2.41  2.51
+#   C=64, T=128      0.97  1.14  1.45  1.72  1.98  2.36  2.35
+#   C=64, T=32       0.73  0.76  1.06  1.22  1.48  1.80  1.69
+#   C=8,  T=128      0.85  0.83  1.00  1.36  2.04  1.84  1.89
+#
+# From rows x batch 32 on the spectral form wins at every width and
+# length; below 16 it loses (stage 2 at batch 1: 14.3 ms against
+# 3.0 ms). The first stage has one input map, so each per-frequency
+# product is a 1-deep outer product: the spectral form took 2.7x as
+# long there at batch 64.
+#
+# Folded against im2col, the default first stage (4 rows, T = 512,
+# C = 1, F = 64), forward and weight gradient:
+#
+#   batch             1     16    51    64
+#   im2col / folded  1.50  1.87  2.31  2.42
+#
+# At batch 64 that is 81 against 33 ms. The folded form wins at every
+# batch, but below 16 it stays on im2col so that batch-1 inference and
+# small batches keep their bytes. Networks narrower than 32 maps stay
+# on im2col in every stage so that their training results do not move
+# (the spectral form would save them about a millisecond per step).
+def _conv_form(x_shape, w_shape) -> str:
+    """Name of the form, a key of ``_FORMS``, that runs this convolution."""
+    r_dim, b_dim, _, _ = x_shape
+    _, _, c_in, f_out = w_shape
+    if c_in == 1 and f_out >= 32 and b_dim >= 16:
+        return "folded"
+    if c_in >= 32 and r_dim * b_dim >= 32:
+        return "spectral"
+    return "im2col"
+
+
 def _pool_slots(x, pr, pt):
     """Strided views of each window slot of ``x``, in row-major order.
 
@@ -417,14 +504,13 @@ def _forward_impl(spec, params, x, keep):
     stages = []
     for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
         w = params[f"conv{s}_w"]
-        spectral = _spectral_wins(act.shape, w.shape)
-        conv, saved = (_conv_spectral if spectral else _conv_same)(
-            act, w, pad_r, pad_t)
+        form = _conv_form(act.shape, w.shape)
+        conv, saved = _FORMS[form][0](act, w, pad_r, pad_t)
         conv += params[f"conv{s}_b"]
         np.maximum(conv, 0.0, out=conv)                      # ReLU
         act, arg = _maxpool(conv, pr, pt, keep)
         if keep:
-            stages.append({"saved": saved, "spectral": spectral, "arg": arg,
+            stages.append({"saved": saved, "form": form, "arg": arg,
                            "mask": act > 0, "pre_pool_shape": conv.shape})
         del conv, saved
 
@@ -507,8 +593,7 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
         dact *= stage["mask"]
         dconv = _maxpool_grad(dact, stage["arg"], stage["pre_pool_shape"],
                               pr, pt)
-        grads_of = (_conv_spectral_grads if stage["spectral"]
-                    else _conv_same_grads)
+        grads_of = _FORMS[stage["form"]][1]
         dw, db, dact = grads_of(dconv, params[f"conv{s}_w"], stage["saved"],
                                 pad_r, pad_t, need_dx=s > 1)
         del stage, dconv

@@ -50,6 +50,8 @@ class TrainConfig:
             raise InputError("epochs and batch_size must be positive")
         if not 0.0 < self.train_fraction < 1.0:
             raise InputError("train_fraction must lie in (0, 1)")
+        if self.patience is not None and self.patience < 0:
+            raise InputError("patience must be non-negative")
 
 
 @dataclass(frozen=True)

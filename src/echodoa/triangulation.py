@@ -153,8 +153,16 @@ def fuse_doa_with_ranges(doa: DoaEstimate, m1: RangeMeasurement,
     sqrt(range count). Multi-member ambiguity sets pick the member
     nearest the two-circle intersection when one exists, otherwise the
     smallest absolute angle. A fallback DoA degrades to the plain
-    triangulation fix, or raises if that does not exist either.
+    triangulation fix, or raises if that does not exist either. A DoA
+    or ambiguity member outside [-90, 90] degrees, or a
+    ``sigma_theta_deg`` outside [0, 90), raises ``InputError``.
     """
+    for angle in doa.ambiguity_deg:            # holds doa.angle_deg
+        if not -90.0 <= angle <= 90.0:
+            raise InputError(f"doa_deg must lie in [-90, 90], got {angle}")
+    if not 0.0 <= sigma_theta_deg < 90.0:
+        raise InputError(
+            f"sigma_theta_deg must lie in [0, 90), got {sigma_theta_deg}")
     measurements = [m for m in (m1, m2) if m is not None]
     if not measurements:
         raise InputError("at least one range measurement is required")

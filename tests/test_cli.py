@@ -494,3 +494,46 @@ class TestNonFiniteInputs:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: InputError: {field} ")
         assert list(tmp_path.iterdir()) == []
+
+
+TRIANGULATE = ("triangulate", "--r1", "1", "--r2", "1", "--out", "f.json")
+
+
+class TestFusionAndTrainingInputs:
+    @pytest.mark.parametrize("argv, field", [
+        ((*TRIANGULATE, "--doa", "nan"), "doa_deg"),
+        ((*TRIANGULATE, "--doa", "100"), "doa_deg"),
+        ((*TRIANGULATE, "--doa", "30", "--ambiguity=-100,30"), "doa_deg"),
+        ((*TRIANGULATE, "--doa", "0", "--sigma-theta", "nan"),
+         "sigma_theta_deg"),
+        ((*TRIANGULATE, "--doa", "0", "--sigma-theta=-1"), "sigma_theta_deg"),
+        ((*TRIANGULATE, "--doa", "0", "--sigma-theta", "90"),
+         "sigma_theta_deg"),
+        (("train", "--epochs", "1", "--learning-rate", "nan"),
+         "learning_rate"),
+        (("train", "--epochs", "2", "--learning-rate", "inf"),
+         "learning_rate"),
+        (("train", "--epochs", "1", "--patience=-1"), "patience"),
+        (("sweep", "--learning-rate", "nan", "--out-dir", "s"),
+         "learning_rate")])
+    def test_one_line_input_error(self, argv, field, tiny_dataset_path,
+                                  tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "train":
+            argv = (*argv, "--dataset", str(tiny_dataset_path),
+                    "--out", "m.edck")
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: InputError: {field} ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_edges_of_the_fusion_ranges_accepted(self, capsys):
+        code, out, _ = run(capsys, "triangulate", "--r1", "1", "--r2", "1",
+                           "--doa=-90", "--sigma-theta", "0")
+        assert code == 0
+        fix = json.loads(out)
+        assert all(math.isfinite(v) for v in (fix["x"], fix["y"],
+                                              *fix["ellipse"].values()))

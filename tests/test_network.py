@@ -606,9 +606,10 @@ class TestSpectralConvolution:
 
     def test_grad_check_on_the_spectral_path(self, monkeypatch):
         from echodoa.neural import network
-        monkeypatch.setattr(network, "_spectral_wins", lambda *shapes: True)
+        monkeypatch.setattr(network, "_conv_form",
+                            lambda *shapes: "spectral")
         params = init_params(REDUCED_SPEC, 0, dtype=np.float64)
-        assert all(stage_paths(REDUCED_SPEC, params, 3))
+        assert stage_paths(REDUCED_SPEC, params, 3) == ["spectral"] * 5
         report = grad_check(REDUCED_SPEC, seed=0)
         assert report.passed and report.max_rel_error < 1e-4, report
 
@@ -618,21 +619,21 @@ def stage_paths(spec, params, batch):
     from echodoa.neural.network import _forward_impl
     x = np.zeros((batch, spec.input_rows, spec.input_time), np.float32)
     _, cache = _forward_impl(spec, params, x, keep=True)
-    return [stage["spectral"] for stage in cache["stages"]]
+    return [stage["form"] for stage in cache["stages"]]
 
 
 class TestConvolutionDispatch:
     def test_paths_per_stage_and_batch(self):
         spec = NetworkSpec()
         params = init_params(spec, 0)
-        assert stage_paths(spec, params, 15) == [False] * 5
-        assert stage_paths(spec, params, 16) == [False, True, False, False,
-                                                 False]
-        assert stage_paths(spec, params, 64) == [False, True, True, True,
-                                                 True]
+        assert stage_paths(spec, params, 15) == ["im2col"] * 5
+        assert stage_paths(spec, params, 16) == [
+            "folded", "spectral", "im2col", "im2col", "im2col"]
+        assert stage_paths(spec, params, 64) == ["folded"] + ["spectral"] * 4
         for spec in (MID, REDUCED_SPEC, NetworkSpec(
                 input_time=256, feature_maps=8, dense_widths=(16, 8))):
-            assert not any(stage_paths(spec, init_params(spec, 0), 64))
+            assert stage_paths(spec, init_params(spec, 0), 64) == [
+                "im2col"] * 5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_small_default_batches_keep_im2col_bytes(self, dtype):
@@ -677,3 +678,79 @@ class TestConvolutionDispatch:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * col_bytes, (peak, col_bytes)
+
+
+# --- row-folded first stage against im2col -------------------------------
+
+def folded_and_im2col(x, w, dy):
+    """(forward, dw, db, dx) of the im2col form, then of the folded form."""
+    from echodoa.neural.network import (
+        _conv_folded, _conv_folded_grads, _conv_same, _conv_same_grads,
+        _same_pads)
+    pad_r, pad_t = _same_pads(w.shape[0]), _same_pads(w.shape[1])
+    y, cols = _conv_same(x, w, pad_r, pad_t)
+    im2col = (y, *_conv_same_grads(dy, w, cols, pad_r, pad_t, False))
+    y, cols = _conv_folded(x, w, pad_r, pad_t)
+    folded = (y, *_conv_folded_grads(dy, w, cols, pad_r, pad_t, False))
+    return im2col, folded
+
+
+# (R, B, T, C), F: the default first stage at small batch, one row, more
+# rows than kernel rows, an odd length and more than one input map
+FOLDED_CASES = [((4, 3, 512, 1), 64), ((1, 4, 64, 1), 32),
+                ((5, 2, 17, 1), 3), ((4, 2, 33, 2), 4)]
+
+
+class TestFoldedConvolution:
+    @pytest.mark.parametrize("shape, f_out", [
+        ((4, 2, 20, 1), 5), ((5, 2, 17, 1), 3), ((1, 2, 20, 2), 4)])
+    def test_matches_direct_convolution(self, shape, f_out):
+        # the brute-force reference of TestConvolutionAgainstBruteForce
+        from echodoa.neural.network import _conv_folded, _same_pads
+        r_dim, b_dim, t_dim, _ = shape
+        x, w, _ = conv_case(shape, f_out, seed=2)
+        pad_r, pad_t = _same_pads(4), _same_pads(16)
+        got, _ = _conv_folded(x, w, pad_r, pad_t)
+        want = np.zeros(got.shape)
+        for r, b, t in np.ndindex(r_dim, b_dim, t_dim):
+            for dr, dt in np.ndindex(4, 16):
+                ri, ti = r + dr - pad_r[0], t + dt - pad_t[0]
+                if 0 <= ri < r_dim and 0 <= ti < t_dim:
+                    want[r, b, t] += x[ri, b, ti] @ w[dr, dt]
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, f_out", FOLDED_CASES)
+    def test_float64_agrees_with_im2col(self, shape, f_out):
+        im2col, folded = folded_and_im2col(*conv_case(shape, f_out, seed=3))
+        for name, want, got in zip(("y", "dw", "db"), im2col, folded):
+            assert got.dtype == np.float64 and got.shape == want.shape, name
+            assert rel_error(got, want) < 1e-12, name
+        assert folded[3] is None
+
+    @pytest.mark.parametrize("batch, seed", [(16, 4), (16, 5), (16, 6),
+                                             (64, 4)])
+    def test_float32_within_bound_of_float64(self, batch, seed):
+        # measured 2.8-3.9e-7 (y) and 3.5-5.3e-7 (dw) for the folded
+        # form against 1.2-1.7e-7 and 3.9-8.8e-7 for im2col, at batches
+        # 16 and 64 and seeds 4-6
+        x, w, dy = conv_case((4, batch, 512, 1), 64, seed=seed)
+        truth, _ = folded_and_im2col(x, w, dy)
+        low = [a.astype(np.float32) for a in (x, w, dy)]
+        im2col, folded = folded_and_im2col(*low)
+        for name, want, got in zip(("y", "dw"), truth, folded):
+            assert got.dtype == np.float32, name
+            assert rel_error(got, want) < 1e-6, name
+        assert folded[2].tobytes() == im2col[2].tobytes()
+
+    def test_grad_check_on_the_folded_path(self, monkeypatch):
+        from echodoa.neural import network
+        picks = network._conv_form
+        monkeypatch.setattr(
+            network, "_conv_form",
+            lambda x_shape, w_shape: ("folded" if w_shape[2] == 1
+                                      else picks(x_shape, w_shape)))
+        params = init_params(REDUCED_SPEC, 0, dtype=np.float64)
+        assert stage_paths(REDUCED_SPEC, params, 3) == ["folded"] + [
+            "im2col"] * 4
+        report = grad_check(REDUCED_SPEC, seed=0)
+        assert report.passed and report.max_rel_error < 1e-4, report

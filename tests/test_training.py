@@ -11,6 +11,7 @@ from echodoa.errors import (
     EchoNotFoundError,
     EmptyDatasetError,
     IncompatibleCheckpointError,
+    InputError,
     TrainingDivergedError,
 )
 from echodoa.doa_music import CONVERGED, FALLBACK
@@ -160,6 +161,20 @@ class TestTrain:
                              patience=2)
         _, history = train(noiseless_32, TINY, config, AdamHyper(), seed=2)
         assert len(history) < 50
+
+
+class TestTrainingInputChecks:
+    @pytest.mark.parametrize("name", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3])
+    def test_adam_rejects_rate_or_eps_not_positive_and_finite(self, name,
+                                                             value):
+        with pytest.raises(InputError, match=name):
+            AdamHyper(**{name: value})
+
+    def test_rejects_negative_patience(self):
+        with pytest.raises(InputError, match="patience"):
+            TrainConfig(patience=-1)
+        assert TrainConfig(patience=0).patience == 0
 
 
 class TestPredict:

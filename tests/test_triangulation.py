@@ -207,3 +207,26 @@ class TestFuseDoaWithRanges:
         est = DoaEstimate(0.0, CONVERGED, (0.0,))
         with pytest.raises(InputError):
             fuse_doa_with_ranges(est, None, None)
+
+    @pytest.mark.parametrize("angle, ambiguity", [
+        (math.nan, None), (100.0, None), (-90.5, None),
+        (30.0, (-100.0, 30.0)), (30.0, (30.0, math.nan))])
+    def test_rejects_doa_outside_the_half_plane(self, angle, ambiguity):
+        est = DoaEstimate(angle, CONVERGED, ambiguity or (angle,))
+        with pytest.raises(InputError, match="doa_deg"):
+            fuse_doa_with_ranges(est, meas(-0.25, 0, 2.0), meas(0.25, 0, 2.0))
+
+    @pytest.mark.parametrize("sigma_theta", [math.nan, -1.0, 90.0, math.inf])
+    def test_rejects_sigma_theta_outside_0_to_90(self, sigma_theta):
+        est = DoaEstimate(0.0, CONVERGED, (0.0,))
+        with pytest.raises(InputError, match="sigma_theta_deg"):
+            fuse_doa_with_ranges(est, meas(-0.25, 0, 2.0), meas(0.25, 0, 2.0),
+                                 sigma_theta_deg=sigma_theta)
+
+    @pytest.mark.parametrize("angle", [-90.0, 90.0])
+    def test_accepts_the_edges_of_the_half_plane(self, angle):
+        est = DoaEstimate(angle, CONVERGED, (angle,))
+        fix = fuse_doa_with_ranges(est, meas(-0.25, 0, 2.0),
+                                   meas(0.25, 0, 2.0), sigma_theta_deg=0.0)
+        assert fix.y == pytest.approx(0.0, abs=1e-12)
+        assert fix.ellipse.semi_minor == 0.0
