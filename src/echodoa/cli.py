@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--sim", action="append", metavar="KEY=VALUE",
                         help="override one simulation key; wins over --config")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for generation (default 1)")
+                        help="worker processes for generation and evaluation, "
+                             "at least 1; capped at the CPUs (default 1)")
 
     spacing = argparse.ArgumentParser(add_help=False)
     spacing.add_argument("--spacing-wl", type=float, default=0.5,
@@ -472,6 +473,8 @@ def main(argv=None) -> int:
         # every seed ends up in a uint64 (Philox keys, EDDS records)
         if not 0 <= args.seed < 2**64:
             raise InputError(f"--seed must lie in [0, 2**64), got {args.seed}")
+        if args.workers < 1:
+            raise InputError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -161,17 +162,40 @@ def _make_record(spec: SweepSpec, angle_idx: int, snr_idx: int,
                          tof_s=tof)
 
 
+def pool_size(workers: int, chunks: int) -> int:
+    """Worker processes to start for ``chunks`` pieces of work.
+
+    ``workers`` (at least 1, else InputError) capped by the chunk count
+    and by the CPUs this process may run on; 1 means run in-process.
+    """
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, chunks, cpus))
+
+
+_GENERATE_CHUNK = 32
+
+
 def generate_dataset(spec: SweepSpec, workers: int = 1) -> Dataset:
-    """All grid cells times records_per_cell, in deterministic order."""
+    """All grid cells times records_per_cell, in deterministic order.
+
+    ``workers`` processes at most (see ``pool_size``); the records do
+    not depend on how many run.
+    """
     cells = [(ai, si, rep)
              for ai in range(len(spec.angles_deg))
              for si in range(len(spec.snrs_db))
              for rep in range(spec.records_per_cell)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = pool_size(workers, -(-len(cells) // _GENERATE_CHUNK))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             records = list(pool.map(_make_record_star,
                                     [(spec, *cell) for cell in cells],
-                                    chunksize=32))
+                                    chunksize=_GENERATE_CHUNK))
     else:
         records = [_make_record(spec, *cell) for cell in cells]
     return Dataset(config=spec.config, geometry=spec.geometry,

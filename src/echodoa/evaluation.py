@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .datasets import pool_size
 from .doa_music import FALLBACK, MusicOptions, estimate_doa_music
 from .errors import (
     EmptyDatasetError,
@@ -126,14 +128,14 @@ def evaluate(dataset, estimators, domain_filter: str = DOMAIN_FULL,
     records = [r for r in dataset.records
                if _in_domain(r.doa_deg, domain_filter)]
 
+    processes = pool_size(workers, len(records))
     rows = []
     for est in estimators:
-        if workers > 1 and len(records) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            size = -(-len(records) // workers)
+        if processes > 1:
+            size = -(-len(records) // processes)
             chunks = [records[i:i + size]
                       for i in range(0, len(records), size)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
                 parts = list(pool.map(
                     _estimate_chunk,
                     [(est, chunk, dataset.geometry, dataset.config)

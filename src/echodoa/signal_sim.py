@@ -271,6 +271,10 @@ def synthesize_echo(scenario: SourceScenario, geometry: ArrayGeometry,
     element_x[m]*sin(doa)/c and carries the configured envelope. The
     returned waveform remembers the reference channel's active interval
     and mean power so noise can be calibrated later.
+
+    The cost follows the echo's length, not the listen window's: each
+    channel evaluates the burst only over the samples its echo can reach
+    (plus a guard sample each side), and every other sample is +0.0.
     """
     fs = config.sample_rate
     c = config.sound_speed
@@ -279,7 +283,6 @@ def synthesize_echo(scenario: SourceScenario, geometry: ArrayGeometry,
     base_delay = 2.0 * scenario.range_m / c
 
     data = np.zeros((geometry.num_elements, n))
-    t_grid = np.arange(n) / fs
     for m, x_m in enumerate(geometry.element_x):
         tau = base_delay + x_m * sin_theta / c
         if tau < 0.0 or tau + config.echo_duration > config.listen_window:
@@ -287,9 +290,14 @@ def synthesize_echo(scenario: SourceScenario, geometry: ArrayGeometry,
                 f"echo on element {m} spans [{tau * 1e3:.3f}, "
                 f"{(tau + config.echo_duration) * 1e3:.3f}] ms, outside the "
                 f"{config.listen_window * 1e3:.3f} ms listen window")
-        t_rel = t_grid - tau
-        data[m] = (_envelope(t_rel, config.echo_duration, config.envelope)
-                   * np.cos(2.0 * np.pi * config.carrier_freq * t_rel))
+        # the guard samples leave the edges to _envelope's own mask; the
+        # times are element for element those of np.arange(n) / fs
+        lo = max(0, math.floor(tau * fs) - 1)
+        hi = min(n, math.ceil((tau + config.echo_duration) * fs) + 2)
+        t_rel = np.arange(lo, hi) / fs - tau
+        data[m, lo:hi] = (
+            _envelope(t_rel, config.echo_duration, config.envelope)
+            * np.cos(2.0 * np.pi * config.carrier_freq * t_rel))
 
     tau0 = base_delay + geometry.element_x[0] * sin_theta / c
     start = math.ceil(tau0 * fs)
@@ -306,16 +314,23 @@ def add_awgn(wave: RealWaveform, snr_db: float, seed: int,
     Noise variance is P_signal * 10**(-snr_db/10) where P_signal is the
     clean echo's mean power over its active duration (carried on the
     waveform, or supplied explicitly). ``snr_db = inf`` is the noiseless
-    sentinel and returns an untouched copy. Each channel draws from an
-    independent Philox stream keyed by (seed, channel).
+    sentinel and returns an untouched copy; a NaN or -inf ``snr_db`` and
+    a negative or non-finite signal power raise InputError. Each channel
+    draws from an independent Philox stream keyed by (seed, channel).
     """
     if math.isinf(snr_db) and snr_db > 0:
         return replace(wave, data=wave.data.copy())
+    # written so that NaN fails every check
+    if not snr_db > -math.inf:
+        raise InputError("snr_db must be finite, or +inf for noiseless")
     power = signal_power if signal_power is not None else wave.signal_power
     if power is None:
         raise MissingSignalPowerError(
             "clean signal power unknown; synthesize the echo first or pass "
             "signal_power explicitly")
+    if not 0.0 <= power < math.inf:
+        raise InputError(
+            f"signal_power must be finite and non-negative, got {power}")
     sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
     out = wave.data.copy()
     n = wave.samples_per_channel

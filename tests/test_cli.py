@@ -537,3 +537,45 @@ class TestFusionAndTrainingInputs:
         fix = json.loads(out)
         assert all(math.isfinite(v) for v in (fix["x"], fix["y"],
                                               *fix["ellipse"].values()))
+
+
+class TestWorkersFlag:
+    ARGV = {
+        "simulate": ("--doa", "0", "--range", "0.7", "--out", "c.edcf"),
+        "dataset": ("--records-per-cell", "1", "--out", "d.edds"),
+        "train": ("--epochs", "1", "--out", "m.edck"),
+        "eval": ("--music", "--out", "r.csv"),
+        "music": ("--spectrum-out", "s.txt"),
+        "triangulate": ("--r1", "1", "--r2", "1", "--out", "f.json"),
+        "sweep": ("--out-dir", "s"),
+        "gradcheck": (),
+    }
+
+    def test_every_subcommand_is_covered(self):
+        assert set(self.ARGV) == set(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_below_one_is_an_input_error(self, name, workers,
+                                         tiny_dataset_path, tmp_path,
+                                         capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = (name, *self.ARGV[name], f"--workers={workers}")
+        if name in ("train", "eval"):
+            argv = (*argv, "--dataset", str(tiny_dataset_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: InputError: --workers must be at least 1, got {workers}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_more_workers_than_cpus_writes_the_same_file(self, tmp_path,
+                                                         capsys):
+        argv = ("dataset", "--angles=-30,0,30", "--snrs", "10",
+                "--records-per-cell", "12")
+        assert run(capsys, *argv, "--out", str(tmp_path / "a.edds"))[0] == 0
+        assert run(capsys, *argv, "--workers", "64",
+                   "--out", str(tmp_path / "b.edds"))[0] == 0
+        assert (tmp_path / "a.edds").read_bytes() \
+            == (tmp_path / "b.edds").read_bytes()

@@ -6,12 +6,14 @@ import struct
 import numpy as np
 import pytest
 
+from echodoa import datasets
 from echodoa.datasets import (
     Dataset,
     DatasetRecord,
     SweepSpec,
     generate_dataset,
     ingest_capture,
+    pool_size,
     load_dataset,
     read_capture,
     record_seed,
@@ -135,6 +137,43 @@ class TestGenerateDataset:
             if rec.snr_db >= 10.0 and not math.isnan(rec.tof_s):
                 expected = 2.0 * rec.range_m / CFG.sound_speed
                 assert rec.tof_s == pytest.approx(expected, abs=2e-4)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_below_one_is_an_input_error(self, workers):
+        with pytest.raises(InputError, match="workers must be at least 1"):
+            pool_size(workers, 10)
+        with pytest.raises(InputError, match="workers must be at least 1"):
+            generate_dataset(SMALL_SPEC, workers=workers)
+
+    @pytest.mark.parametrize("workers, chunks, cpus, size", [
+        (1, 100, 64, 1), (8, 100, 64, 8), (10**6, 4, 64, 4),
+        (10**6, 100, 2, 2), (3, 0, 64, 1), (5, 1, 64, 1)])
+    def test_capped_by_chunks_and_cpus(self, record_pool_sizes, workers,
+                                       chunks, cpus, size):
+        record_pool_sizes(datasets, cpus)
+        assert pool_size(workers, chunks) == size
+
+    @pytest.mark.parametrize("cpus, size", [(64, 4), (2, 2)])
+    def test_pool_never_outnumbers_chunks_or_cpus(self, record_pool_sizes,
+                                                  cpus, size):
+        # 5 x 2 x 10 = 100 records in chunks of 32: four chunks
+        spec = SweepSpec(angles_deg=(-40.0, -20.0, 0.0, 20.0, 40.0),
+                         snrs_db=(0.0, 10.0), records_per_cell=10)
+        serial = generate_dataset(spec)
+        sizes = record_pool_sizes(datasets, cpus)
+        pooled = generate_dataset(spec, workers=10**6)
+        assert sizes == [size]
+        assert [r.baseband.data.tobytes() for r in pooled.records] \
+            == [r.baseband.data.tobytes() for r in serial.records]
+
+    def test_one_chunk_runs_in_process(self, record_pool_sizes,
+                                       small_dataset):
+        sizes = record_pool_sizes(datasets, 64)
+        again = generate_dataset(SMALL_SPEC, workers=8)
+        assert sizes == []
+        assert len(again.records) == len(small_dataset.records)
 
 
 class TestPersistence:

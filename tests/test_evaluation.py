@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from echodoa import evaluation
 from echodoa.datasets import Dataset, DatasetRecord, SweepSpec, generate_dataset
 from echodoa.errors import (
     EmptyDatasetError,
@@ -121,6 +122,25 @@ class TestEvaluate:
         parallel = evaluate(small, estimators, workers=2)
         assert serial.rows == parallel.rows
         assert max(r.mae_deg for r in serial.rows) > 0.0
+
+    @pytest.mark.parametrize("cpus, size", [(64, 40), (2, 2)])
+    def test_pool_never_outnumbers_records_or_cpus(self, sweep_dataset,
+                                                   record_pool_sizes, cpus,
+                                                   size):
+        small = Dataset(config=sweep_dataset.config,
+                        geometry=sweep_dataset.geometry,
+                        records=sweep_dataset.records[:40])
+        serial = evaluate(small, [MusicEstimator()])
+        sizes = record_pool_sizes(evaluation, cpus)
+        pooled = evaluate(small, [MusicEstimator()], workers=10**6)
+        assert sizes == [size]
+        assert pooled.rows == serial.rows
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_is_an_input_error(self, sweep_dataset,
+                                                 workers):
+        with pytest.raises(InputError, match="workers must be at least 1"):
+            evaluate(sweep_dataset, [MusicEstimator()], workers=workers)
 
     def test_music_mae_monotone_in_snr(self, sweep_dataset):
         table = evaluate(sweep_dataset, [MusicEstimator()])

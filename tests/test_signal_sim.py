@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from echodoa.signal_sim import (
     RealWaveform,
     SimConfig,
     SourceScenario,
+    _envelope,
     add_awgn,
     detect_echo_window,
     steering_vector,
@@ -230,6 +232,104 @@ class TestSynthesizeEcho:
         assert (mag > 0.45).sum() > 0.6 * mag.size
 
 
+def full_window_echo(scenario, geometry, config):
+    """The burst written out over every sample of the listen window."""
+    fs = config.sample_rate
+    c = config.sound_speed
+    t_grid = np.arange(config.n_samples) / fs
+    sin_theta = math.sin(math.radians(scenario.doa_deg))
+    base_delay = 2.0 * scenario.range_m / c
+    rows = []
+    for x_m in geometry.element_x:
+        t_rel = t_grid - (base_delay + x_m * sin_theta / c)
+        rows.append(_envelope(t_rel, config.echo_duration, config.envelope)
+                    * np.cos(2.0 * np.pi * config.carrier_freq * t_rel))
+    return np.array(rows)
+
+
+def last_range_in_window(config):
+    """Largest range whose broadside echo still ends inside the window."""
+    r = (config.listen_window - config.echo_duration) * config.sound_speed / 2.0
+    while 2.0 * r / config.sound_speed + config.echo_duration > config.listen_window:
+        r = np.nextafter(r, 0.0)
+    return float(r)
+
+
+class TestSynthesizeEchoSupport:
+    """The burst is evaluated over its own samples only."""
+
+    @pytest.mark.parametrize("spacing_wl", [0.5, 1.5])
+    @pytest.mark.parametrize("envelope", ENVELOPE_KINDS)
+    def test_equals_full_window_formula(self, envelope, spacing_wl):
+        cfg = SimConfig(envelope=envelope)
+        geometry = ArrayGeometry.pair(spacing_wl * wavelength(cfg))
+        for doa in (-90.0, -60.0, -37.3, -1e-3, 0.0, 12.5, 45.0, 60.0, 90.0):
+            for range_m in (0.05, 0.5, 0.777, 1.2):
+                scenario = SourceScenario(doa_deg=doa, range_m=range_m)
+                wave = synthesize_echo(scenario, geometry, cfg)
+                want = full_window_echo(scenario, geometry, cfg)
+                assert (wave.data == want).all(), (doa, range_m)
+                assert wave.signal_power == float(np.mean(
+                    want[0, slice(*wave.echo_support)] ** 2))
+
+    def test_samples_outside_the_echo_are_positive_zero(self):
+        wave = synthesize_echo(SourceScenario(doa_deg=30.0, range_m=0.7),
+                               HALF_WL_PAIR, CFG)
+        start, stop = wave.echo_support
+        # the guard sample each side of the support may hold -0.0
+        outside = np.r_[wave.data[0, :start - 2], wave.data[0, stop + 2:]]
+        assert outside.size > 7000
+        assert (outside.view(np.uint64) == 0).all()
+
+    @pytest.mark.parametrize("envelope", ENVELOPE_KINDS)
+    def test_window_edges(self, envelope):
+        cfg = SimConfig(envelope=envelope)
+        first = SourceScenario(doa_deg=0.0, range_m=1e-7)
+        last = SourceScenario(doa_deg=0.0, range_m=last_range_in_window(cfg))
+        for scenario in (first, last):
+            wave = synthesize_echo(scenario, HALF_WL_PAIR, cfg)
+            assert (wave.data == full_window_echo(scenario, HALF_WL_PAIR,
+                                                  cfg)).all()
+        head = synthesize_echo(first, HALF_WL_PAIR, cfg).data[0]
+        tail = synthesize_echo(last, HALF_WL_PAIR, cfg).data[0]
+        assert np.flatnonzero(head)[0] <= 1
+        assert np.flatnonzero(tail)[-1] >= cfg.n_samples - 2
+
+    def test_integer_onset_sample(self):
+        # 2 * 0.68 / 340 * 1e6 is exactly 4000
+        scenario = SourceScenario(doa_deg=0.0, range_m=0.68)
+        assert 2.0 * 0.68 / CFG.sound_speed * CFG.sample_rate == 4000.0
+        for envelope in ENVELOPE_KINDS:
+            cfg = SimConfig(envelope=envelope)
+            wave = synthesize_echo(scenario, HALF_WL_PAIR, cfg)
+            assert (wave.data == full_window_echo(scenario, HALF_WL_PAIR,
+                                                  cfg)).all()
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, math.inf])
+    def test_baseband_bytes_match_full_window(self, snr_db):
+        for spacing_wl, doa in ((0.5, -41.0), (1.5, 17.0)):
+            geometry = ArrayGeometry.pair(spacing_wl * LAM)
+            scenario = SourceScenario(doa_deg=doa, range_m=0.63)
+            clean = synthesize_echo(scenario, geometry, CFG)
+            full = replace(clean, data=full_window_echo(scenario, geometry,
+                                                         CFG))
+            got = to_baseband(add_awgn(clean, snr_db, seed=5), CFG)
+            want = to_baseband(add_awgn(full, snr_db, seed=5), CFG)
+            assert_same_bytes(got, want.data)
+
+    @pytest.mark.parametrize("doa,range_m,element,span", [
+        (0.0, 2.0, 0, "[11.765, 12.065]"),
+        (-90.0, 1e-4, 1, "[-0.009, 0.291]"),
+    ])
+    def test_out_of_window_message(self, doa, range_m, element, span):
+        with pytest.raises(ScenarioOutOfWindowError) as info:
+            synthesize_echo(SourceScenario(doa_deg=doa, range_m=range_m),
+                            HALF_WL_PAIR, CFG)
+        assert str(info.value) == (
+            f"echo on element {element} spans {span} ms, outside the "
+            f"8.000 ms listen window")
+
+
 class TestAddAwgn:
     def test_noiseless_sentinel_is_identity(self):
         wave = synthesize_echo(SourceScenario(doa_deg=5.0, range_m=1.0),
@@ -251,6 +351,29 @@ class TestAddAwgn:
         bare = RealWaveform(data=np.zeros((2, 800)), sample_rate=1e5)
         with pytest.raises(MissingSignalPowerError):
             add_awgn(bare, 0.0, seed=0)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_rejects_nan_and_minus_inf_snr(self, snr_db):
+        wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
+                               HALF_WL_PAIR, CFG)
+        with pytest.raises(InputError, match="snr_db"):
+            add_awgn(wave, snr_db, seed=0)
+
+    @pytest.mark.parametrize("power", [-1e-12, -1.0, math.nan, math.inf,
+                                       -math.inf])
+    def test_rejects_bad_signal_power(self, power):
+        wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
+                               HALF_WL_PAIR, CFG)
+        with pytest.raises(InputError, match="signal_power"):
+            add_awgn(wave, 0.0, seed=0, signal_power=power)
+        with pytest.raises(InputError, match="signal_power"):
+            add_awgn(replace(wave, signal_power=power), 0.0, seed=0)
+
+    def test_zero_signal_power_adds_no_noise(self):
+        wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
+                               HALF_WL_PAIR, CFG)
+        out = add_awgn(wave, 0.0, seed=0, signal_power=0.0)
+        assert (out.data == wave.data).all()
 
     def test_deterministic_per_seed(self):
         wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from echodoa.datasets import SweepSpec, generate_dataset
+from echodoa.datasets import SweepSpec, generate_dataset, split
 from echodoa.errors import (
     EchoNotFoundError,
     EmptyDatasetError,
@@ -22,6 +22,7 @@ from echodoa.neural import (
     TrainConfig,
     baseband_to_input,
     export_weights_text,
+    forward,
     load_checkpoint,
     predict_doa,
     prepare_inputs,
@@ -96,16 +97,60 @@ class TestFeatureExtraction:
         np.testing.assert_array_equal(ym, -y)
 
 
+MEMORIZE = TrainConfig(epochs=200, batch_size=8, train_fraction=0.9,
+                       shuffle_seed=0)
+
+
+@pytest.fixture(scope="module")
+def memorization_runs(noiseless_32):
+    # each train seed runs once per module, shared by the tests that read it
+    runs = {}
+
+    def run(seed):
+        if seed not in runs:
+            runs[seed] = train(noiseless_32, TINY, MEMORIZE, AdamHyper(),
+                               seed=seed)
+        return runs[seed]
+
+    return run
+
+
+# train seeds whose returned weights miss 1 degree on their own training
+# records (5.659, 4.845, 1.492 and 1.998 degrees); CHANGES.md records the
+# two causes as FOUND: the returned epoch is the one with the lowest loss
+# on the four held-out records, which stay near 7.8 degrees, so it is
+# arbitrary; and ADAM at batch 8 swings the training fit late in training
+RETURNED_WEIGHTS_MISS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="best-held-out epoch is arbitrary on four held-out records")
+
+
 class TestTrain:
-    def test_memorizes_noiseless_records(self, noiseless_32):
-        config = TrainConfig(epochs=200, batch_size=8, train_fraction=0.9,
-                             shuffle_seed=0)
-        checkpoint, history = train(noiseless_32, TINY, config,
-                                    AdamHyper(), seed=0)
+    def test_memorizes_noiseless_records(self, memorization_runs):
+        _, history = memorization_runs(0)
         # RMSE bounds MAE from above, so the final train loss certifies
         # memorization without reloading the final-epoch weights
         final_rmse_deg = math.sqrt(history[-1].train_loss) * 90.0
         assert final_rmse_deg < 1.0
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(0, marks=RETURNED_WEIGHTS_MISS),
+        pytest.param(1, marks=RETURNED_WEIGHTS_MISS),
+        2,
+        pytest.param(3, marks=RETURNED_WEIGHTS_MISS),
+        pytest.param(4, marks=RETURNED_WEIGHTS_MISS),
+    ])
+    def test_returned_weights_fit_training_records(
+            self, noiseless_32, memorization_runs, seed):
+        checkpoint, _ = memorization_runs(seed)
+        train_ds, _ = split(noiseless_32, MEMORIZE.train_fraction,
+                            MEMORIZE.shuffle_seed)
+        x, y = prepare_inputs(train_ds.records, TINY)
+        # a forward pass of the returned weights over the training
+        # records; RMSE bounds MAE from above
+        pred = forward(TINY, checkpoint.params, x).astype(np.float64)
+        rmse_deg = math.sqrt(float(np.mean((pred - y) ** 2))) * 90.0
+        assert rmse_deg < 1.0, (seed, rmse_deg)
 
     def test_bit_reproducible_history(self, noiseless_32):
         config = TrainConfig(epochs=3, batch_size=8, shuffle_seed=0)
