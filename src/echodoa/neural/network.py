@@ -25,34 +25,44 @@ from the shape alone:
   maps wide from batch 16 on. Its columns hold every input row's 16
   taps side by side, so each output row is one GEMM whose inner
   dimension spans all the input rows it reads (32-64 deep in place of
-  16), written straight into the output.
+  16), written straight into the output. The stage runs in chunks of
+  ``_FOLDED_CHUNK`` (2) records: each chunk's columns, GEMMs, bias,
+  ReLU and pooling run while its 1 MB output is still in cache, so no
+  full-resolution first-stage array exists in either pass.
 - spectral (``_conv_spectral``): ``rfft`` along time to
   ``next_fast_len(T + kt - 1)`` points, one batched complex GEMM per
   row offset and frequency, and one ``irfft``. It takes stages 2-5 of
   the default spec once rows times batch reaches 32: stage 2 from
   batch 16, stages 3-5 from batch 32, so every stage but the first of
   a 64-record training batch. It does about 7x fewer multiply-adds.
+  Its output is a strided view into the ``irfft`` result, not a copy.
 
 The folded and spectral forms are float reordering only. In float64
 each agrees with im2col to about 1e-14 relative. In float32 all three
 stay a few 1e-7 from the float64 result, relative to its largest value:
 the spectral forward pass and gradients no further than im2col's, the
 folded output and weight gradient within 1e-6 (about 3e-7, where
-im2col's are 1-9e-7), its bias gradient bit for bit. Whole-network
-float32 gradients of a large batch can still differ from the im2col
-ones by a few 1e-3 of their maximum, because a last-bit change can
-flip a max-pool or ReLU near-tie; compare the forms per stage, not per
-network.
+im2col's are 1-9e-7), its bias gradient bit for bit on the same
+records. Chunking leaves every forward byte as it is; the folded
+stage's gradients become sums of per-chunk sums, which moved
+whole-network float32 gradients by up to 4.2e-6 of their maximum at
+batches 16-64. Whole-network float32 gradients of a large batch can
+still differ from the im2col ones by a few 1e-3 of their maximum,
+because a last-bit change can flip a max-pool or ReLU near-tie;
+compare the forms per stage, not per network.
 
 The training pass caches, per convolution stage, three things: the
-stage input in the form its gradient needs (the im2col or folded
-column buffer, or the input spectrum, which is about 14x smaller), the
+stage input in the form its gradient needs (the im2col column buffer;
+the input spectrum, about 14x smaller; for a folded stage the input
+itself, 16x smaller than its columns, which each chunk rebuilds), the
 int8 window index of each pooled maximum, and a bool mask of the
 positive pooled outputs (one byte per pooling window, in place of the
 full-size ReLU output). The convolution output itself is freed once
-pooled. The reverse pass releases each stage's cache as soon as that
-stage's gradients exist; an im2col stage builds its input-gradient
-columns into its spent forward column buffer rather than a second one.
+pooled. The reverse pass takes each stage's cache out as it reaches
+that stage and frees it as soon as the gradients exist; an im2col
+stage builds its input-gradient columns into its spent forward column
+buffer rather than a second one, and a spectral stage drops its input
+spectrum and routed gradient before it builds its input gradient.
 """
 
 from __future__ import annotations
@@ -240,6 +250,15 @@ def _out_rows(kr, r_dim, pad_r):
             yield r, d_lo, d_hi, r + d_lo - pad_r[0]
 
 
+def _folded_cols(x, kt, pad_t):
+    """(B * T, R * kt * C) columns of ``_conv_folded``."""
+    r_dim, b_dim, t_dim, c_in = x.shape
+    xpt = np.pad(x, ((0, 0), (0, 0), pad_t, (0, 0)))
+    win = sliding_window_view(xpt, kt, axis=2)               # (R,B,T,C,kt)
+    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 4, 3))
+    return cols.reshape(b_dim * t_dim, r_dim * kt * c_in)
+
+
 def _conv_folded(x, w, pad_r, pad_t):
     """Row-folded form of ``_conv_same``; returns output and columns.
 
@@ -252,10 +271,7 @@ def _conv_folded(x, w, pad_r, pad_t):
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = x.shape
     k = kt * c_in
-    xpt = np.pad(x, ((0, 0), (0, 0), pad_t, (0, 0)))
-    win = sliding_window_view(xpt, kt, axis=2)               # (R,B,T,C,kt)
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 4, 3))
-    cols = cols.reshape(b_dim * t_dim, r_dim * k)
+    cols = _folded_cols(x, kt, pad_t)
     y = np.empty((r_dim, b_dim, t_dim, f_out), dtype=x.dtype)
     for r, d_lo, d_hi, i_lo in _out_rows(kr, r_dim, pad_r):
         i_hi = i_lo + d_hi - d_lo
@@ -314,22 +330,30 @@ def _spectral_apply(xf, w, pad_r, pad_t, t_dim):
     holds the full linear convolution, so nothing wraps around. The
     time-reversed kernel turns the correlation into a convolution whose
     same-size part starts at ``kt - 1 - pad_t[0]``.
+
+    Kernel row ``pad_r[0]`` reads every input row into every output row,
+    so its product is written into the output spectrum and the other
+    rows' products are added to it; with ``kr`` below 5 that sums the
+    products in the order of a zero-filled accumulator. The result is a
+    strided view into the ``irfft`` output, not a copy.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, nf, _ = xf.shape
     n = _spectral_size(t_dim, kt)
-    yf = np.zeros((r_dim, b_dim, nf, f_out), dtype=xf.dtype)
+    yf = np.empty((r_dim, b_dim, nf, f_out), dtype=xf.dtype)
     # (Nf, R * B, maps) views: one GEMM per frequency and row offset
     xv = xf.reshape(r_dim * b_dim, nf, c_in).transpose(1, 0, 2)
     yv = yf.reshape(r_dim * b_dim, nf, f_out).transpose(1, 0, 2)
+    np.matmul(xv, _tap_spectrum(w[pad_r[0]], n, xf.dtype), out=yv)
     for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
+        if dr == pad_r[0]:
+            continue
         rows = r_hi - r_lo
         yv[:, r_lo * b_dim:r_hi * b_dim] += \
             xv[:, i_lo * b_dim:(i_lo + rows) * b_dim] \
             @ _tap_spectrum(w[dr], n, xf.dtype)
     lo = kt - 1 - pad_t[0]
-    y = scipy.fft.irfft(yf, n=n, axis=2)
-    return np.ascontiguousarray(y[:, :, lo:lo + t_dim])
+    return scipy.fft.irfft(yf, n=n, axis=2)[:, :, lo:lo + t_dim]
 
 
 def _conv_spectral(x, w, pad_r, pad_t):
@@ -353,32 +377,39 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
     an inverse real DFT evaluated at those ``kt`` lags only. That last
     sum runs over every frequency, so it runs in double precision: in
     single precision its rounding alone matched im2col's whole error.
+
+    ``dy`` is dropped once its spectrum exists, and ``xf`` once the
+    weight gradient does, before the input gradient is built; a caller
+    that passes its last references to them frees both then.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = dy.shape
     n = _spectral_size(t_dim, kt)
     nf = xf.shape[2]
+    dw = np.zeros(w.shape, dtype=dy.dtype)
     db = dy.sum(axis=(0, 1, 2))
     dyf = scipy.fft.rfft(dy, n=n, axis=2)
-    dx = None
-    if need_dx:
-        wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
-        dx = _spectral_apply(dyf, wflip, (pad_r[1], pad_r[0]),
-                             (pad_t[1], pad_t[0]), t_dim)
-    np.conjugate(dyf, out=dyf)
+    del dy
     # irfft weights: every bin but DC and Nyquist stands for two
     k = np.arange(nf)
     weight = np.where((k == 0) | (2 * k == n), 1.0, 2.0) / n
     lags = (_phases(n, pad_t[0] - np.arange(kt)) * weight[:, None]).T
     xv = xf.reshape(r_dim * b_dim, nf, c_in).transpose(1, 2, 0)
     gv = dyf.reshape(r_dim * b_dim, nf, f_out).transpose(1, 0, 2)
-    dw = np.zeros(w.shape, dtype=dy.dtype)
+    np.conjugate(dyf, out=dyf)
     for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
         rows = r_hi - r_lo
         cross = (xv[:, :, i_lo * b_dim:(i_lo + rows) * b_dim]
                  @ gv[:, r_lo * b_dim:r_hi * b_dim])          # (Nf, C, F)
         cross = cross.reshape(nf, c_in * f_out).astype(np.complex128)
         dw[dr] = (lags @ cross).real.reshape(kt, c_in, f_out)
+    del xf, xv, cross
+    if not need_dx:
+        return dw, db, None
+    np.conjugate(dyf, out=dyf)                     # back to dy's spectrum
+    wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
+    dx = _spectral_apply(dyf, wflip, (pad_r[1], pad_r[0]),
+                         (pad_t[1], pad_t[0]), t_dim)
     return dw, db, dx
 
 
@@ -416,6 +447,18 @@ _FORMS = {"im2col": (_conv_same, _conv_same_grads),
 # small batches keep their bytes. Networks narrower than 32 maps stay
 # on im2col in every stage so that their training results do not move
 # (the spectral form would save them about a millisecond per step).
+#
+# The folded stage runs _FOLDED_CHUNK records at a time through bias,
+# ReLU and pooling. Default first stage at batch 64, forward pass plus
+# gradients, medians of 9 (2 MiB of L2 per core):
+#
+#   records per chunk    1     2     4     8     16    64 (whole batch)
+#   ms                 94.4  76.1  75.8  82.1  84.9  118.4
+#
+# 2 and 4 tie; 2 keeps each chunk's output at 1 MB.
+_FOLDED_CHUNK = 2
+
+
 def _conv_form(x_shape, w_shape) -> str:
     """Name of the form, a key of ``_FORMS``, that runs this convolution."""
     r_dim, b_dim, _, _ = x_shape
@@ -477,6 +520,53 @@ def _maxpool_grad(dy, arg, in_shape, pr, pt):
     return dx
 
 
+def _bias_relu_pool(conv, b, pr, pt, keep):
+    """Bias, ReLU (both in place on ``conv``) and ``_maxpool``."""
+    conv += b
+    np.maximum(conv, 0.0, out=conv)
+    return _maxpool(conv, pr, pt, keep)
+
+
+def _folded_stage(x, w, b, pad_r, pad_t, pr, pt, keep):
+    """A folded stage through pooling, ``_FOLDED_CHUNK`` records at a time.
+
+    Each chunk's convolution output stays in cache from its GEMMs to its
+    pooling; only the pooled output and window index are written out.
+    """
+    r_dim, b_dim, t_dim, _ = x.shape
+    out = np.empty((r_dim // pr, b_dim, t_dim // pt, w.shape[3]),
+                   dtype=x.dtype)
+    arg = np.empty(out.shape, dtype=np.int8) if keep else None
+    for lo in range(0, b_dim, _FOLDED_CHUNK):
+        part = np.s_[:, lo:lo + _FOLDED_CHUNK]
+        conv, _ = _conv_folded(x[part], w, pad_r, pad_t)
+        out[part], chunk_arg = _bias_relu_pool(conv, b, pr, pt, keep)
+        if keep:
+            arg[part] = chunk_arg
+    return out, arg
+
+
+def _folded_stage_grads(dact, arg, x, w, pad_r, pad_t, pr, pt):
+    """Weight and bias gradients of ``_folded_stage``, chunk by chunk.
+
+    ``dact`` is the masked pooled gradient and ``x`` the stage input;
+    each chunk rebuilds its columns and routes its own gradient.
+    """
+    dw = np.zeros(w.shape, dtype=x.dtype)
+    db = np.zeros(w.shape[3], dtype=x.dtype)
+    for lo in range(0, x.shape[1], _FOLDED_CHUNK):
+        part = np.s_[:, lo:lo + _FOLDED_CHUNK]
+        xs = x[part]
+        dconv = _maxpool_grad(dact[part], arg[part],
+                              xs.shape[:3] + (w.shape[3],), pr, pt)
+        chunk_dw, chunk_db, _ = _conv_folded_grads(
+            dconv, w, _folded_cols(xs, w.shape[1], pad_t), pad_r, pad_t,
+            need_dx=False)
+        dw += chunk_dw
+        db += chunk_db
+    return dw, db
+
+
 def _check_input(spec, x):
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1:] != (spec.input_rows, spec.input_time):
@@ -503,16 +593,20 @@ def _forward_impl(spec, params, x, keep):
     pad_t = _same_pads(spec.kernel_time)
     stages = []
     for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
-        w = params[f"conv{s}_w"]
+        w, b = params[f"conv{s}_w"], params[f"conv{s}_b"]
         form = _conv_form(act.shape, w.shape)
-        conv, saved = _FORMS[form][0](act, w, pad_r, pad_t)
-        conv += params[f"conv{s}_b"]
-        np.maximum(conv, 0.0, out=conv)                      # ReLU
-        act, arg = _maxpool(conv, pr, pt, keep)
+        conv_shape = act.shape[:3] + w.shape[3:]
+        if form == "folded":
+            saved = act
+            act, arg = _folded_stage(act, w, b, pad_r, pad_t, pr, pt, keep)
+        else:
+            conv, saved = _FORMS[form][0](act, w, pad_r, pad_t)
+            act, arg = _bias_relu_pool(conv, b, pr, pt, keep)
+            del conv
         if keep:
             stages.append({"saved": saved, "form": form, "arg": arg,
-                           "mask": act > 0, "pre_pool_shape": conv.shape})
-        del conv, saved
+                           "mask": act > 0, "pre_pool_shape": conv_shape})
+        del saved
 
     flat = act[0].reshape(act.shape[1], -1)
     z1 = flat @ params["dense1_w"] + params["dense1_b"]
@@ -541,10 +635,10 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
     ``labels`` are normalized targets in [-1, 1]. Gradient arrays
     mirror the parameter shapes one to one.
 
-    Each stage's cache entry (column buffer or input spectrum, window
-    index, pooled mask) is taken out of the cache and freed once that
-    stage's gradients exist; an im2col stage's input gradient reuses
-    its column buffer.
+    Each stage's cache entry (column buffer, input spectrum or stage
+    input, window index, pooled mask) is taken out of the cache and
+    freed once that stage's gradients exist; an im2col stage's input
+    gradient reuses its column buffer.
     The ReLU mask is applied to the pooled gradient before routing:
     a routed slot holds its window's maximum, so its ReLU output is
     positive exactly when the pooled output is, and unrouted slots
@@ -590,13 +684,21 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
     for s in range(spec.conv_stages, 0, -1):
         stage = stages.pop()
         pr, pt = schedule[s - 1]
-        dact *= stage["mask"]
-        dconv = _maxpool_grad(dact, stage["arg"], stage["pre_pool_shape"],
-                              pr, pt)
-        grads_of = _FORMS[stage["form"]][1]
-        dw, db, dact = grads_of(dconv, params[f"conv{s}_w"], stage["saved"],
-                                pad_r, pad_t, need_dx=s > 1)
-        del stage, dconv
+        w = params[f"conv{s}_w"]
+        dact *= stage.pop("mask")
+        if stage["form"] == "folded":
+            dw, db = _folded_stage_grads(dact, stage.pop("arg"),
+                                         stage.pop("saved"), w, pad_r, pad_t,
+                                         pr, pt)
+            dact = None
+        else:
+            # the routed gradient and the saved input go in without a
+            # name here, so the form can free them part way (CPython
+            # 3.11 on; older ones hold call arguments until the return)
+            dw, db, dact = _FORMS[stage["form"]][1](
+                _maxpool_grad(dact, stage.pop("arg"),
+                              stage["pre_pool_shape"], pr, pt),
+                w, stage.pop("saved"), pad_r, pad_t, need_dx=s > 1)
         grads[f"conv{s}_w"] = dw
         grads[f"conv{s}_b"] = db
     return loss, grads

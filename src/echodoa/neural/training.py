@@ -166,6 +166,11 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
         raise EmptyDatasetError("training needs at least one record")
     train_ds, val_ds = split_dataset(dataset, train_config.train_fraction,
                                      train_config.shuffle_seed)
+    if not val_ds.records:
+        raise EmptyDatasetError(
+            f"the split gives {len(train_ds.records)} training and "
+            f"0 held-out records; training needs at least one held-out "
+            f"record")
     x_train, y_train = prepare_inputs(train_ds.records, spec)
     x_val, y_val = prepare_inputs(val_ds.records, spec)
     if train_config.mirror_augment:

@@ -351,6 +351,21 @@ class TestTrainEvalCommands:
         assert len(lines) == 1
         assert lines[0].startswith("error: FileFormatError: ")
 
+    def test_one_record_dataset_is_validation_error(self, tmp_path, capsys):
+        data, ckpt = tmp_path / "one.edds", tmp_path / "one.edck"
+        assert main(["dataset", "--angles=0", "--snrs=20",
+                     "--records-per-cell", "1", "--out", str(data)]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "train", "--dataset", str(data),
+                             "--epochs", "1", "--out", str(ckpt))
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: EmptyDatasetError: ")
+        assert "gives 1 training and 0 held-out records" in lines[0]
+        assert not ckpt.exists()
+
     def test_missing_dataset_file_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--dataset",
                            str(tmp_path / "absent.edds"),

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -457,7 +459,7 @@ class TestLeanBackward:
     def test_bytes_equal_reference_across_interleaved_batches(self, dtype):
         params = init_params(MID, 4, dtype=dtype)
         crafted = init_params(MID, 5, dtype=dtype)
-        for batch in (1, 8, 51, 8, 1, 51):
+        for batch in (1, 8, 51, 8, 1, 51, 64):
             rng = np.random.default_rng(batch)
             x = rng.normal(size=(batch, 4, MID.input_time)).astype(dtype)
             y = rng.uniform(-0.9, 0.9, batch).astype(dtype)
@@ -639,7 +641,7 @@ class TestConvolutionDispatch:
     def test_small_default_batches_keep_im2col_bytes(self, dtype):
         spec = NetworkSpec()
         params = init_params(spec, 8, dtype=dtype)
-        for batch in (1, 3, 8):
+        for batch in (1, 3, 8, 15):
             rng = np.random.default_rng(batch)
             x = rng.normal(size=(batch, 4, spec.input_time)).astype(dtype)
             y = rng.uniform(-0.9, 0.9, batch).astype(dtype)
@@ -658,26 +660,128 @@ class TestConvolutionDispatch:
         assert_same_bytes(second, (*first, None))
 
     def test_batch_64_peak_memory_well_below_the_column_buffers(self):
-        # the spectral stages cache the input spectrum in place of the
-        # column buffer; stage 2's alone is 134 MB at batch 64
-        import tracemalloc
+        # a batch-64 step's column buffers would take 201 MB. Traced peak
+        # on CPython 3.11: 49.0 MB, where it read 74.5 MB while the first
+        # stage ran on the whole batch and the spectral backward kept its
+        # input spectrum and routed gradient alive through the input
+        # gradient. Before 3.11 the caller's stack holds call arguments
+        # until the call returns, so those two stay: 58.6 MB, measured
+        # with the references held. Each bound is 15% above its reading.
         spec, batch = NetworkSpec(), 64
         params = init_params(spec, 0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(batch, 4, spec.input_time)).astype(np.float32)
         y = rng.uniform(-0.9, 0.9, batch).astype(np.float32)
-        rows, time, c_in, col_bytes = spec.input_rows, spec.input_time, 1, 0
-        for pr, pt in spec.pool_schedule():
-            col_bytes += rows * batch * time * spec.kernel_time * c_in * 4
-            rows, time, c_in = rows // pr, time // pt, spec.feature_maps
-        backward(spec, params, x, y)                 # warm up
-        tracemalloc.start()
-        try:
-            backward(spec, params, x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * col_bytes, (peak, col_bytes)
+        peak = traced_peak(lambda: backward(spec, params, x, y))
+        limit = 56.5e6 if sys.version_info >= (3, 11) else 67.5e6
+        assert peak <= limit, peak
+
+    def test_batch_64_forward_peak_memory(self):
+        # traced peak 36.9 MB, where it read 50.9 MB with the first stage
+        # on the whole batch and each spectral output copied out of its
+        # irfft result; the bound is 15% above the reading
+        spec, batch = NetworkSpec(), 64
+        params = init_params(spec, 0)
+        x = np.random.default_rng(0).normal(
+            size=(batch, 4, spec.input_time)).astype(np.float32)
+        assert traced_peak(lambda: forward(spec, params, x)) <= 42.5e6
+
+
+def traced_peak(run):
+    """tracemalloc peak in bytes of one ``run()`` after a warm-up call."""
+    import tracemalloc
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# --- the first stage in chunks of records ---------------------------------
+
+def whole_batch_forward(spec, params, x):
+    """Predictions with each stage run over the whole batch at once.
+
+    Every stage takes the form ``_conv_form`` picks, then adds the bias,
+    applies ReLU and pools its full-resolution output.
+    """
+    from echodoa.neural.network import (
+        _FORMS, _conv_form, _maxpool, _same_pads)
+    dtype = params["conv1_w"].dtype
+    act = np.ascontiguousarray(
+        x.astype(dtype, copy=False).transpose(1, 0, 2))[..., None]
+    pad_r, pad_t = _same_pads(spec.kernel_rows), _same_pads(spec.kernel_time)
+    for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
+        w = params[f"conv{s}_w"]
+        conv, _ = _FORMS[_conv_form(act.shape, w.shape)][0](
+            act, w, pad_r, pad_t)
+        conv += params[f"conv{s}_b"]
+        np.maximum(conv, 0.0, out=conv)
+        act, _ = _maxpool(conv, pr, pt, keep=False)
+    flat = act[0].reshape(act.shape[1], -1)
+    a1 = np.maximum(flat @ params["dense1_w"] + params["dense1_b"], 0.0)
+    a2 = np.maximum(a1 @ params["dense2_w"] + params["dense2_b"], 0.0)
+    z3 = a2 @ params["output_w"] + params["output_b"]
+    bound = np.nextafter(dtype.type(1.0), dtype.type(0.0))
+    return np.clip(np.tanh(z3[:, 0]), -bound, bound)
+
+
+def random_batch(spec, batch, dtype):
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, spec.input_rows, spec.input_time))
+    return x.astype(dtype), rng.uniform(-0.9, 0.9, batch).astype(dtype)
+
+
+class TestChunkedFirstStage:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bytes_equal_whole_batch_order(self, dtype):
+        # the odd batches end on a one-record chunk
+        from echodoa.neural.network import _forward_impl
+        spec = NetworkSpec()
+        params = init_params(spec, 10, dtype=dtype)
+        for batch in (1, 3, 15, 16, 17, 28, 51, 64):
+            x, _ = random_batch(spec, batch, dtype)
+            want = whole_batch_forward(spec, params, x).tobytes()
+            assert forward(spec, params, x).tobytes() == want, batch
+            trained, _ = _forward_impl(spec, params, x, keep=True)
+            assert trained.tobytes() == want, batch
+
+    def test_predict_doa_bytes_equal_whole_batch_order(self):
+        from echodoa.datasets import SweepSpec, generate_dataset
+        from echodoa.neural import (
+            ANGLE_SCALE_DEG, Checkpoint, baseband_to_input, predict_doa)
+        spec = NetworkSpec()
+        checkpoint = Checkpoint(
+            spec=spec, params=init_params(spec, 11, dtype=np.float64))
+        ds = generate_dataset(SweepSpec(angles_deg=(-20.0, 35.0),
+                                        snrs_db=(20.0,), records_per_cell=1))
+        for rec in ds.records:
+            rows = baseband_to_input(rec.baseband, spec)
+            pred = whole_batch_forward(spec, checkpoint.params32, rows[None])
+            want = float(pred[0]) * ANGLE_SCALE_DEG
+            got = predict_doa(checkpoint, rec.baseband).angle_deg
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("dtype, batches, bound", [
+        (np.float32, (16, 17, 33), 1e-5), (np.float64, (16, 17), 1e-12)])
+    def test_chunked_backward_is_float_reordering(self, dtype, batches,
+                                                  bound):
+        # measured at most 4.2e-6 (float32) and 7.3e-15 (float64) of each
+        # gradient's largest value, at batches 16-64
+        spec = NetworkSpec()
+        params = init_params(spec, 3, dtype=dtype)
+        for batch in batches:
+            assert stage_paths(spec, params, batch)[0] == "folded"
+            x, y = random_batch(spec, batch, dtype)
+            loss, grads = backward(spec, params, x, y)
+            want_loss, want, _ = reference_backward(spec, params, x, y)
+            assert abs(loss - want_loss) <= bound * want_loss, batch
+            for name in want:
+                assert grads[name].dtype == want[name].dtype, name
+                assert rel_error(grads[name], want[name]) < bound, (
+                    batch, name)
 
 
 # --- row-folded first stage against im2col -------------------------------

@@ -185,6 +185,15 @@ class TestTrain:
         with pytest.raises(EmptyDatasetError):
             train(ds, TINY, TrainConfig(epochs=1), AdamHyper(), seed=0)
 
+    @pytest.mark.parametrize("angles", [(0.0,), (0.0, 10.0)])
+    def test_split_without_held_out_record(self, angles):
+        # one record per cell: every record lands on the training side
+        ds = tiny_dataset(angles, records_per_cell=1)
+        n = len(angles)
+        with pytest.raises(EmptyDatasetError,
+                           match=f"gives {n} training and 0 held-out records"):
+            train(ds, TINY, TrainConfig(epochs=1), AdamHyper(), seed=0)
+
     def test_divergence_raises(self, noiseless_32):
         poisoned = Dataset(config=noiseless_32.config,
                            geometry=noiseless_32.geometry,
