@@ -46,32 +46,40 @@ from .triangulation import (
 CONFIG_ENV = "ECHODOA_CONFIG"
 
 
-def _parse_grid(text: str):
+def _numbers(text: str, sep: str, flag: str) -> tuple:
+    """The ``sep``-separated numbers of ``text``; InputError on any other."""
+    try:
+        return tuple(float(part) for part in text.split(sep))
+    except ValueError:
+        raise InputError(f"{flag} expects numbers, got {text!r}") from None
+
+
+def _parse_grid(text: str, flag: str):
     """Angle/SNR grid: 'lo:hi:step' or a comma-separated list."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InputError(f"grid {text!r} must be lo:hi:step")
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
-            raise InputError(f"bad grid bounds in {text!r}")
+        bounds = _numbers(text, ":", flag)
+        if len(bounds) != 3:
+            raise InputError(f"{flag} grid {text!r} must be lo:hi:step")
+        lo, hi, step = bounds
+        if not (all(map(math.isfinite, bounds)) and step > 0 and hi >= lo):
+            raise InputError(f"bad {flag} grid bounds in {text!r}")
         count = round((hi - lo) / step)
         return tuple(lo + step * i for i in range(count + 1))
-    return tuple(float(p) for p in text.split(","))
+    return _numbers(text, ",", flag)
 
 
-def _parse_interval(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InputError(f"interval {text!r} must be lo:hi")
-    return float(parts[0]), float(parts[1])
+def _parse_interval(text: str, flag: str):
+    bounds = _numbers(text, ":", flag)
+    if len(bounds) != 2:
+        raise InputError(f"{flag} interval {text!r} must be lo:hi")
+    return bounds
 
 
-def _parse_point(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InputError(f"point {text!r} must be x,y")
-    return float(parts[0]), float(parts[1])
+def _parse_point(text: str, flag: str):
+    point = _numbers(text, ",", flag)
+    if len(point) != 2:
+        raise InputError(f"{flag} point {text!r} must be x,y")
+    return point
 
 
 def _sim_config(args) -> SimConfig:
@@ -143,12 +151,12 @@ def _cmd_simulate(args) -> int:
 
 def _sweep_spec(args, config) -> datasets.SweepSpec:
     return datasets.SweepSpec(
-        angles_deg=_parse_grid(args.angles),
-        snrs_db=_parse_grid(args.snrs),
+        angles_deg=_parse_grid(args.angles, "--angles"),
+        snrs_db=_parse_grid(args.snrs, "--snrs"),
         records_per_cell=args.records_per_cell,
         geometry=_geometry(args, config),
         config=config,
-        range_interval_m=_parse_interval(args.range_m),
+        range_interval_m=_parse_interval(args.range_m, "--range-m"),
         aperture_deg=args.aperture,
         master_seed=args.seed)
 
@@ -250,12 +258,12 @@ def _cmd_music(args) -> int:
 
 
 def _cmd_triangulate(args) -> int:
-    s1 = SensorPose(*_parse_point(args.sensor1))
-    s2 = SensorPose(*_parse_point(args.sensor2))
+    s1 = SensorPose(*_parse_point(args.sensor1, "--sensor1"))
+    s2 = SensorPose(*_parse_point(args.sensor2, "--sensor2"))
     m1 = RangeMeasurement(sensor=s1, range_m=args.r1, sigma_r=args.sigma_r)
     m2 = RangeMeasurement(sensor=s2, range_m=args.r2, sigma_r=args.sigma_r)
     if args.doa is not None:
-        ambiguity = (tuple(float(a) for a in args.ambiguity.split(","))
+        ambiguity = (_numbers(args.ambiguity, ",", "--ambiguity")
                      if args.ambiguity else (args.doa,))
         if args.doa not in ambiguity:
             ambiguity = tuple(sorted((*ambiguity, args.doa)))
@@ -283,11 +291,13 @@ def _cmd_triangulate(args) -> int:
 def _cmd_sweep(args) -> int:
     train_config = _train_config(args)
     hyper = neural.AdamHyper(learning_rate=args.learning_rate)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = _sim_config(args)
     spec = _sweep_spec(args, config)
     ds = datasets.generate_dataset(spec, workers=args.workers)
+    # the split train() selects on, checked before any file is written
+    _, held_out = neural.training_split(ds, train_config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.edds"
     datasets.save_dataset(ds, dataset_path)
 
@@ -297,7 +307,6 @@ def _cmd_sweep(args) -> int:
     neural.save_checkpoint(checkpoint, checkpoint_path)
     _write_history(history, out_dir / "history.txt")
 
-    _, held_out = datasets.split(ds, train_config.train_fraction, args.seed)
     estimators = [evaluation.MusicEstimator(
                       MusicOptions(grid_step_deg=args.grid_step)),
                   evaluation.NeuralEstimator(checkpoint)]

@@ -258,7 +258,14 @@ def _count(header: dict, key: str) -> int:
 
 
 def _sim_config(header: dict) -> SimConfig:
-    config = _field(header, "config", dict)
+    config = dict(_field(header, "config", dict))
+    # earlier writers stored rng_seed, a setting that drove nothing;
+    # it is checked as they wrote it and dropped
+    if "rng_seed" in config:
+        if not 0 <= _field(config, "rng_seed", int) < 2**64:
+            raise ValueError(f"rng_seed must fit in 64 bits, got "
+                             f"{config['rng_seed']}")
+        del config["rng_seed"]
     for key in config:
         kind = SimConfig.kind(key)
         _field(config, key, *(_NUMBER if kind is float else (kind,)))

@@ -9,7 +9,7 @@ spacings beyond half a wavelength.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,6 +18,7 @@ from scipy import signal as sps
 
 from .errors import EchoNotFoundError, InputError, TooFewSnapshotsError
 from .signal_sim import (
+    DETECTION_THRESHOLD,
     ArrayGeometry,
     ComplexBaseband,
     SimConfig,
@@ -34,6 +35,13 @@ _DENOM_FLOOR = 1e-12
 
 # Eigenvalue ratio above which the spectrum is flagged degenerate.
 _DEGENERATE_GAP = 1.0 - 1e-9
+
+# Fewest snapshots the detected window is widened to.
+_MIN_SNAPSHOTS = 16
+
+# The top peak converges when its prominence reaches this multiple of
+# the spectrum median.
+_PROMINENCE_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -83,17 +91,23 @@ class DoaEstimate:
         if self.angle_deg not in self.ambiguity_deg:
             raise InputError("ambiguity set must contain the estimate")
 
+    @classmethod
+    def fallback(cls) -> "DoaEstimate":
+        """The 0-degree answer an estimator gives when it finds nothing."""
+        return cls(angle_deg=0.0, status=FALLBACK, ambiguity_deg=(0.0,))
+
 
 @dataclass(frozen=True)
 class MusicOptions:
-    """Tuning knobs of the full MUSIC pipeline."""
+    """The one setting of the MUSIC pipeline: its grid step in degrees.
+
+    Everything else is fixed: the grid spans [-90, 90], the echo is
+    detected at ``DETECTION_THRESHOLD`` and widened to at least 16
+    snapshots, a degenerate noise subspace falls back, and the top peak
+    falls back unless its prominence reaches 3 times the spectrum median.
+    """
 
     grid_step_deg: float = 0.25
-    domain_deg: tuple = (-90.0, 90.0)
-    prominence_min: float | None = None     # None: 3x the spectrum median
-    threshold_factor: float = 5.0
-    min_snapshots: int = 16
-    degeneracy_max: float = _DEGENERATE_GAP
 
 
 def covariance(snapshots: np.ndarray) -> np.ndarray:
@@ -148,21 +162,17 @@ def noise_subspace(r: np.ndarray) -> NoiseSubspace:
                          degenerate=gap > _DEGENERATE_GAP)
 
 
-def _angle_grid(domain_deg, step_deg):
-    lo, hi = domain_deg
-    if not (-90.0 <= lo < hi <= 90.0):
-        raise InputError("domain must be an interval inside [-90, 90]")
+def _angle_grid(step_deg):
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise InputError("grid step must be positive and finite")
-    count = round((hi - lo) / step_deg)
-    return lo + step_deg * np.arange(count + 1)
+    count = round(180.0 / step_deg)
+    return -90.0 + step_deg * np.arange(count + 1)
 
 
 @lru_cache(maxsize=16)
-def _steering_grid(element_x: tuple, wavelength_m: float, grid_step_deg: float,
-                   domain_deg: tuple):
+def _steering_grid(element_x: tuple, wavelength_m: float, grid_step_deg: float):
     """Angle grid and conjugated steering matrix (n, 2), both read-only."""
-    angles = _angle_grid(domain_deg, grid_step_deg)
+    angles = _angle_grid(grid_step_deg)
     x = np.asarray(element_x) - element_x[0]
     sines = np.sin(np.radians(angles))
     steering_conj = np.exp(-2j * np.pi * np.outer(sines, x) / wavelength_m).conj()
@@ -172,19 +182,20 @@ def _steering_grid(element_x: tuple, wavelength_m: float, grid_step_deg: float,
 
 
 def pseudospectrum(subspace: NoiseSubspace, geometry: ArrayGeometry,
-                   wavelength_m: float, grid_step_deg: float = 0.25,
-                   domain_deg=( -90.0, 90.0)) -> Pseudospectrum:
+                   wavelength_m: float,
+                   grid_step_deg: float = 0.25) -> Pseudospectrum:
     """MUSIC pseudospectrum P = (a^H a) / (a^H Vn Vn^H a) on a grid.
 
+    The grid runs from -90 to 90 degrees in ``grid_step_deg`` steps.
     The denominator is floored at 1e-12 times the numerator so exact
     nulls stay finite. Peaks are strict local maxima (grid endpoints
     included) carrying their prominence. The angle grid and the
     conjugated steering matrix come from a read-only cache keyed by
-    (element positions, wavelength, grid step, domain); the returned
+    (element positions, wavelength, grid step); the returned
     ``angles_deg`` is a fresh, writable copy.
     """
     angles, steering_conj = _steering_grid(geometry.element_x, wavelength_m,
-                                           grid_step_deg, tuple(domain_deg))
+                                           grid_step_deg)
     proj = steering_conj @ subspace.matrix                              # (n, 1)
     denom = np.sum(np.abs(proj) ** 2, axis=1)
     numer = 2.0                                                         # a^H a
@@ -227,10 +238,6 @@ def grating_lobe_set(doa_deg: float, geometry: ArrayGeometry,
     return sorted(angles)
 
 
-def _fallback() -> DoaEstimate:
-    return DoaEstimate(angle_deg=0.0, status=FALLBACK, ambiguity_deg=(0.0,))
-
-
 def estimate_doa_music(base: ComplexBaseband, geometry: ArrayGeometry,
                        config: SimConfig,
                        options: MusicOptions = MusicOptions()) -> DoaEstimate:
@@ -256,24 +263,21 @@ def music_with_spectrum(base: ComplexBaseband, geometry: ArrayGeometry,
     if base.data.shape[0] != geometry.num_elements:
         raise InputError("baseband channel count does not match the geometry")
     try:
-        window = detect_echo_window(base, options.threshold_factor,
-                                    min_len=options.min_snapshots)
+        window = detect_echo_window(base, DETECTION_THRESHOLD,
+                                    min_len=_MIN_SNAPSHOTS)
     except EchoNotFoundError:
-        return _fallback(), None
+        return DoaEstimate.fallback(), None
 
     snapshots = base.data[:, window.start:window.stop]
     r = covariance(snapshots)
     subspace = noise_subspace(r)
     lam = wavelength(config)
-    spectrum = pseudospectrum(subspace, geometry, lam,
-                              options.grid_step_deg, options.domain_deg)
-    if subspace.gap_ratio > options.degeneracy_max or not spectrum.peaks:
-        return _fallback(), spectrum
-    prominence_min = (options.prominence_min if options.prominence_min is not None
-                      else 3.0 * float(np.median(spectrum.power)))
+    spectrum = pseudospectrum(subspace, geometry, lam, options.grid_step_deg)
+    if subspace.degenerate or not spectrum.peaks:
+        return DoaEstimate.fallback(), spectrum
     best = spectrum.peaks[0]
-    if best.prominence < prominence_min:
-        return _fallback(), spectrum
+    if best.prominence < _PROMINENCE_FACTOR * float(np.median(spectrum.power)):
+        return DoaEstimate.fallback(), spectrum
     ambiguity = grating_lobe_set(best.angle_deg, geometry, lam)
     return DoaEstimate(angle_deg=best.angle_deg, status=CONVERGED,
                        ambiguity_deg=tuple(ambiguity),

@@ -17,6 +17,7 @@ from .training import (
     predict_doa,
     prepare_inputs,
     train,
+    training_split,
 )
 
 __all__ = [
@@ -25,5 +26,5 @@ __all__ = [
     "REDUCED_SPEC", "GradCheckReport", "grad_check",
     "NetworkSpec", "backward", "forward", "init_params",
     "ANGLE_SCALE_DEG", "EpochStats", "TrainConfig", "baseband_to_input",
-    "predict_doa", "prepare_inputs", "train",
+    "predict_doa", "prepare_inputs", "train", "training_split",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..doa_music import CONVERGED, FALLBACK, DoaEstimate
+from ..doa_music import CONVERGED, DoaEstimate
 from ..errors import (
     EchoNotFoundError,
     EmptyDatasetError,
@@ -22,6 +22,7 @@ from ..errors import (
     TrainingDivergedError,
 )
 from ..signal_sim import (
+    DETECTION_THRESHOLD,
     ComplexBaseband,
     EchoWindow,
     _echo_windows,
@@ -63,7 +64,7 @@ class EpochStats:
 
 # strict detection used only to center the crop; records without a
 # confident echo are windowed on the record center instead
-CROP_THRESHOLD_FACTOR = 5.0
+CROP_THRESHOLD_FACTOR = DETECTION_THRESHOLD
 
 # permissive gate for inference: only inputs with no signal at all
 # (relative to their own noise floor) report the 0-degree fallback
@@ -152,13 +153,10 @@ def _val_loss(spec, params, inputs, labels, batch_size):
     return total / len(labels)
 
 
-def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
-          adam_hyper: AdamHyper = AdamHyper(), seed: int = 0):
-    """Fit the network; returns the best-held-out checkpoint and history.
+def training_split(dataset, train_config: TrainConfig):
+    """The (training, held-out) datasets ``train`` fits and selects on.
 
-    Deterministic for a fixed seed in single-threaded mode: the split,
-    initialization, and per-epoch shuffles all derive from ``seed`` and
-    the config's shuffle seed.
+    EmptyDatasetError when the dataset or its held-out part is empty.
     """
     from ..datasets import split as split_dataset
 
@@ -171,6 +169,18 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
             f"the split gives {len(train_ds.records)} training and "
             f"0 held-out records; training needs at least one held-out "
             f"record")
+    return train_ds, val_ds
+
+
+def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
+          adam_hyper: AdamHyper = AdamHyper(), seed: int = 0):
+    """Fit the network; returns the best-held-out checkpoint and history.
+
+    Deterministic for a fixed seed in single-threaded mode: the split
+    (``training_split``), initialization, and per-epoch shuffles all
+    derive from ``seed`` and the config's shuffle seed.
+    """
+    train_ds, val_ds = training_split(dataset, train_config)
     x_train, y_train = prepare_inputs(train_ds.records, spec)
     x_val, y_val = prepare_inputs(val_ds.records, spec)
     if train_config.mirror_augment:
@@ -251,8 +261,7 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband,
             f"unknown normalization rule {checkpoint.normalization!r}")
     gate, crop = _echo_windows(base, (threshold_factor, CROP_THRESHOLD_FACTOR))
     if gate is None:
-        return DoaEstimate(angle_deg=0.0, status=FALLBACK,
-                           ambiguity_deg=(0.0,))
+        return DoaEstimate.fallback()
     if crop is None:
         crop = _center_window(base, checkpoint.spec)
     rows = baseband_to_input(base, checkpoint.spec, crop)

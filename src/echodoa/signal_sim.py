@@ -44,6 +44,14 @@ _PEAK_FLOOR = 0.01
 
 NOISELESS = math.inf
 
+# Echo detection threshold, a multiple of the lead segment's median
+# magnitude: MUSIC detects its snapshot window at it and the CNN
+# centers its crop on it.
+DETECTION_THRESHOLD = 5.0
+
+# Leading share of the record taken as noise only.
+_LEAD_FRACTION = 0.125
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -55,7 +63,6 @@ class SimConfig:
     echo_duration: float = 300e-6
     listen_window: float = 8e-3
     decimation_factor: int = 8
-    rng_seed: int = 0
     envelope: str = "hann"
 
     def __post_init__(self):
@@ -76,8 +83,6 @@ class SimConfig:
             raise InputError("decimation_factor must divide the listen-window sample count")
         if self.envelope not in ENVELOPE_KINDS:
             raise InputError(f"envelope must be one of {ENVELOPE_KINDS}")
-        if not 0 <= self.rng_seed < 2**64:
-            raise InputError("rng_seed must fit in 64 bits")
 
     @property
     def n_samples(self) -> int:
@@ -387,26 +392,26 @@ def to_baseband(wave: RealWaveform, config: SimConfig) -> ComplexBaseband:
         sample_rate=config.effective_rate)
 
 
-def detect_echo_window(base: ComplexBaseband, threshold_factor: float = 5.0,
-                       lead_fraction: float = 0.125,
+def detect_echo_window(base: ComplexBaseband,
+                       threshold_factor: float = DETECTION_THRESHOLD,
                        min_len: int = 1) -> EchoWindow:
     """Find the echo interval on the reference channel.
 
     The threshold is threshold_factor times the median magnitude of the
-    leading noise-only segment (first ``lead_fraction`` of the record),
-    floored at a small fraction of the record peak. The window runs from
-    the first crossing until the magnitude falls back below, extended to
-    at least ``min_len`` samples. Time of flight is the onset sample
-    over the effective sample rate.
+    leading noise-only segment (the first eighth of the record, at
+    least 8 samples), floored at a small fraction of the record peak.
+    The window runs from the first crossing until the magnitude falls
+    back below, extended to at least ``min_len`` samples. Time of
+    flight is the onset sample over the effective sample rate.
     """
-    (window,) = _echo_windows(base, (threshold_factor,), lead_fraction, min_len)
+    (window,) = _echo_windows(base, (threshold_factor,), min_len)
     if window is None:
         raise EchoNotFoundError("no sample crossed the detection threshold")
     return window
 
 
 def _echo_windows(base: ComplexBaseband, threshold_factors,
-                  lead_fraction: float = 0.125, min_len: int = 1) -> list:
+                  min_len: int = 1) -> list:
     """``detect_echo_window`` at several thresholds from one pass.
 
     The magnitude, the lead-segment median and the peak are computed
@@ -418,7 +423,7 @@ def _echo_windows(base: ComplexBaseband, threshold_factors,
     n = mag.size
     if n < min_len:
         raise InputError(f"record has {n} samples, need at least {min_len}")
-    lead = max(8, int(n * lead_fraction))
+    lead = max(8, int(n * _LEAD_FRACTION))
     noise_median = float(np.median(mag[:lead]))
     floor = _PEAK_FLOOR * float(mag.max())
     windows = []

@@ -9,7 +9,6 @@ import pytest
 from echodoa.cli import build_parser, main
 from echodoa.datasets import load_dataset
 from echodoa.doa_music import (
-    MusicOptions,
     covariance,
     noise_subspace,
     pseudospectrum,
@@ -139,12 +138,10 @@ def reference_spectrum_table(path, doa, snr, grid_step, seed=0):
     wave = synthesize_echo(SourceScenario(doa_deg=doa, range_m=1.0,
                                           snr_db=snr), geometry, config)
     base = to_baseband(add_awgn(wave, snr, seed), config)
-    options = MusicOptions(grid_step_deg=grid_step)
-    window = detect_echo_window(base, options.threshold_factor,
-                                min_len=options.min_snapshots)
+    window = detect_echo_window(base, min_len=16)
     subspace = noise_subspace(covariance(base.data[:, window.start:window.stop]))
-    pseudospectrum(subspace, geometry, wavelength(config), grid_step,
-                   options.domain_deg).write_table(path)
+    pseudospectrum(subspace, geometry, wavelength(config),
+                   grid_step).write_table(path)
     return path.read_bytes()
 
 
@@ -416,6 +413,19 @@ class TestSweepCommand:
         table = load_results(out_dir / "metrics.csv")
         assert {r.estimator for r in table.rows} == {"music", "cnn"}
 
+    def test_empty_held_out_split_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "sweep", "--angles=0", "--snrs=20",
+                             "--records-per-cell", "1", "--epochs", "1",
+                             "--out-dir", str(out_dir))
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: EmptyDatasetError: ")
+        assert not (out_dir / "dataset.edds").exists()
+        assert not out_dir.exists()
+
 
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):
@@ -467,6 +477,21 @@ class TestConfigPlumbing:
         code, _, err = run(capsys, "music", "--sim", "who=1")
         assert code == 3
 
+    def test_rng_seed_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("rng_seed = 1\n")
+        for argv in (("--sim", "rng_seed=1"), ("--config", str(cfg))):
+            code, out, err = run(capsys, "simulate", "--doa", "30",
+                                 "--range", "1", "--out",
+                                 str(tmp_path / "c.edcf"), *argv)
+            assert code == 3
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error: InputError: ")
+            assert "unknown" in lines[0] and "'rng_seed'" in lines[0]
+            assert not (tmp_path / "c.edcf").exists()
+
     @pytest.mark.parametrize("key, value", [("decimation_factor", "abc"),
                                             ("carrier_freq", "nan")])
     def test_bad_config_value_is_one_line_input_error(self, key, value,
@@ -508,6 +533,40 @@ class TestNonFiniteInputs:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: InputError: {field} ")
+        assert list(tmp_path.iterdir()) == []
+
+
+DATASET = ("dataset", "--records-per-cell", "1", "--out", "d.edds")
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("argv, flag", [
+        ((*DATASET, "--angles=1,,2", "--snrs=20"), "--angles"),
+        ((*DATASET, "--angles=a:b:1", "--snrs=20"), "--angles"),
+        ((*DATASET, "--angles=0", "--snrs=x"), "--snrs"),
+        ((*DATASET, "--angles=0:10:nan", "--snrs=20"), "--angles"),
+        ((*DATASET, "--angles=0:inf:10", "--snrs=20"), "--angles"),
+        ((*DATASET, "--angles=nan:10:5", "--snrs=20"), "--angles"),
+        ((*DATASET, "--angles=0", "--snrs=0:10:inf"), "--snrs"),
+        ((*DATASET, "--angles=0", "--snrs=20", "--range-m=a:b"), "--range-m"),
+        (("sweep", "--angles=1,,2", "--snrs=20", "--records-per-cell", "1",
+          "--out-dir", "run"), "--angles"),
+        (("triangulate", "--r1", "1", "--r2", "1", "--sensor1", "x,y"),
+         "--sensor1"),
+        (("triangulate", "--r1", "1", "--r2", "1", "--sensor2", "0.25,"),
+         "--sensor2"),
+        (("triangulate", "--r1", "1", "--r2", "1", "--doa", "10",
+          "--ambiguity", "10,q", "--out", "f.json"), "--ambiguity")])
+    def test_one_line_input_error(self, argv, flag, tmp_path, capsys,
+                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: InputError: ")
+        assert flag in lines[0]
         assert list(tmp_path.iterdir()) == []
 
 

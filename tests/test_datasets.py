@@ -378,7 +378,6 @@ def framed_in_memory(dataset):
                    "echo_duration": cfg.echo_duration,
                    "listen_window": cfg.listen_window,
                    "decimation_factor": cfg.decimation_factor,
-                   "rng_seed": cfg.rng_seed,
                    "envelope": cfg.envelope},
         "element_x": list(dataset.geometry.element_x),
         "master_seed": dataset.master_seed,
@@ -543,6 +542,32 @@ class TestMalformedDatasetHeader:
     def test_reframed_unchanged_header_still_loads(self, saved, tmp_path):
         raw = reframe(saved, json.dumps(header_of(saved)).encode())
         assert len(self._load(raw, tmp_path).records) == 18
+
+    @staticmethod
+    def _with_rng_seed(saved, value):
+        """``saved`` with an ``rng_seed`` config entry, as earlier writers had."""
+        header = header_of(saved)
+        header["config"]["rng_seed"] = value
+        return reframe(saved, json.dumps(header, sort_keys=True).encode())
+
+    @pytest.mark.parametrize("value", [0, 7, 2**64 - 1])
+    def test_earlier_rng_seed_is_read_and_ignored(self, saved, tmp_path,
+                                                  value):
+        assert "rng_seed" not in header_of(saved)["config"]
+        expected = self._load(saved, tmp_path)
+        loaded = self._load(self._with_rng_seed(saved, value), tmp_path)
+        assert loaded.config == expected.config
+        assert loaded.geometry == expected.geometry
+        assert len(loaded.records) == len(expected.records)
+        for a, b in zip(expected.records, loaded.records):
+            assert (a.doa_deg, a.snr_db, a.range_m, a.seed) \
+                == (b.doa_deg, b.snr_db, b.range_m, b.seed)
+            assert a.baseband.data.tobytes() == b.baseband.data.tobytes()
+
+    @pytest.mark.parametrize("value", [-1, 2**64, 1.0, "0", True, None])
+    def test_mistyped_rng_seed(self, saved, tmp_path, value):
+        with pytest.raises(FileFormatError, match="rng_seed"):
+            self._load(self._with_rng_seed(saved, value), tmp_path)
 
 
 class TestMalformedCaptureHeader:

@@ -212,11 +212,10 @@ class TestPseudospectrum:
         np.testing.assert_allclose([float(r[1]) for r in rows], ps.power)
 
 
-def reference_spectrum(subspace, geometry, wavelength_m, step, domain):
+def reference_spectrum(subspace, geometry, wavelength_m, step):
     """Angles, power and peaks from the steering formula, without a cache."""
     from scipy import signal as sps
-    lo, hi = domain
-    angles = lo + step * np.arange(round((hi - lo) / step) + 1)
+    angles = -90.0 + step * np.arange(round(180.0 / step) + 1)
     x = np.asarray(geometry.element_x) - geometry.element_x[0]
     steering = np.exp(-2j * np.pi * np.outer(np.sin(np.radians(angles)), x)
                       / wavelength_m)
@@ -247,20 +246,17 @@ class TestSteeringGridCache:
         for _ in range(2):
             for subspace in subspaces:
                 for geometry in (HALF_WL, ALIASED):
-                    for step, domain in ((0.25, (-90.0, 90.0)),
-                                         (0.5, (-60.0, 45.0))):
-                        got = pseudospectrum(subspace, geometry, LAM, step,
-                                             domain)
+                    for step in (0.25, 0.5):
+                        got = pseudospectrum(subspace, geometry, LAM, step)
                         angles, power, peaks = reference_spectrum(
-                            subspace, geometry, LAM, step, domain)
+                            subspace, geometry, LAM, step)
                         assert got.angles_deg.tobytes() == angles.tobytes()
                         assert got.power.tobytes() == power.tobytes()
                         assert got.peaks == peaks
 
     def test_grid_is_read_only_and_angles_are_fresh(self):
         from echodoa.doa_music import _steering_grid
-        angles, steering_conj = _steering_grid(HALF_WL.element_x, LAM, 0.25,
-                                               (-90.0, 90.0))
+        angles, steering_conj = _steering_grid(HALF_WL.element_x, LAM, 0.25)
         for array in (angles, steering_conj):
             assert not array.flags.writeable
         sub = noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
@@ -268,7 +264,7 @@ class TestSteeringGridCache:
         assert first.angles_deg.flags.writeable
         assert not np.shares_memory(first.angles_deg, angles)
         first.angles_deg[...] = 0.0
-        again = pseudospectrum(sub, HALF_WL, LAM, domain_deg=[-90.0, 90.0])
+        again = pseudospectrum(sub, HALF_WL, LAM)
         assert again.angles_deg.tobytes() == angles.tobytes()
 
 
@@ -358,30 +354,58 @@ class TestMusicWithSpectrum:
 
     @staticmethod
     def window_spectrum(base, options):
-        window = detect_echo_window(base, options.threshold_factor,
-                                    min_len=options.min_snapshots)
+        window = detect_echo_window(base, min_len=16)
         subspace = noise_subspace(
             covariance(base.data[:, window.start:window.stop]))
-        return pseudospectrum(subspace, HALF_WL, LAM, options.grid_step_deg,
-                              options.domain_deg)
+        return subspace, pseudospectrum(subspace, HALF_WL, LAM,
+                                        options.grid_step_deg)
+
+    def check(self, base, options=MusicOptions()):
+        """The estimate, the searched spectrum and its noise subspace."""
+        estimate, spectrum = music_with_spectrum(base, HALF_WL, CFG, options)
+        assert estimate == estimate_doa_music(base, HALF_WL, CFG, options)
+        subspace, expected = self.window_spectrum(base, options)
+        assert spectrum.angles_deg.tobytes() == expected.angles_deg.tobytes()
+        assert spectrum.power.tobytes() == expected.power.tobytes()
+        assert spectrum.peaks == expected.peaks
+        return estimate, spectrum, subspace
 
     @pytest.mark.parametrize("options, status", [
         (MusicOptions(), CONVERGED),
-        (MusicOptions(grid_step_deg=0.5, domain_deg=(-60.0, 60.0)),
-         CONVERGED),
-        (MusicOptions(degeneracy_max=0.0), FALLBACK),      # degenerate
-        (MusicOptions(prominence_min=math.inf), FALLBACK)])
+        (MusicOptions(grid_step_deg=0.5), CONVERGED)])
     def test_estimate_and_spectrum(self, options, status):
         scenario = SourceScenario(doa_deg=-20.0, range_m=1.0, snr_db=10.0)
         base = to_baseband(add_awgn(synthesize_echo(scenario, HALF_WL, CFG),
                                     10.0, seed=3), CFG)
-        estimate, spectrum = music_with_spectrum(base, HALF_WL, CFG, options)
-        assert estimate == estimate_doa_music(base, HALF_WL, CFG, options)
+        estimate, _, _ = self.check(base, options)
         assert estimate.status == status
-        expected = self.window_spectrum(base, options)
-        assert spectrum.angles_deg.tobytes() == expected.angles_deg.tobytes()
-        assert spectrum.power.tobytes() == expected.power.tobytes()
-        assert spectrum.peaks == expected.peaks
+
+    @staticmethod
+    def paired_burst(gain):
+        """A 32-sample echo on channel 0; channel 1 is it times ``gain``."""
+        n = 1000
+        k = np.arange(n)
+        ch0 = np.zeros(n, dtype=complex)
+        ch0[400:432] = 1.0
+        return ComplexBaseband(np.vstack([ch0, gain(k) * ch0]),
+                               CFG.effective_rate)
+
+    def test_degenerate_subspace_falls_back(self):
+        # alternating signs make the covariance diagonal: equal eigenvalues
+        base = self.paired_burst(lambda k: (-1.0) ** k)
+        estimate, spectrum, subspace = self.check(base)
+        assert subspace.degenerate and subspace.gap_ratio == 1.0
+        assert spectrum.peaks
+        assert estimate == DoaEstimate.fallback()
+
+    def test_low_prominence_falls_back(self):
+        base = self.paired_burst(lambda k: 0.5 * (-1.0) ** k + 0.1)
+        estimate, spectrum, subspace = self.check(base)
+        assert not subspace.degenerate
+        assert len(spectrum.peaks) == 1
+        floor = 3.0 * float(np.median(spectrum.power))
+        assert spectrum.peaks[0].prominence < floor
+        assert estimate == DoaEstimate.fallback()
 
     def test_no_echo_has_no_spectrum(self):
         base = ComplexBaseband(np.zeros((2, 1000), dtype=complex),

@@ -73,7 +73,7 @@ class TestSimConfig:
 
     def test_parse_field_types(self):
         assert SimConfig.parse_field("decimation_factor", " 4 ") == 4
-        assert type(SimConfig.parse_field("rng_seed", "7")) is int
+        assert type(SimConfig.parse_field("decimation_factor", "7")) is int
         assert SimConfig.parse_field("carrier_freq", "4e4") == 40_000.0
         assert SimConfig.parse_field("envelope", " flat_top\t") == "flat_top"
         with pytest.raises(InputError, match="unknown simulation key"):
@@ -81,7 +81,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("line", ["decimation_factor = abc",
                                       "decimation_factor = 8.0",
-                                      "rng_seed = -",
+                                      "decimation_factor = -",
                                       "carrier_freq = 40 kHz"])
     def test_parse_failures_are_input_errors(self, line, tmp_path):
         key, value = (part.strip() for part in line.split("="))
