@@ -1,11 +1,19 @@
 """Command-line interface: reproducible experiments over the library.
 
 One binary with subcommands (simulate, dataset, train, eval, music,
-triangulate, sweep, gradcheck). Every subcommand honors ``--seed``,
-``--config`` (also via the ECHODOA_CONFIG environment variable), and
-``--workers``; flag overrides win over the config file. Exit codes:
-0 success, 1 runtime failure, 2 usage error, 3 validation error, each
-failure printing one ``error: <Kind>: <message>`` line on stderr.
+triangulate, sweep, gradcheck). Every subcommand accepts and validates
+``--seed``, ``--config`` (also via the ECHODOA_CONFIG environment
+variable), ``--sim`` and ``--workers``, but only some read them:
+
+* ``--seed``: simulate, dataset, train, sweep, gradcheck, and music's
+  demo scenario;
+* ``--config``/``--sim``: simulate, dataset, sweep, and music without
+  ``--dataset`` (a dataset carries its own config);
+* ``--workers``: dataset, eval and sweep.
+
+``--sim`` overrides win over the config file. Exit codes: 0 success,
+1 runtime failure, 2 usage error, 3 validation error, each failure
+printing one ``error: <Kind>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -128,7 +136,8 @@ def _cmd_simulate(args) -> int:
     if args.baseband_out:
         record = datasets.DatasetRecord(
             doa_deg=args.doa, snr_db=args.snr, range_m=args.range,
-            seed=args.seed, baseband=base)
+            seed=args.seed, baseband=base,
+            tof_s=datasets.detected_tof(base))
         ds = datasets.Dataset(config=config, geometry=geometry,
                               records=[record], master_seed=args.seed)
         datasets.save_dataset(ds, args.baseband_out)

@@ -136,6 +136,14 @@ def record_seed(master_seed: int, angle_idx: int, snr_idx: int,
     return int.from_bytes(hashlib.sha256(packed).digest()[:8], "little")
 
 
+def detected_tof(base: ComplexBaseband) -> float:
+    """Time of flight of the echo detected in ``base``; NaN if none."""
+    try:
+        return detect_echo_window(base).tof_s
+    except EchoNotFoundError:
+        return math.nan
+
+
 # scenario draws use a Philox channel id outside the sensor range
 _SCENARIO_STREAM = 2**32
 
@@ -153,13 +161,9 @@ def _make_record(spec: SweepSpec, angle_idx: int, snr_idx: int,
     wave = synthesize_echo(scenario, spec.geometry, spec.config)
     wave = add_awgn(wave, scenario.snr_db, seed)
     base = to_baseband(wave, spec.config)
-    try:
-        tof = detect_echo_window(base).tof_s
-    except EchoNotFoundError:
-        tof = math.nan
     return DatasetRecord(doa_deg=scenario.doa_deg, snr_db=scenario.snr_db,
                          range_m=range_m, seed=seed, baseband=base,
-                         tof_s=tof)
+                         tof_s=detected_tof(base))
 
 
 def pool_size(workers: int, chunks: int) -> int:
@@ -466,13 +470,9 @@ def ingest_capture(path, geometry: ArrayGeometry,
             f"{path}: capture geometry {file_geometry.element_x} does not "
             f"match expected {geometry.element_x}")
     base = to_baseband(wave, config)
-    try:
-        tof = detect_echo_window(base).tof_s
-    except EchoNotFoundError:
-        tof = math.nan
     labels = _parse_annotation(annotation)
     return [DatasetRecord(
         doa_deg=labels.get("doa_deg", math.nan),
         snr_db=labels.get("snr_db", math.nan),
         range_m=labels.get("range_m", math.nan),
-        seed=0, baseband=base, tof_s=tof)]
+        seed=0, baseband=base, tof_s=detected_tof(base))]

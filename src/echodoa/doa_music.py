@@ -1,9 +1,9 @@
 """MUSIC direction-of-arrival estimation for a sensor pair.
 
-Covariance estimation, closed-form 2x2 noise-subspace extraction,
-pseudospectrum search with a 0-degree fallback when no convincing peak
-exists, and enumeration of grating-lobe ambiguities for element
-spacings beyond half a wavelength.
+Covariance estimation, closed-form 2x2 noise-subspace extraction, the
+pseudospectrum and its top peak with a 0-degree fallback when that peak
+is not convincing, and enumeration of grating-lobe ambiguities for
+element spacings beyond half a wavelength.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import EchoNotFoundError, InputError, TooFewSnapshotsError
 from .signal_sim import (
@@ -48,25 +47,17 @@ _PROMINENCE_FACTOR = 3.0
 class NoiseSubspace:
     """Unit eigenvector of the noise subspace plus spectrum metadata."""
 
-    matrix: np.ndarray      # (2, 1), one unit column
+    vector: np.ndarray      # (2,), unit norm
     gap_ratio: float        # lambda_min / lambda_max
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class SpectrumPeak:
-    angle_deg: float
-    value: float
-    prominence: float
-
-
 @dataclass
 class Pseudospectrum:
-    """MUSIC power over an angle grid with its local maxima."""
+    """MUSIC power over an angle grid."""
 
     angles_deg: np.ndarray
     power: np.ndarray
-    peaks: list            # SpectrumPeak, sorted by descending prominence
 
     def write_table(self, path) -> None:
         """Two-column plain-text export (angle_deg, power)."""
@@ -146,7 +137,7 @@ def noise_subspace(r: np.ndarray) -> NoiseSubspace:
     scale = max(abs(a), abs(c), abs(b))
     if scale == 0.0 or half <= 1e-15 * scale:
         # flat spectrum: deterministic tie-break on the second axis
-        return NoiseSubspace(matrix=np.array([[0.0], [1.0]], dtype=complex),
+        return NoiseSubspace(vector=np.array([0.0, 1.0], dtype=complex),
                              gap_ratio=1.0 if scale else 0.0,
                              degenerate=True)
     # pick the better conditioned of the two eigenvector formulas
@@ -158,7 +149,7 @@ def noise_subspace(r: np.ndarray) -> NoiseSubspace:
     lead = v[0] if abs(v[0]) > 1e-12 else v[1]
     v = v * (np.conj(lead) / abs(lead))
     gap = 1.0 if lam_max <= 0 else max(lam_min, 0.0) / lam_max
-    return NoiseSubspace(matrix=v.reshape(2, 1), gap_ratio=gap,
+    return NoiseSubspace(vector=v, gap_ratio=gap,
                          degenerate=gap > _DEGENERATE_GAP)
 
 
@@ -184,32 +175,34 @@ def _steering_grid(element_x: tuple, wavelength_m: float, grid_step_deg: float):
 def pseudospectrum(subspace: NoiseSubspace, geometry: ArrayGeometry,
                    wavelength_m: float,
                    grid_step_deg: float = 0.25) -> Pseudospectrum:
-    """MUSIC pseudospectrum P = (a^H a) / (a^H Vn Vn^H a) on a grid.
+    """MUSIC pseudospectrum P = (a^H a) / |a^H v|^2 on a grid.
 
-    The grid runs from -90 to 90 degrees in ``grid_step_deg`` steps.
-    The denominator is floored at 1e-12 times the numerator so exact
-    nulls stay finite. Peaks are strict local maxima (grid endpoints
-    included) carrying their prominence. The angle grid and the
-    conjugated steering matrix come from a read-only cache keyed by
-    (element positions, wavelength, grid step); the returned
+    ``v`` is the pair's noise eigenvector. The grid runs from -90 to 90
+    degrees in ``grid_step_deg`` steps. The denominator is floored at
+    1e-12 times the numerator so exact nulls stay finite. The angle grid
+    and the conjugated steering matrix come from a read-only cache keyed
+    by (element positions, wavelength, grid step); the returned
     ``angles_deg`` is a fresh, writable copy.
     """
     angles, steering_conj = _steering_grid(geometry.element_x, wavelength_m,
                                            grid_step_deg)
-    proj = steering_conj @ subspace.matrix                              # (n, 1)
-    denom = np.sum(np.abs(proj) ** 2, axis=1)
+    denom = np.abs(steering_conj @ subspace.vector) ** 2
     numer = 2.0                                                         # a^H a
     power = numer / np.maximum(denom, _DENOM_FLOOR * numer)
+    return Pseudospectrum(angles_deg=angles.copy(), power=power)
 
-    # pad with the global minimum so boundary maxima are eligible
-    padded = np.concatenate(([power.min()], power, [power.min()]))
-    idx, props = sps.find_peaks(padded, prominence=0.0)
-    peaks = [SpectrumPeak(angle_deg=float(angles[i - 1]),
-                          value=float(padded[i]),
-                          prominence=float(p))
-             for i, p in zip(idx, props["prominences"])]
-    peaks.sort(key=lambda pk: (-pk.prominence, pk.angle_deg))
-    return Pseudospectrum(angles_deg=angles.copy(), power=power, peaks=peaks)
+
+def _top_peak(power: np.ndarray) -> tuple[int, float]:
+    """Index and prominence of the spectrum's top peak.
+
+    The leftmost maximum, or the middle (rounded down) of its run of
+    equal values. With the minimum padded onto both ends, no other peak
+    is as prominent: the maximum minus the minimum, 0 for a flat one.
+    """
+    k = end = int(np.argmax(power))
+    while end + 1 < power.size and power[end + 1] == power[k]:
+        end += 1
+    return (k + end) // 2, float(power[k] - power.min())
 
 
 def grating_lobe_set(doa_deg: float, geometry: ArrayGeometry,
@@ -241,11 +234,12 @@ def grating_lobe_set(doa_deg: float, geometry: ArrayGeometry,
 def estimate_doa_music(base: ComplexBaseband, geometry: ArrayGeometry,
                        config: SimConfig,
                        options: MusicOptions = MusicOptions()) -> DoaEstimate:
-    """Full pipeline: detect echo, covariance, subspace, peak search.
+    """Full pipeline: detect echo, covariance, subspace, top peak.
 
     Returns a fallback (angle 0) instead of raising when the echo is
-    not detected, no peak is prominent enough, or the eigenvalue
-    spectrum is degenerate. Estimation failure is never an exception.
+    not detected, the eigenvalue spectrum is degenerate, or the top
+    peak is not prominent enough (a flat spectrum has no prominence).
+    Estimation failure is never an exception.
     """
     return music_with_spectrum(base, geometry, config, options)[0]
 
@@ -273,12 +267,12 @@ def music_with_spectrum(base: ComplexBaseband, geometry: ArrayGeometry,
     subspace = noise_subspace(r)
     lam = wavelength(config)
     spectrum = pseudospectrum(subspace, geometry, lam, options.grid_step_deg)
-    if subspace.degenerate or not spectrum.peaks:
+    k, prominence = _top_peak(spectrum.power)
+    if (subspace.degenerate or prominence
+            < _PROMINENCE_FACTOR * float(np.median(spectrum.power))):
         return DoaEstimate.fallback(), spectrum
-    best = spectrum.peaks[0]
-    if best.prominence < _PROMINENCE_FACTOR * float(np.median(spectrum.power)):
-        return DoaEstimate.fallback(), spectrum
-    ambiguity = grating_lobe_set(best.angle_deg, geometry, lam)
-    return DoaEstimate(angle_deg=best.angle_deg, status=CONVERGED,
-                       ambiguity_deg=tuple(ambiguity),
-                       prominence=best.prominence), spectrum
+    angle = float(spectrum.angles_deg[k])
+    return DoaEstimate(angle_deg=angle, status=CONVERGED,
+                       ambiguity_deg=tuple(grating_lobe_set(angle, geometry,
+                                                            lam)),
+                       prominence=prominence), spectrum

@@ -10,7 +10,7 @@ declaration order.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 
@@ -76,15 +76,7 @@ def _read_only(array):
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     spec = checkpoint.spec
     header = {
-        "spec": {
-            "input_rows": spec.input_rows,
-            "input_time": spec.input_time,
-            "conv_stages": spec.conv_stages,
-            "feature_maps": spec.feature_maps,
-            "kernel_rows": spec.kernel_rows,
-            "kernel_time": spec.kernel_time,
-            "dense_widths": list(spec.dense_widths),
-        },
+        "spec": asdict(spec),
         "normalization": checkpoint.normalization,
         "metadata": checkpoint.metadata,
         "params": [{"name": n, "shape": list(s)}

@@ -118,6 +118,10 @@ class TestSimulateCommand:
         ds = load_dataset(bb)
         assert len(ds.records) == 1
         assert ds.records[0].doa_deg == -20.0
+        # the stored time of flight is the one detection gives, as in
+        # a dataset file
+        base = ds.records[0].baseband
+        assert ds.records[0].tof_s == detect_echo_window(base).tof_s
 
     def test_no_output_requested_is_validation_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--doa", "0",

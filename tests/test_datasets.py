@@ -138,6 +138,23 @@ class TestGenerateDataset:
                 expected = 2.0 * rec.range_m / CFG.sound_speed
                 assert rec.tof_s == pytest.approx(expected, abs=2e-4)
 
+    def test_detected_tof_is_nan_without_an_echo(self):
+        silent = ComplexBaseband(np.zeros((2, 1000), dtype=complex),
+                                 CFG.effective_rate)
+        assert math.isnan(datasets.detected_tof(silent))
+
+    def test_record_detects_through_the_module_global(self, monkeypatch):
+        # the benchmark tracer wraps datasets.detect_echo_window
+        calls = []
+
+        def missing(base):
+            calls.append(base)
+            raise datasets.EchoNotFoundError("patched")
+
+        monkeypatch.setattr(datasets, "detect_echo_window", missing)
+        rec = datasets._make_record(SMALL_SPEC, 0, 1, 0)
+        assert len(calls) == 1 and math.isnan(rec.tof_s)
+
 
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [0, -3])

@@ -1,14 +1,17 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from echodoa.doa_music import (
     CONVERGED,
     FALLBACK,
     DoaEstimate,
     MusicOptions,
-    SpectrumPeak,
+    NoiseSubspace,
+    _top_peak,
     covariance,
     estimate_doa_music,
     grating_lobe_set,
@@ -16,7 +19,7 @@ from echodoa.doa_music import (
     noise_subspace,
     pseudospectrum,
 )
-from echodoa.errors import InputError, TooFewSnapshotsError
+from echodoa.errors import EchoNotFoundError, InputError, TooFewSnapshotsError
 from echodoa.signal_sim import (
     ArrayGeometry,
     ComplexBaseband,
@@ -100,13 +103,13 @@ class TestNoiseSubspace:
         r = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
         sub = noise_subspace(r)
         expected = np.array([1.0, 1.0j]) / math.sqrt(2)
-        np.testing.assert_allclose(sub.matrix[:, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(sub.vector, expected, atol=1e-12)
         # orthogonal to the signal vector [1, -i]
-        assert abs(np.vdot(np.array([1.0, -1.0j]), sub.matrix[:, 0])) < 1e-12
+        assert abs(np.vdot(np.array([1.0, -1.0j]), sub.vector)) < 1e-12
 
     def test_diagonal_covariance(self):
         sub = noise_subspace(np.diag([2.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(sub.matrix[:, 0], [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(sub.vector, [0.0, 1.0], atol=1e-12)
         assert sub.gap_ratio == pytest.approx(0.5)
         assert not sub.degenerate
 
@@ -114,13 +117,13 @@ class TestNoiseSubspace:
         sub = noise_subspace(np.eye(2, dtype=complex))
         assert sub.degenerate
         assert sub.gap_ratio == pytest.approx(1.0)
-        np.testing.assert_allclose(sub.matrix[:, 0], [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(sub.vector, [0.0, 1.0], atol=1e-12)
 
     def test_off_diagonal_dominant_axis(self):
         # nearly diagonal with a < c keeps the noise axis on element 0
         r = np.array([[1.0, 1e-14], [1e-14, 3.0]], dtype=complex)
         sub = noise_subspace(r)
-        np.testing.assert_allclose(np.abs(sub.matrix[:, 0]), [1.0, 0.0],
+        np.testing.assert_allclose(np.abs(sub.vector), [1.0, 0.0],
                                    atol=1e-9)
 
     def test_phase_convention_first_component_real_positive(self):
@@ -128,8 +131,7 @@ class TestNoiseSubspace:
         for _ in range(25):
             snaps = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
             sub = noise_subspace(covariance(snaps))
-            lead = sub.matrix[np.flatnonzero(
-                np.abs(sub.matrix[:, 0]) > 1e-12)[0], 0]
+            lead = sub.vector[np.flatnonzero(np.abs(sub.vector) > 1e-12)[0]]
             assert lead.imag == pytest.approx(0.0, abs=1e-12)
             assert lead.real > 0
 
@@ -139,7 +141,7 @@ class TestNoiseSubspace:
             snaps = base.data[:, 400:460]
             sub = noise_subspace(covariance(snaps))
             a = steering_vector(HALF_WL, theta, LAM)
-            assert abs(np.vdot(a, sub.matrix[:, 0])) < 1e-6
+            assert abs(np.vdot(a, sub.vector)) < 1e-6
 
     def test_rank_deficiency_of_noiseless_covariance(self):
         base = steering_baseband(33.0, HALF_WL)
@@ -164,7 +166,7 @@ class TestPseudospectrum:
         ps = pseudospectrum(sub, HALF_WL, LAM, grid_step_deg=0.25)
         top = ps.angles_deg[np.argmax(ps.power)]
         assert abs(top - 30.0) <= 0.25
-        assert ps.peaks[0].angle_deg == pytest.approx(top)
+        assert ps.angles_deg[_top_peak(ps.power)[0]] == pytest.approx(top)
 
     def test_value_at_minus_ninety(self):
         # a(-90) = [1, -1]; |Vn^H a|^2 = 1, so P = M / 1 = 2
@@ -178,7 +180,12 @@ class TestPseudospectrum:
         base = steering_baseband(30.0, ALIASED)
         sub = noise_subspace(covariance(base.data[:, 400:460]))
         ps = pseudospectrum(sub, ALIASED, LAM, grid_step_deg=0.25)
-        peak_angles = sorted(pk.angle_deg for pk in ps.peaks[:3])
+        p = ps.power
+        # the three highest strict local maxima of the power
+        maxima = np.flatnonzero((p[1:-1] > p[:-2]) & (p[1:-1] > p[2:])) + 1
+        lobes = maxima[np.argsort(p[maxima])[::-1][:3]]
+        peak_angles = sorted(ps.angles_deg[lobes])
+        assert len(peak_angles) == 3
         for found, expected in zip(peak_angles, TRIPLET):
             assert abs(found - expected) <= 0.25
 
@@ -213,22 +220,36 @@ class TestPseudospectrum:
 
 
 def reference_spectrum(subspace, geometry, wavelength_m, step):
-    """Angles, power and peaks from the steering formula, without a cache."""
-    from scipy import signal as sps
+    """Angles and power from the steering formula, without a cache."""
     angles = -90.0 + step * np.arange(round(180.0 / step) + 1)
     x = np.asarray(geometry.element_x) - geometry.element_x[0]
     steering = np.exp(-2j * np.pi * np.outer(np.sin(np.radians(angles)), x)
                       / wavelength_m)
-    denom = np.sum(np.abs(steering.conj() @ subspace.matrix) ** 2, axis=1)
+    denom = np.sum(np.abs(steering.conj() @ subspace.vector[:, None]) ** 2,
+                   axis=1)
     m = float(geometry.num_elements)
     power = m / np.maximum(denom, 1e-12 * m)
+    return angles, power
+
+
+def window_subspace(base):
+    """Noise subspace of the echo window that MUSIC searches."""
+    window = detect_echo_window(base, min_len=16)
+    return noise_subspace(covariance(base.data[:, window.start:window.stop]))
+
+
+def reference_peaks(power):
+    """(index, prominence) of every peak, by descending prominence.
+
+    ``scipy.signal.find_peaks`` on the spectrum padded with its own
+    minimum, so that maxima at the grid ends count; equal prominences
+    keep the lower index first.
+    """
     padded = np.concatenate(([power.min()], power, [power.min()]))
     idx, props = sps.find_peaks(padded, prominence=0.0)
-    peaks = sorted((SpectrumPeak(angle_deg=float(angles[i - 1]),
-                                 value=float(padded[i]), prominence=float(p))
-                    for i, p in zip(idx, props["prominences"])),
-                   key=lambda pk: (-pk.prominence, pk.angle_deg))
-    return angles, power, peaks
+    return sorted(((int(i) - 1, float(p))
+                   for i, p in zip(idx, props["prominences"])),
+                  key=lambda peak: (-peak[1], peak[0]))
 
 
 class TestSteeringGridCache:
@@ -248,11 +269,10 @@ class TestSteeringGridCache:
                 for geometry in (HALF_WL, ALIASED):
                     for step in (0.25, 0.5):
                         got = pseudospectrum(subspace, geometry, LAM, step)
-                        angles, power, peaks = reference_spectrum(
+                        angles, power = reference_spectrum(
                             subspace, geometry, LAM, step)
                         assert got.angles_deg.tobytes() == angles.tobytes()
                         assert got.power.tobytes() == power.tobytes()
-                        assert got.peaks == peaks
 
     def test_grid_is_read_only_and_angles_are_fresh(self):
         from echodoa.doa_music import _steering_grid
@@ -352,22 +372,15 @@ class TestEstimateDoaMusic:
 class TestMusicWithSpectrum:
     """The estimate of ``estimate_doa_music`` and the spectrum it searched."""
 
-    @staticmethod
-    def window_spectrum(base, options):
-        window = detect_echo_window(base, min_len=16)
-        subspace = noise_subspace(
-            covariance(base.data[:, window.start:window.stop]))
-        return subspace, pseudospectrum(subspace, HALF_WL, LAM,
-                                        options.grid_step_deg)
-
     def check(self, base, options=MusicOptions()):
         """The estimate, the searched spectrum and its noise subspace."""
         estimate, spectrum = music_with_spectrum(base, HALF_WL, CFG, options)
         assert estimate == estimate_doa_music(base, HALF_WL, CFG, options)
-        subspace, expected = self.window_spectrum(base, options)
+        subspace = window_subspace(base)
+        expected = pseudospectrum(subspace, HALF_WL, LAM,
+                                  options.grid_step_deg)
         assert spectrum.angles_deg.tobytes() == expected.angles_deg.tobytes()
         assert spectrum.power.tobytes() == expected.power.tobytes()
-        assert spectrum.peaks == expected.peaks
         return estimate, spectrum, subspace
 
     @pytest.mark.parametrize("options, status", [
@@ -395,16 +408,30 @@ class TestMusicWithSpectrum:
         base = self.paired_burst(lambda k: (-1.0) ** k)
         estimate, spectrum, subspace = self.check(base)
         assert subspace.degenerate and subspace.gap_ratio == 1.0
-        assert spectrum.peaks
+        # the tie-break vector's spectrum is flat to rounding, so its
+        # prominence is below the floor as well
+        prominence = _top_peak(spectrum.power)[1]
+        assert 0.0 < prominence < 3.0 * float(np.median(spectrum.power))
+        assert estimate == DoaEstimate.fallback()
+
+    def test_near_tie_falls_back_on_the_flag(self):
+        # a relative eigenvalue gap of 2e-11: a sharp spectrum, but no
+        # direction
+        base = self.paired_burst(
+            lambda k: (-1.0) ** k + 1e-11 * np.exp(0.7j))
+        estimate, spectrum, subspace = self.check(base)
+        assert subspace.degenerate and subspace.gap_ratio < 1.0
+        prominence = _top_peak(spectrum.power)[1]
+        assert prominence > 1e3 * 3.0 * float(np.median(spectrum.power))
         assert estimate == DoaEstimate.fallback()
 
     def test_low_prominence_falls_back(self):
         base = self.paired_burst(lambda k: 0.5 * (-1.0) ** k + 0.1)
         estimate, spectrum, subspace = self.check(base)
         assert not subspace.degenerate
-        assert len(spectrum.peaks) == 1
+        assert len(reference_peaks(spectrum.power)) == 1
         floor = 3.0 * float(np.median(spectrum.power))
-        assert spectrum.peaks[0].prominence < floor
+        assert _top_peak(spectrum.power)[1] < floor
         assert estimate == DoaEstimate.fallback()
 
     def test_no_echo_has_no_spectrum(self):
@@ -413,3 +440,99 @@ class TestMusicWithSpectrum:
         estimate, spectrum = music_with_spectrum(base, HALF_WL, CFG)
         assert estimate.status == FALLBACK
         assert spectrum is None
+
+
+def estimate_bytes(angle_deg, prominence, status):
+    return struct.pack("<dd", angle_deg, prominence) + status.encode()
+
+
+class TestTopPeakAgainstFindPeaks:
+    """The one-pass top peak against ``find_peaks`` on the padded spectrum."""
+
+    @pytest.mark.parametrize("spacing_wl", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("step", [0.25, 0.5])
+    def test_random_noise_vectors(self, spacing_wl, step):
+        geometry = ArrayGeometry.pair(spacing_wl * LAM)
+        rng = np.random.default_rng(int(spacing_wl * 100 + step * 8))
+        for _ in range(150):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            subspace = NoiseSubspace(vector=v / np.linalg.norm(v),
+                                     gap_ratio=0.5, degenerate=False)
+            power = pseudospectrum(subspace, geometry, LAM, step).power
+            assert _top_peak(power) == reference_peaks(power)[0]
+
+    def test_flat_spectrum_has_no_peak_and_no_prominence(self):
+        power = np.full(721, 2.0)
+        assert reference_peaks(power) == []
+        assert _top_peak(power)[1] == 0.0
+
+    @pytest.mark.parametrize("power, top", [
+        ([1.0, 5.0, 5.0, 5.0, 5.0, 2.0], (2, 4.0)),      # even run
+        ([5.0, 5.0, 5.0, 1.0, 2.0], (1, 4.0)),           # run at the left end
+        ([1.0, 2.0, 5.0, 5.0], (2, 4.0)),                # run at the right end
+        ([1.0, 5.0, 2.0, 5.0, 5.0, 5.0, 1.0], (1, 4.0)), # equal maxima apart
+    ])
+    def test_runs_of_equal_maxima(self, power, top):
+        power = np.array(power)
+        assert _top_peak(power) == top == reference_peaks(power)[0]
+
+    @staticmethod
+    def reference_estimate(base, geometry, step):
+        """angle, prominence and status bytes built with ``find_peaks``."""
+        try:
+            subspace = window_subspace(base)
+        except EchoNotFoundError:
+            return estimate_bytes(0.0, 0.0, FALLBACK)
+        angles, power = reference_spectrum(subspace, geometry, LAM, step)
+        peaks = reference_peaks(power)
+        if (subspace.degenerate or not peaks
+                or peaks[0][1] < 3.0 * float(np.median(power))):
+            return estimate_bytes(0.0, 0.0, FALLBACK)
+        k, prominence = peaks[0]
+        return estimate_bytes(float(angles[k]), prominence, CONVERGED)
+
+    def check(self, base, geometry, step):
+        estimate, _ = music_with_spectrum(base, geometry, CFG,
+                                          MusicOptions(grid_step_deg=step))
+        got = estimate_bytes(estimate.angle_deg, estimate.prominence,
+                             estimate.status)
+        assert got == self.reference_estimate(base, geometry, step)
+        return estimate
+
+    @pytest.mark.parametrize("spacing_wl", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("step", [0.25, 0.5])
+    def test_noisy_echoes(self, spacing_wl, step):
+        geometry = ArrayGeometry.pair(spacing_wl * LAM)
+        rng = np.random.default_rng(int(spacing_wl * 10))
+        statuses = set()
+        for snr in (-10.0, -5.0, 0.0, 10.0, math.inf):
+            for _ in range(4):
+                scenario = SourceScenario(float(rng.uniform(-60, 60)),
+                                          float(rng.uniform(0.5, 0.95)), snr)
+                wave = add_awgn(synthesize_echo(scenario, geometry, CFG),
+                                snr, int(rng.integers(2**32)))
+                statuses.add(self.check(to_baseband(wave, CFG), geometry,
+                                        step).status)
+        assert statuses == {CONVERGED, FALLBACK}
+
+    @pytest.mark.parametrize("spacing_wl", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("step", [0.25, 0.5])
+    def test_exact_grid_angles(self, spacing_wl, step):
+        # a steering vector on the grid nulls the denominator there, so
+        # the floored maximum can recur at another grid point (an alias,
+        # or the other end of the grid)
+        geometry = ArrayGeometry.pair(spacing_wl * LAM)
+        for theta in np.arange(-90.0, 90.0 + step, 4 * step):
+            base = steering_baseband(float(theta), geometry,
+                                     seed=int(theta / step) % 997)
+            self.check(base, geometry, step)
+
+    @pytest.mark.parametrize("gain", [
+        lambda k: (-1.0) ** k,                  # degenerate
+        lambda k: 0.5 * (-1.0) ** k + 0.1,      # low prominence
+    ])
+    def test_fallback_bursts(self, gain):
+        base = TestMusicWithSpectrum.paired_burst(gain)
+        for spacing_wl in (0.5, 1.5, 3.0):
+            geometry = ArrayGeometry.pair(spacing_wl * LAM)
+            assert self.check(base, geometry, 0.25).status == FALLBACK
