@@ -69,6 +69,7 @@ from .triangulation import (
     dilution_ellipse,
     fuse_doa_with_ranges,
     intersect_two_circles,
+    triangulate,
 )
 from . import errors, neural
 

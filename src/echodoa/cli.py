@@ -46,9 +46,8 @@ from .signal_sim import (
 from .triangulation import (
     RangeMeasurement,
     SensorPose,
-    dilution_ellipse,
     fuse_doa_with_ranges,
-    intersect_two_circles,
+    triangulate,
 )
 
 CONFIG_ENV = "ECHODOA_CONFIG"
@@ -117,6 +116,13 @@ def _estimate_json(est: DoaEstimate) -> dict:
             "prominence": est.prominence}
 
 
+def _write_spectrum(spectrum, path) -> None:
+    """The ``--spectrum-out`` table, fallbacks included; no echo, no file."""
+    if spectrum is None:
+        raise EchoNotFoundError("no sample crossed the detection threshold")
+    spectrum.write_table(path)
+
+
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
@@ -145,9 +151,7 @@ def _cmd_simulate(args) -> int:
     if args.spectrum_out:
         _, spectrum = music_with_spectrum(
             base, geometry, config, MusicOptions(grid_step_deg=args.grid_step))
-        if spectrum is None:
-            raise EchoNotFoundError("no sample crossed the detection threshold")
-        spectrum.write_table(args.spectrum_out)
+        _write_spectrum(spectrum, args.spectrum_out)
         outputs["spectrum"] = str(args.spectrum_out)
     if not outputs:
         raise InputError("nothing to do: pass --out, --baseband-out, "
@@ -260,8 +264,8 @@ def _cmd_music(args) -> int:
         base = to_baseband(wave, config)
     estimate, spectrum = music_with_spectrum(
         base, geometry, config, MusicOptions(grid_step_deg=args.grid_step))
-    if args.spectrum_out and estimate.status == CONVERGED:
-        spectrum.write_table(args.spectrum_out)
+    if args.spectrum_out:
+        _write_spectrum(spectrum, args.spectrum_out)
     _print_json(_estimate_json(estimate))
     return 0
 
@@ -281,11 +285,7 @@ def _cmd_triangulate(args) -> int:
         fix = fuse_doa_with_ranges(estimate, m1, m2,
                                    sigma_theta_deg=args.sigma_theta)
     else:
-        point = intersect_two_circles(m1, m2)[0]
-        ellipse = dilution_ellipse(m1, m2, point)
-        from .triangulation import PositionFix, TRIANGULATION
-        fix = PositionFix(x=point[0], y=point[1], ellipse=ellipse,
-                          source=TRIANGULATION)
+        fix = triangulate(m1, m2)
     payload = {"x": fix.x, "y": fix.y, "source": fix.source,
                "ellipse": {"semi_major": fix.ellipse.semi_major,
                            "semi_minor": fix.ellipse.semi_minor,
@@ -339,6 +339,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise InputError(f"--seeds must be at least 1, got {args.seeds}")
     worst = 0.0
     checked = 0
     for seed in range(args.seed, args.seed + args.seeds):
@@ -497,11 +499,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except EchoDoaError as exc:
+    except (EchoDoaError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except MemoryError as exc:      # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -83,6 +83,9 @@ class SweepSpec:
             raise InputError("angle and SNR grids must be non-empty")
         if self.records_per_cell < 1:
             raise InputError("records_per_cell must be at least 1")
+        # written so that NaN fails the check
+        if not 0.0 <= self.aperture_deg <= 90.0:
+            raise InputError("aperture_deg must lie in [0, 90]")
         if any(abs(a) > self.aperture_deg for a in self.angles_deg):
             raise ApertureViolationError(
                 f"angles exceed the +-{self.aperture_deg} degree aperture")

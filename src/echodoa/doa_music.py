@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import EchoNotFoundError, InputError, TooFewSnapshotsError
 from .signal_sim import (
-    DETECTION_THRESHOLD,
     ArrayGeometry,
     ComplexBaseband,
     SimConfig,
@@ -156,7 +155,8 @@ def noise_subspace(r: np.ndarray) -> NoiseSubspace:
 def _angle_grid(step_deg):
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise InputError("grid step must be positive and finite")
-    count = round(180.0 / step_deg)
+    # up to 90 at most; the 1e-9 keeps 90 when the quotient rounds low
+    count = math.floor(180.0 / step_deg + 1e-9)
     return -90.0 + step_deg * np.arange(count + 1)
 
 
@@ -257,8 +257,7 @@ def music_with_spectrum(base: ComplexBaseband, geometry: ArrayGeometry,
     if base.data.shape[0] != geometry.num_elements:
         raise InputError("baseband channel count does not match the geometry")
     try:
-        window = detect_echo_window(base, DETECTION_THRESHOLD,
-                                    min_len=_MIN_SNAPSHOTS)
+        window = detect_echo_window(base, min_len=_MIN_SNAPSHOTS)
     except EchoNotFoundError:
         return DoaEstimate.fallback(), None
 

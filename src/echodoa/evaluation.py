@@ -66,10 +66,10 @@ class MetricsTable:
 class MusicEstimator:
     """MUSIC pipeline bound to a set of options."""
 
-    def __init__(self, options: MusicOptions = MusicOptions(),
-                 name: str = "music"):
+    name = "music"
+
+    def __init__(self, options: MusicOptions = MusicOptions()):
         self.options = options
-        self.name = name
 
     def estimate(self, base, geometry, config):
         return estimate_doa_music(base, geometry, config, self.options)

@@ -10,20 +10,19 @@ import numpy as np
 from ..errors import InputError, ShapeMismatchError
 
 
+# Moment decay rates and denominator floor of Kingma & Ba, "Adam" (2015).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamHyper:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("learning_rate", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be positive and finite")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise InputError("betas must lie in [0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InputError("learning_rate must be positive and finite")
 
 
 class AdamState:
@@ -47,10 +46,8 @@ def adam_step(params: dict, grads: dict, hyper: AdamHyper,
         raise ShapeMismatchError("gradient keys do not match parameters")
     state.step += 1
     t = state.step
-    lr, b1, b2, eps = (hyper.learning_rate, hyper.beta1, hyper.beta2,
-                       hyper.eps)
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
+    corr1 = 1.0 - BETA1 ** t
+    corr2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -58,8 +55,8 @@ def adam_step(params: dict, grads: dict, hyper: AdamHyper,
                 f"gradient for {name} has shape {g.shape}, expected {p.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        p -= hyper.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + EPS)

@@ -15,6 +15,9 @@ from .network import NetworkSpec, backward, init_params
 REDUCED_SPEC = NetworkSpec(input_time=64, feature_maps=4,
                            dense_widths=(8, 4))
 
+# probe records: more than one, so batch reductions are checked too
+_BATCH = 3
+
 
 @dataclass(frozen=True)
 class GradCheckReport:
@@ -28,22 +31,25 @@ class GradCheckReport:
 
 def grad_check(spec: NetworkSpec | None = None, seed: int = 0,
                eps: float = 1e-5, tolerance: float = 1e-4,
-               samples: int = 200, batch: int = 3) -> GradCheckReport:
+               samples: int = 200) -> GradCheckReport:
     """Compare analytic gradients against central differences.
 
     Probes at least ``samples`` parameters spread over every tensor (so
     each layer is covered), in double precision. Gradients below 1e-8
     in both forms are skipped, as the relative error is meaningless
-    there.
+    there. A ``tolerance`` that is not positive and finite raises
+    InputError.
     """
     if not 1e-6 <= eps <= 1e-4:
         raise InputError("eps must lie in [1e-6, 1e-4]")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise InputError("tolerance must be positive and finite")
     if spec is None:
         spec = REDUCED_SPEC
     rng = np.random.default_rng(seed)
     params = init_params(spec, seed, dtype=np.float64)
-    x = rng.normal(0.0, 1.0, (batch, spec.input_rows, spec.input_time))
-    labels = rng.uniform(-0.9, 0.9, batch)
+    x = rng.normal(0.0, 1.0, (_BATCH, spec.input_rows, spec.input_time))
+    labels = rng.uniform(-0.9, 0.9, _BATCH)
 
     _, grads = backward(spec, params, x, labels)
 

@@ -62,10 +62,6 @@ class EpochStats:
     val_loss: float
 
 
-# strict detection used only to center the crop; records without a
-# confident echo are windowed on the record center instead
-CROP_THRESHOLD_FACTOR = DETECTION_THRESHOLD
-
 # permissive gate for inference: only inputs with no signal at all
 # (relative to their own noise floor) report the 0-degree fallback
 GATE_THRESHOLD_FACTOR = 1.5
@@ -88,7 +84,7 @@ def _center_window(base: ComplexBaseband, spec: NetworkSpec) -> EchoWindow:
 def _crop_window(base: ComplexBaseband, spec: NetworkSpec):
     """Echo window when confidently detected, else the record center."""
     try:
-        return detect_echo_window(base, CROP_THRESHOLD_FACTOR)
+        return detect_echo_window(base)
     except EchoNotFoundError:
         return _center_window(base, spec)
 
@@ -239,15 +235,14 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
     return checkpoint, history
 
 
-def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband,
-                threshold_factor: float = GATE_THRESHOLD_FACTOR) -> DoaEstimate:
+def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband) -> DoaEstimate:
     """Angle estimate from a trained network.
 
     The tanh output in (-1, 1) scales to degrees by a factor of 90.
-    When echo detection at ``threshold_factor`` fails the estimator
+    When echo detection at ``GATE_THRESHOLD_FACTOR`` fails the estimator
     reports the 0-degree fallback, mirroring the MUSIC convention. The
-    default gate is permissive: the network is trained on noisy windows
-    and regresses toward zero on uninformative input by itself, so only
+    gate is permissive: the network is trained on noisy windows and
+    regresses toward zero on uninformative input by itself, so only
     signal-free records are gated out. One detection pass over the
     record yields both the gate and the crop window of
     ``baseband_to_input``. The forward pass runs in float32 on the
@@ -259,7 +254,7 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband,
     if checkpoint.normalization != NORMALIZATION_RMS_WINDOW:
         raise IncompatibleCheckpointError(
             f"unknown normalization rule {checkpoint.normalization!r}")
-    gate, crop = _echo_windows(base, (threshold_factor, CROP_THRESHOLD_FACTOR))
+    gate, crop = _echo_windows(base, (GATE_THRESHOLD_FACTOR, DETECTION_THRESHOLD))
     if gate is None:
         return DoaEstimate.fallback()
     if crop is None:

@@ -150,6 +150,8 @@ class ArrayGeometry:
         object.__setattr__(self, "element_x", xs)
         if len(xs) != 2:
             raise InputError(f"the array is a pair, got {len(xs)} elements")
+        if not all(map(math.isfinite, xs)):
+            raise InputError(f"element positions must be finite, got {xs}")
         if xs[1] <= xs[0]:
             raise InputError("element positions must be strictly increasing")
 
@@ -175,7 +177,6 @@ class SourceScenario:
     doa_deg: float
     range_m: float
     snr_db: float = NOISELESS
-    label: str = ""
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -312,27 +313,25 @@ def synthesize_echo(scenario: SourceScenario, geometry: ArrayGeometry,
                         echo_support=(start, stop), signal_power=power)
 
 
-def add_awgn(wave: RealWaveform, snr_db: float, seed: int,
-             signal_power: float | None = None) -> RealWaveform:
+def add_awgn(wave: RealWaveform, snr_db: float, seed: int) -> RealWaveform:
     """Add white Gaussian noise at the requested SNR.
 
     Noise variance is P_signal * 10**(-snr_db/10) where P_signal is the
-    clean echo's mean power over its active duration (carried on the
-    waveform, or supplied explicitly). ``snr_db = inf`` is the noiseless
-    sentinel and returns an untouched copy; a NaN or -inf ``snr_db`` and
-    a negative or non-finite signal power raise InputError. Each channel
-    draws from an independent Philox stream keyed by (seed, channel).
+    clean echo's mean power over its active duration, the waveform's
+    ``signal_power``. ``snr_db = inf`` is the noiseless sentinel and
+    returns an untouched copy; a NaN or -inf ``snr_db`` and a negative
+    or non-finite signal power raise InputError. Each channel draws from
+    an independent Philox stream keyed by (seed, channel).
     """
     if math.isinf(snr_db) and snr_db > 0:
         return replace(wave, data=wave.data.copy())
     # written so that NaN fails every check
     if not snr_db > -math.inf:
         raise InputError("snr_db must be finite, or +inf for noiseless")
-    power = signal_power if signal_power is not None else wave.signal_power
+    power = wave.signal_power
     if power is None:
         raise MissingSignalPowerError(
-            "clean signal power unknown; synthesize the echo first or pass "
-            "signal_power explicitly")
+            "clean signal power unknown; synthesize the echo first")
     if not 0.0 <= power < math.inf:
         raise InputError(
             f"signal_power must be finite and non-negative, got {power}")
@@ -392,19 +391,17 @@ def to_baseband(wave: RealWaveform, config: SimConfig) -> ComplexBaseband:
         sample_rate=config.effective_rate)
 
 
-def detect_echo_window(base: ComplexBaseband,
-                       threshold_factor: float = DETECTION_THRESHOLD,
-                       min_len: int = 1) -> EchoWindow:
+def detect_echo_window(base: ComplexBaseband, *, min_len: int = 1) -> EchoWindow:
     """Find the echo interval on the reference channel.
 
-    The threshold is threshold_factor times the median magnitude of the
-    leading noise-only segment (the first eighth of the record, at
-    least 8 samples), floored at a small fraction of the record peak.
+    The threshold is ``DETECTION_THRESHOLD`` times the median magnitude
+    of the leading noise-only segment (the first eighth of the record,
+    at least 8 samples), floored at a small fraction of the record peak.
     The window runs from the first crossing until the magnitude falls
     back below, extended to at least ``min_len`` samples. Time of
     flight is the onset sample over the effective sample rate.
     """
-    (window,) = _echo_windows(base, (threshold_factor,), min_len)
+    (window,) = _echo_windows(base, (DETECTION_THRESHOLD,), min_len)
     if window is None:
         raise EchoNotFoundError("no sample crossed the detection threshold")
     return window
@@ -415,10 +412,9 @@ def _echo_windows(base: ComplexBaseband, threshold_factors,
     """``detect_echo_window`` at several thresholds from one pass.
 
     The magnitude, the lead-segment median and the peak are computed
-    once; each factor gets its window, or None where nothing crossed.
+    once; each factor (a constant above 1) gets its window, or None
+    where nothing crossed.
     """
-    if any(factor <= 1.0 for factor in threshold_factors):
-        raise InputError("threshold_factor must exceed 1")
     mag = np.abs(base.data[0])
     n = mag.size
     if n < min_len:

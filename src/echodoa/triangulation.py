@@ -135,6 +135,15 @@ def dilution_ellipse(m1: RangeMeasurement, m2: RangeMeasurement,
                         orientation_deg=math.degrees(math.atan2(axis[1], axis[0])))
 
 
+def triangulate(m1: RangeMeasurement, m2: RangeMeasurement) -> PositionFix:
+    """The forward circle intersection with its dilution ellipse; raises
+    as ``intersect_two_circles`` and ``dilution_ellipse`` do."""
+    point = intersect_two_circles(m1, m2)[0]
+    return PositionFix(x=point[0], y=point[1],
+                       ellipse=dilution_ellipse(m1, m2, point),
+                       source=TRIANGULATION)
+
+
 def _ray_fix(mid, doa_deg, mean_range):
     theta = math.radians(doa_deg)
     return (mid[0] + mean_range * math.sin(theta),
@@ -142,20 +151,20 @@ def _ray_fix(mid, doa_deg, mean_range):
 
 
 def fuse_doa_with_ranges(doa: DoaEstimate, m1: RangeMeasurement,
-                         m2: RangeMeasurement | None = None,
+                         m2: RangeMeasurement,
                          sigma_theta_deg: float = 1.0) -> PositionFix:
-    """Combine a DoA estimate with the measured radial distances.
+    """Combine a DoA estimate with the two measured radial distances.
 
     A ray is cast from the midpoint of the sensors at the estimated
     angle (measured from the array normal, +y); the fix sits at the
     mean range along it. Transverse uncertainty becomes
-    mean_range * tan(sigma_theta); radial uncertainty is sigma_r over
-    sqrt(range count). Multi-member ambiguity sets pick the member
+    mean_range * tan(sigma_theta); radial uncertainty is the mean
+    sigma_r over sqrt(2). Multi-member ambiguity sets pick the member
     nearest the two-circle intersection when one exists, otherwise the
-    smallest absolute angle. A fallback DoA degrades to the plain
-    triangulation fix, or raises if that does not exist either. A DoA
-    or ambiguity member outside [-90, 90] degrees, or a
-    ``sigma_theta_deg`` outside [0, 90), raises ``InputError``.
+    smallest absolute angle. A fallback DoA degrades to ``triangulate``,
+    or raises ``UnusableFallbackError`` if the circles do not
+    intersect. A DoA or ambiguity member outside [-90, 90] degrees, or
+    a ``sigma_theta_deg`` outside [0, 90), raises ``InputError``.
     """
     for angle in doa.ambiguity_deg:            # holds doa.angle_deg
         if not -90.0 <= angle <= 90.0:
@@ -163,43 +172,33 @@ def fuse_doa_with_ranges(doa: DoaEstimate, m1: RangeMeasurement,
     if not 0.0 <= sigma_theta_deg < 90.0:
         raise InputError(
             f"sigma_theta_deg must lie in [0, 90), got {sigma_theta_deg}")
-    measurements = [m for m in (m1, m2) if m is not None]
-    if not measurements:
-        raise InputError("at least one range measurement is required")
-
-    intersection = None
-    if len(measurements) == 2:
-        try:
-            intersection = intersect_two_circles(*measurements)[0]
-        except (NoIntersectionError, CoincidentSensorsError):
-            intersection = None
 
     if doa.status == FALLBACK:
-        if intersection is None:
+        try:
+            return triangulate(m1, m2)
+        except (NoIntersectionError, CoincidentSensorsError):
             raise UnusableFallbackError(
                 "fallback DoA and no circle intersection to fall back on")
-        ellipse = dilution_ellipse(measurements[0], measurements[1],
-                                   intersection)
-        return PositionFix(x=intersection[0], y=intersection[1],
-                           ellipse=ellipse, source=TRIANGULATION)
 
-    mid = (float(np.mean([m.sensor.x for m in measurements])),
-           float(np.mean([m.sensor.y for m in measurements])))
-    mean_range = float(np.mean([m.range_m for m in measurements]))
+    mid = (float(np.mean([m1.sensor.x, m2.sensor.x])),
+           float(np.mean([m1.sensor.y, m2.sensor.y])))
+    mean_range = float(np.mean([m1.range_m, m2.range_m]))
 
     angle = doa.angle_deg
     if len(doa.ambiguity_deg) > 1:
-        if intersection is not None:
+        try:
+            intersection = intersect_two_circles(m1, m2)[0]
+        except (NoIntersectionError, CoincidentSensorsError):
+            angle = min(doa.ambiguity_deg, key=lambda a: (abs(a), a))
+        else:
             angle = min(doa.ambiguity_deg,
                         key=lambda a: _dist(_ray_fix(mid, a, mean_range),
                                             intersection))
-        else:
-            angle = min(doa.ambiguity_deg, key=lambda a: (abs(a), a))
 
     x, y = _ray_fix(mid, angle, mean_range)
     transverse = mean_range * math.tan(math.radians(sigma_theta_deg))
-    sigma_r = float(np.mean([m.sigma_r for m in measurements]))
-    radial = sigma_r / math.sqrt(len(measurements))
+    sigma_r = float(np.mean([m1.sigma_r, m2.sigma_r]))
+    radial = sigma_r / math.sqrt(2)
 
     # radial axis points along the ray; transverse is perpendicular
     ray_bearing = 90.0 - angle

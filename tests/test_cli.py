@@ -77,6 +77,16 @@ class TestMusicCommand:
                 if not ln.startswith("#")]
         assert len(body) == 721    # [-90, 90] at 0.25 degrees
 
+    def test_grid_stops_before_90(self, tmp_path, capsys):
+        # a 100-degree step once put a third point at 110 degrees
+        spectrum = tmp_path / "spectrum.txt"
+        code, _, _ = run(capsys, "music", "--doa", "70", "--grid-step", "100",
+                         "--spectrum-out", str(spectrum))
+        assert code == 0
+        angles = [float(ln.split()[0])
+                  for ln in spectrum.read_text().splitlines()[1:]]
+        assert angles == [-90.0, 10.0]
+
     def test_dataset_record_input(self, tmp_path, capsys):
         ds_path = tmp_path / "tiny.edds"
         code, _, _ = run(capsys, "dataset", "--angles", "10",
@@ -134,6 +144,19 @@ class TestSimulateCommand:
                            "--range", "2.5", "--out", "/tmp/x.edcf")
         assert code == 3
 
+    def test_out_of_memory_is_one_line_runtime_error(self, tmp_path, capsys):
+        # 10**15 samples per channel: the allocation fails at once
+        capture = tmp_path / "c.edcf"
+        code, out, err = run(capsys, "simulate", "--doa", "30", "--range", "1",
+                             "--sim", "listen_window=1e9",
+                             "--out", str(capture))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: MemoryError: ")
+        assert not capture.exists()
+
 
 def reference_spectrum_table(path, doa, snr, grid_step, seed=0):
     """The --spectrum-out table of a second, separate MUSIC pass."""
@@ -150,7 +173,8 @@ def reference_spectrum_table(path, doa, snr, grid_step, seed=0):
 
 
 class TestSpectrumOut:
-    """``--spectrum-out`` of ``music`` (converged only) and ``simulate``."""
+    """``--spectrum-out`` of ``music`` and ``simulate``: the table of the
+    detected window whatever the estimate, and no table without an echo."""
 
     @pytest.mark.parametrize("doa, snr, grid_step", [
         (30.0, math.inf, 0.25), (-12.5, 10.0, 0.5), (45.0, 0.0, 1.0)])
@@ -164,15 +188,39 @@ class TestSpectrumOut:
         assert table.read_bytes() == reference_spectrum_table(
             tmp_path / "ref.txt", doa, snr, grid_step)
 
-    @pytest.mark.parametrize("argv", [
-        ("--snr", "-40"),                        # no echo detected
-        ("--doa", "0", "--grid-step", "60")])    # detected, no prominent peak
-    def test_music_fallback_writes_no_table(self, argv, tmp_path, capsys):
+    def test_music_fallback_writes_the_table(self, tmp_path, capsys):
+        # detected, but no prominent peak on the coarse grid
         table = tmp_path / "spectrum.txt"
-        code, out, _ = run(capsys, "music", *argv, "--spectrum-out",
-                           str(table))
+        code, out, _ = run(capsys, "music", "--doa", "0", "--grid-step", "60",
+                           "--spectrum-out", str(table))
         assert code == 0
         assert json.loads(out)["status"] == "fallback"
+        assert table.read_bytes() == reference_spectrum_table(
+            tmp_path / "ref.txt", 0.0, math.inf, 60.0)
+
+    def test_music_and_simulate_write_the_same_table(self, tmp_path, capsys):
+        scene = ("--spacing-wl", "1.5", "--doa", "-47", "--snr", "-5",
+                 "--seed", "4")
+        music_table, simulate_table = tmp_path / "f.txt", tmp_path / "g.txt"
+        code, out, _ = run(capsys, "music", *scene,
+                           "--spectrum-out", str(music_table))
+        assert code == 0
+        assert json.loads(out)["status"] == "fallback"
+        code, _, _ = run(capsys, "simulate", *scene, "--range", "1.0",
+                         "--spectrum-out", str(simulate_table))
+        assert code == 0
+        assert len(music_table.read_text().splitlines()) == 722
+        assert music_table.read_bytes() == simulate_table.read_bytes()
+
+    def test_music_without_echo_is_runtime_error(self, tmp_path, capsys):
+        table = tmp_path / "spectrum.txt"
+        code, out, err = run(capsys, "music", "--snr", "-40",
+                             "--spectrum-out", str(table))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: EchoNotFoundError: no sample crossed the detection "
+            "threshold"]
         assert not table.exists()
 
     @pytest.mark.parametrize("doa, snr, grid_step", [
@@ -400,6 +448,14 @@ class TestTriangulateCommand:
         assert code == 1
         assert "NoIntersection" in err
 
+    def test_coincident_sensors_validation_error(self, capsys):
+        code, out, err = run(capsys, "triangulate", "--sensor1", "0,0",
+                             "--sensor2", "0,0", "--r1", "1", "--r2", "1")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: CoincidentSensorsError: sensors coincide"]
+
 
 class TestSweepCommand:
     def test_end_to_end_artifacts(self, tmp_path, capsys):
@@ -438,6 +494,19 @@ class TestGradcheckCommand:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["max_rel_error"] < 1e-4
+
+    @pytest.mark.parametrize("argv, field", [
+        (("--seeds", "0"), "--seeds"), (("--seeds=-2",), "--seeds"),
+        (("--tolerance=-1",), "tolerance"), (("--tolerance", "nan"),
+                                             "tolerance")])
+    def test_vacuous_or_malformed_check_is_input_error(self, argv, field,
+                                                       capsys):
+        code, out, err = run(capsys, "gradcheck", *argv)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: InputError: {field} ")
 
 
 class TestSeedRange:
@@ -527,7 +596,20 @@ class TestNonFiniteInputs:
         (("triangulate", "--r1", "nan", "--r2", "1"), "range_m", None),
         (("triangulate", "--r1", "1", "--r2", "inf"), "range_m", None),
         (("triangulate", "--r1", "1", "--r2", "1", "--sigma-r", "nan"),
-         "sigma_r", None)])
+         "sigma_r", None),
+        (("simulate", "--doa", "30", "--range", "1", "--spacing-wl", "nan",
+          "--out", "a.edcf"), "element positions", "a.edcf"),
+        (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
+          "--spacing-wl", "nan", "--out", "d.edds"), "element positions",
+         "d.edds"),
+        (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
+          "--spacing-wl", "inf", "--out", "d.edds"), "element positions",
+         "d.edds"),
+        (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
+          "--aperture", "nan", "--out", "d.edds"), "aperture_deg", "d.edds"),
+        (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
+          "--aperture", "120", "--out", "d.edds"), "aperture_deg",
+         "d.edds")])
     def test_one_line_input_error(self, argv, field, written, tmp_path,
                                   capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -65,6 +65,11 @@ class TestSweepSpec:
         with pytest.raises(ApertureViolationError):
             SweepSpec(angles_deg=(0.0, 70.0))
 
+    @pytest.mark.parametrize("aperture", [math.nan, -1.0, 90.5, math.inf])
+    def test_aperture_outside_0_to_90_rejected(self, aperture):
+        with pytest.raises(InputError, match="aperture_deg"):
+            SweepSpec(angles_deg=(0.0,), aperture_deg=aperture)
+
     def test_range_must_fit_window(self):
         with pytest.raises(ScenarioOutOfWindowError):
             SweepSpec(range_interval_m=(0.5, 3.0))
@@ -549,7 +554,8 @@ class TestMalformedDatasetHeader:
         ("config", {"envelope": 5}), ("config", {"carrier_freq": "51200"}),
         ("config", {"decimation_factor": 8.0}),
         ("config", {"sample_rate": -1.0}),
-        ("element_x", [0.0, 0.003, 0.006]), ("channels", 3)])
+        ("element_x", [0.0, 0.003, 0.006]), ("channels", 3),
+        ("element_x", [0.0, math.nan]), ("element_x", [-math.inf, 0.0])])
     def test_missing_or_mistyped_key(self, saved, tmp_path, key, value):
         header = _mutated(header_of(saved), key, value)
         raw = reframe(saved, json.dumps(header).encode())
@@ -618,7 +624,7 @@ class TestMalformedCaptureHeader:
         ("element_x", KeyError), ("annotation", 5), ("channels", "2"),
         ("frame_count", -8000), ("sample_rate", "1e6"),
         ("element_x", {"x": 0}), ("element_x", [0.0, 0.003, 0.006]),
-        ("channels", 3)])
+        ("channels", 3), ("element_x", [math.nan, 0.003])])
     def test_missing_or_mistyped_key(self, saved, tmp_path, key, value):
         header = _mutated(header_of(saved), key, value)
         raw = reframe(saved, json.dumps(header).encode(), checksum=False)

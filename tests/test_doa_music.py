@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from echodoa.doa_music import (
     DoaEstimate,
     MusicOptions,
     NoiseSubspace,
+    _angle_grid,
     _top_peak,
     covariance,
     estimate_doa_music,
@@ -160,6 +162,22 @@ class TestPseudospectrum:
         sub = noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
         with pytest.raises(InputError, match="grid step"):
             pseudospectrum(sub, HALF_WL, LAM, grid_step_deg=step)
+
+    @pytest.mark.parametrize("step", [0.1, 0.25, 0.5, 1.0, 60.0])
+    def test_steps_dividing_180_end_at_90(self, step):
+        grid = _angle_grid(step)
+        assert grid.tobytes() == (
+            -90.0 + step * np.arange(round(180.0 / step) + 1)).tobytes()
+        assert grid[-1] == 90.0
+
+    @pytest.mark.parametrize("step, last", [
+        (100.0, 10.0), (0.27, -90.0 + 0.27 * 666), (0.7, -90.0 + 0.7 * 257),
+        (200.0, -90.0)])
+    def test_grid_stops_at_the_last_point_below_90(self, step, last):
+        grid = _angle_grid(step)
+        assert grid[0] == -90.0
+        assert grid[-1] == last
+        assert np.diff(grid) == pytest.approx(step)
 
     def test_peak_at_thirty_degrees(self):
         sub = noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
@@ -329,7 +347,7 @@ class TestEstimateDoaMusic:
         silent = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
                                  HALF_WL, CFG)
         silent.data[:] = 0.0
-        noisy = add_awgn(silent, 0.0, seed=7, signal_power=1.0)
+        noisy = add_awgn(replace(silent, signal_power=1.0), 0.0, seed=7)
         base = to_baseband(noisy, CFG)
         est = estimate_doa_music(base, HALF_WL, CFG)
         assert est.status == FALLBACK

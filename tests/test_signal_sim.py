@@ -131,6 +131,12 @@ class TestArrayGeometry:
         with pytest.raises(InputError):
             ArrayGeometry(element_x=xs)
 
+    @pytest.mark.parametrize("xs", [(0.0, math.nan), (math.nan, 0.003),
+                                    (0.0, math.inf), (-math.inf, 0.0)])
+    def test_rejects_positions_that_are_not_finite(self, xs):
+        with pytest.raises(InputError, match="finite"):
+            ArrayGeometry(element_x=xs)
+
 
 class TestSteeringVector:
     def test_broadside_is_all_ones(self):
@@ -342,7 +348,7 @@ class TestAddAwgn:
     def test_variance_matches_request(self, snr_db, variance):
         wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
                                HALF_WL_PAIR, CFG)
-        out = add_awgn(wave, snr_db, seed=11, signal_power=1.0)
+        out = add_awgn(replace(wave, signal_power=1.0), snr_db, seed=11)
         noise = out.data - wave.data
         assert noise.var() == pytest.approx(variance, rel=0.05)
 
@@ -365,14 +371,12 @@ class TestAddAwgn:
         wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
                                HALF_WL_PAIR, CFG)
         with pytest.raises(InputError, match="signal_power"):
-            add_awgn(wave, 0.0, seed=0, signal_power=power)
-        with pytest.raises(InputError, match="signal_power"):
             add_awgn(replace(wave, signal_power=power), 0.0, seed=0)
 
     def test_zero_signal_power_adds_no_noise(self):
         wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
                                HALF_WL_PAIR, CFG)
-        out = add_awgn(wave, 0.0, seed=0, signal_power=0.0)
+        out = add_awgn(replace(wave, signal_power=0.0), 0.0, seed=0)
         assert (out.data == wave.data).all()
 
     def test_deterministic_per_seed(self):
@@ -554,22 +558,19 @@ class TestDetectEchoWindow:
     def test_high_snr_matches_noiseless_window(self):
         clean = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=0.68),
                                 HALF_WL_PAIR, CFG)
-        ref = detect_echo_window(to_baseband(clean, CFG), threshold_factor=5)
+        ref = detect_echo_window(to_baseband(clean, CFG))
         noisy = add_awgn(clean, 20.0, seed=5)
-        win = detect_echo_window(to_baseband(noisy, CFG), threshold_factor=5)
+        win = detect_echo_window(to_baseband(noisy, CFG))
         assert abs(win.start - ref.start) <= 10
         assert abs(win.stop - ref.stop) <= 10
 
     def test_pure_noise_rarely_triggers(self):
         wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
                                HALF_WL_PAIR, CFG)
-        silent = wave.data * 0.0
-        from echodoa.signal_sim import RealWaveform
-        from dataclasses import replace
+        silent = replace(wave, data=wave.data * 0.0, signal_power=1.0)
         misses = 0
         for seed in range(10):
-            noise_only = add_awgn(replace(wave, data=silent), 0.0, seed=seed,
-                                  signal_power=1.0)
+            noise_only = add_awgn(silent, 0.0, seed=seed)
             try:
                 detect_echo_window(to_baseband(noise_only, CFG))
             except EchoNotFoundError:
@@ -583,11 +584,11 @@ class TestDetectEchoWindow:
         window = detect_echo_window(base, min_len=64)
         assert window.stop - window.start >= 64
 
-    def test_rejects_threshold_at_most_one(self):
-        base = ComplexBaseband(data=np.ones((2, 100), dtype=complex),
-                               sample_rate=1e5)
-        with pytest.raises(InputError):
-            detect_echo_window(base, threshold_factor=1.0)
+    def test_threshold_is_not_positional(self):
+        wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
+                               HALF_WL_PAIR, CFG)
+        with pytest.raises(TypeError):
+            detect_echo_window(to_baseband(wave, CFG), 5.0)
 
 
 class TestDeterminism:

@@ -8,7 +8,6 @@ import pytest
 
 from echodoa.datasets import SweepSpec, generate_dataset, split
 from echodoa.errors import (
-    EchoNotFoundError,
     EmptyDatasetError,
     IncompatibleCheckpointError,
     InputError,
@@ -30,17 +29,14 @@ from echodoa.neural import (
     train,
 )
 from echodoa.neural.network import init_params
-from echodoa.neural.training import (
-    CROP_THRESHOLD_FACTOR,
-    GATE_THRESHOLD_FACTOR,
-    _mirror,
-)
+from echodoa.neural.training import GATE_THRESHOLD_FACTOR, _mirror
 from echodoa.datasets import Dataset
 from echodoa.signal_sim import (
+    DETECTION_THRESHOLD,
     ArrayGeometry,
     ComplexBaseband,
     SimConfig,
-    detect_echo_window,
+    _echo_windows,
     wavelength,
 )
 
@@ -218,7 +214,7 @@ class TestTrain:
 
 
 class TestTrainingInputChecks:
-    @pytest.mark.parametrize("name", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("name", ["learning_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3])
     def test_adam_rejects_rate_or_eps_not_positive_and_finite(self, name,
                                                              value):
@@ -268,16 +264,6 @@ class TestPredict:
         for base in (silent, noiseless_32.records[0].baseband):
             with pytest.raises(IncompatibleCheckpointError):
                 predict_doa(checkpoint, base)
-
-    def test_pure_noise_with_strict_gate_falls_back(self):
-        rng = np.random.default_rng(3)
-        noise = rng.normal(size=(2, 600)) + 1j * rng.normal(size=(2, 600))
-        base = ComplexBaseband(data=noise, sample_rate=CFG.effective_rate)
-        params = {k: np.zeros(s) for k, s in TINY.param_shapes().items()}
-        checkpoint = Checkpoint(spec=TINY, params=params)
-        est = predict_doa(checkpoint, base, threshold_factor=5.0)
-        assert est.status == FALLBACK
-        assert est.angle_deg == 0.0
 
     def test_trained_model_recovers_angles(self, noiseless_32):
         config = TrainConfig(epochs=60, batch_size=8, shuffle_seed=0)
@@ -344,9 +330,7 @@ class TestWeightCache:
 def two_pass_predict(checkpoint, base):
     """predict_doa composed of two separate detections: gate, then crop."""
     from echodoa.neural.network import forward
-    try:
-        detect_echo_window(base, GATE_THRESHOLD_FACTOR)
-    except EchoNotFoundError:
+    if not detects(base, GATE_THRESHOLD_FACTOR):
         return 0.0, FALLBACK
     rows = baseband_to_input(base, checkpoint.spec)
     pred = forward(checkpoint.spec, dict(checkpoint.params32), rows[None])
@@ -354,11 +338,7 @@ def two_pass_predict(checkpoint, base):
 
 
 def detects(base, factor):
-    try:
-        detect_echo_window(base, factor)
-    except EchoNotFoundError:
-        return False
-    return True
+    return _echo_windows(base, (factor,)) != [None]
 
 
 class TestOnePassDetection:
@@ -377,8 +357,8 @@ class TestOnePassDetection:
         }
         assert not detects(cases["gated"], GATE_THRESHOLD_FACTOR)
         assert detects(cases["center_cropped"], GATE_THRESHOLD_FACTOR)
-        assert not detects(cases["center_cropped"], CROP_THRESHOLD_FACTOR)
-        assert detects(cases["detected"], CROP_THRESHOLD_FACTOR)
+        assert not detects(cases["center_cropped"], DETECTION_THRESHOLD)
+        assert detects(cases["detected"], DETECTION_THRESHOLD)
         for name, base in cases.items():
             est = predict_doa(checkpoint, base)
             assert (est.angle_deg, est.status) == two_pass_predict(
@@ -399,7 +379,7 @@ class TestOnePassDetection:
                                 params=init_params(TINY, seed=6,
                                                    dtype=np.float64))
         predict_doa(checkpoint, noiseless_32.records[0].baseband)
-        assert calls == [(GATE_THRESHOLD_FACTOR, CROP_THRESHOLD_FACTOR)]
+        assert calls == [(GATE_THRESHOLD_FACTOR, DETECTION_THRESHOLD)]
 
 
 def _rewrite_header(path, edit):

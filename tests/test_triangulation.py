@@ -19,6 +19,7 @@ from echodoa.triangulation import (
     dilution_ellipse,
     fuse_doa_with_ranges,
     intersect_two_circles,
+    triangulate,
 )
 
 
@@ -132,6 +133,23 @@ class TestDilutionEllipse:
                              (0.25, 0.0))
 
 
+class TestTriangulate:
+    def test_forward_intersection_with_its_dilution_ellipse(self):
+        r = math.hypot(0.25, 2.0)
+        m1, m2 = meas(-0.25, 0, r), meas(0.25, 0, r)
+        fix = triangulate(m1, m2)
+        assert fix.source == TRIANGULATION
+        assert (fix.x, fix.y) == intersect_two_circles(m1, m2)[0]
+        assert fix.ellipse == dilution_ellipse(m1, m2, (fix.x, fix.y))
+        assert fuse_doa_with_ranges(DoaEstimate.fallback(), m1, m2) == fix
+
+    def test_raises_as_the_intersection_does(self):
+        with pytest.raises(NoIntersectionError):
+            triangulate(meas(-0.25, 0, 0.1), meas(0.25, 0, 0.1))
+        with pytest.raises(CoincidentSensorsError):
+            triangulate(meas(0.0, 0, 1.0), meas(0.0, 0, 1.0))
+
+
 class TestFuseDoaWithRanges:
     def test_broadside_ray(self):
         est = DoaEstimate(0.0, CONVERGED, (0.0,))
@@ -161,7 +179,9 @@ class TestFuseDoaWithRanges:
 
     def test_ambiguity_without_ranges_picks_smallest_angle(self):
         est = DoaEstimate(-41.81, CONVERGED, (-41.81, 0.0, 41.81))
-        fix = fuse_doa_with_ranges(est, meas(0.0, 0, 2.0))
+        # disjoint circles: no intersection to resolve the set with
+        fix = fuse_doa_with_ranges(est, meas(-0.25, 0, 0.1),
+                                   meas(0.25, 0, 0.1))
         assert fix.x == pytest.approx(0.0, abs=1e-12)
 
     def test_fallback_degrades_to_triangulation(self):
@@ -202,11 +222,6 @@ class TestFuseDoaWithRanges:
                                      meas(-0.3, 0, 2.1))
         assert fix_m.x == pytest.approx(-fix.x, abs=1e-12)
         assert fix_m.y == pytest.approx(fix.y, abs=1e-12)
-
-    def test_requires_a_measurement(self):
-        est = DoaEstimate(0.0, CONVERGED, (0.0,))
-        with pytest.raises(InputError):
-            fuse_doa_with_ranges(est, None, None)
 
     @pytest.mark.parametrize("angle, ambiguity", [
         (math.nan, None), (100.0, None), (-90.5, None),
