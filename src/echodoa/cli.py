@@ -149,8 +149,8 @@ def _cmd_simulate(args) -> int:
         datasets.save_dataset(ds, args.baseband_out)
         outputs["baseband"] = str(args.baseband_out)
     if args.spectrum_out:
-        _, spectrum = music_with_spectrum(
-            base, geometry, config, MusicOptions(grid_step_deg=args.grid_step))
+        _, spectrum = music_with_spectrum(base, geometry, config,
+                                          args.music_options)
         _write_spectrum(spectrum, args.spectrum_out)
         outputs["spectrum"] = str(args.spectrum_out)
     if not outputs:
@@ -220,8 +220,7 @@ def _cmd_train(args) -> int:
 def _estimators(args):
     estimators = []
     if args.music:
-        options = MusicOptions(grid_step_deg=args.grid_step)
-        estimators.append(evaluation.MusicEstimator(options))
+        estimators.append(evaluation.MusicEstimator(args.music_options))
     for path in args.checkpoint or ():
         checkpoint = neural.load_checkpoint(path)
         name = "cnn" if len(args.checkpoint) == 1 else Path(path).stem
@@ -262,8 +261,8 @@ def _cmd_music(args) -> int:
         wave = add_awgn(synthesize_echo(scenario, geometry, config),
                         scenario.snr_db, args.seed)
         base = to_baseband(wave, config)
-    estimate, spectrum = music_with_spectrum(
-        base, geometry, config, MusicOptions(grid_step_deg=args.grid_step))
+    estimate, spectrum = music_with_spectrum(base, geometry, config,
+                                             args.music_options)
     if args.spectrum_out:
         _write_spectrum(spectrum, args.spectrum_out)
     _print_json(_estimate_json(estimate))
@@ -316,8 +315,7 @@ def _cmd_sweep(args) -> int:
     neural.save_checkpoint(checkpoint, checkpoint_path)
     _write_history(history, out_dir / "history.txt")
 
-    estimators = [evaluation.MusicEstimator(
-                      MusicOptions(grid_step_deg=args.grid_step)),
+    estimators = [evaluation.MusicEstimator(args.music_options),
                   evaluation.NeuralEstimator(checkpoint)]
     table = evaluation.evaluate(held_out, estimators,
                                 workers=args.workers)
@@ -495,6 +493,9 @@ def main(argv=None) -> int:
             raise InputError(f"--seed must lie in [0, 2**64), got {args.seed}")
         if args.workers < 1:
             raise InputError(f"--workers must be at least 1, got {args.workers}")
+        if "grid_step" in args:
+            # checked before any subcommand writes a file
+            args.music_options = MusicOptions(grid_step_deg=args.grid_step)
         return args.func(args)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -91,6 +91,9 @@ class DoaEstimate:
 class MusicOptions:
     """The one setting of the MUSIC pipeline: its grid step in degrees.
 
+    The step must be positive, finite and at most 180, so that the grid
+    holds at least two points; any other step raises InputError.
+
     Everything else is fixed: the grid spans [-90, 90], the echo is
     detected at ``DETECTION_THRESHOLD`` and widened to at least 16
     snapshots, a degenerate noise subspace falls back, and the top peak
@@ -98,6 +101,12 @@ class MusicOptions:
     """
 
     grid_step_deg: float = 0.25
+
+    def __post_init__(self):
+        if _grid_steps(self.grid_step_deg) < 1:
+            raise InputError(
+                f"grid step must be at most 180 degrees, so that the grid "
+                f"holds two points, got {self.grid_step_deg}")
 
 
 def covariance(snapshots: np.ndarray) -> np.ndarray:
@@ -152,12 +161,16 @@ def noise_subspace(r: np.ndarray) -> NoiseSubspace:
                          degenerate=gap > _DEGENERATE_GAP)
 
 
-def _angle_grid(step_deg):
+def _grid_steps(step_deg):
+    """Steps of ``step_deg`` from -90 that stay within 90."""
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise InputError("grid step must be positive and finite")
-    # up to 90 at most; the 1e-9 keeps 90 when the quotient rounds low
-    count = math.floor(180.0 / step_deg + 1e-9)
-    return -90.0 + step_deg * np.arange(count + 1)
+    # the 1e-9 keeps 90 when the quotient rounds low
+    return math.floor(180.0 / step_deg + 1e-9)
+
+
+def _angle_grid(step_deg):
+    return -90.0 + step_deg * np.arange(_grid_steps(step_deg) + 1)
 
 
 @lru_cache(maxsize=16)

@@ -37,13 +37,15 @@ def grad_check(spec: NetworkSpec | None = None, seed: int = 0,
     Probes at least ``samples`` parameters spread over every tensor (so
     each layer is covered), in double precision. Gradients below 1e-8
     in both forms are skipped, as the relative error is meaningless
-    there. A ``tolerance`` that is not positive and finite raises
-    InputError.
+    there. A ``tolerance`` that is not positive and finite, or
+    ``samples`` below 1, raises InputError.
     """
     if not 1e-6 <= eps <= 1e-4:
         raise InputError("eps must lie in [1e-6, 1e-4]")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise InputError("tolerance must be positive and finite")
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     if spec is None:
         spec = REDUCED_SPEC
     rng = np.random.default_rng(seed)

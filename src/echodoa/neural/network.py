@@ -35,7 +35,9 @@ from the shape alone:
   the default spec once rows times batch reaches 32: stage 2 from
   batch 16, stages 3-5 from batch 32, so every stage but the first of
   a 64-record training batch. It does about 7x fewer multiply-adds.
-  Its output is a strided view into the ``irfft`` result, not a copy.
+  The ``rfft`` runs ``_RFFT_CHUNK`` (4) records per call into one
+  preallocated spectrum, so only a chunk is ever zero-padded; the
+  output is a strided view into the ``irfft`` result, not a copy.
 
 The folded and spectral forms are float reordering only. In float64
 each agrees with im2col to about 1e-14 relative. In float32 all three
@@ -57,12 +59,38 @@ the input spectrum, about 14x smaller; for a folded stage the input
 itself, 16x smaller than its columns, which each chunk rebuilds), the
 int8 window index of each pooled maximum, and a bool mask of the
 positive pooled outputs (one byte per pooling window, in place of the
-full-size ReLU output). The convolution output itself is freed once
-pooled. The reverse pass takes each stage's cache out as it reaches
-that stage and frees it as soon as the gradients exist; an im2col
-stage builds its input-gradient columns into its spent forward column
-buffer rather than a second one, and a spectral stage drops its input
-spectrum and routed gradient before it builds its input gradient.
+full-size ReLU output).
+
+A spectral stage frees each full-size array as soon as it is spent,
+so it holds about three at once. At stage 2 of a batch-64 step
+(float32) the input, the routed gradient and the ``irfft`` result are
+8.4-9.4 MB, each spectrum 9.5 MB, and one row band's product and its
+tap spectrum 4.7 MB each:
+
+- forward: the stage input is freed once its spectrum exists. While
+  the output spectrum is built, the two spectra and one band's product
+  with its tap spectrum are alive; then the two spectra and the
+  ``irfft`` result, which bias, ReLU and pooling read. Training keeps
+  the input spectrum; ``forward`` and the held-out loss run the same
+  code and drop it with the stage.
+- backward: the pooled gradient is freed once routed, the routed
+  gradient once its spectrum exists, each row band's cross product
+  before the next band starts (it is widened to complex128
+  ``_LAG_COLUMNS`` (256) columns at a time for the lag transform), the
+  input spectrum once the weight gradient exists, and the gradient
+  spectrum once the input gradient's spectrum does, before its inverse
+  transform. The peak comes while the input gradient's spectrum is
+  built: the two gradient spectra and one band's product with its tap
+  spectrum. Just before, the routed gradient, its spectrum and the
+  saved input spectrum are alive.
+
+The convolution output of every form is freed once pooled, and the
+reverse pass takes each stage's cache out as it reaches that stage. An
+im2col stage builds its input-gradient columns into its spent forward
+column buffer rather than a second one. The stage functions free their
+inputs only when the caller passes its last reference, and CPython
+before 3.11 keeps call arguments on the caller's stack until the call
+returns.
 """
 
 from __future__ import annotations
@@ -300,6 +328,16 @@ def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx):
     return dw, db, None
 
 
+# Records per ``rfft`` call of a spectral stage (``_rfft_records``), and
+# columns of a row band's cross product widened to complex128 at a time
+# for the lag transform of the weight gradient. Default stage 2 at batch
+# 64, forward plus gradients, medians of 9: chunks of 2-8 records took
+# 127-148 ms against 152-168 ms for one whole-batch call; blocks of 128
+# to 4096 columns stayed within the host's noise.
+_RFFT_CHUNK = 4
+_LAG_COLUMNS = 256
+
+
 def _spectral_size(t_dim, kt):
     """FFT length that holds a full linear convolution along time."""
     return scipy.fft.next_fast_len(t_dim + kt - 1, real=True)
@@ -323,23 +361,37 @@ def _tap_spectrum(w_row, n, ctype):
     return (dft @ taps).reshape(-1, c_in, f_out)
 
 
-def _spectral_apply(xf, w, pad_r, pad_t, t_dim):
-    """Same-size convolution of the input whose spectrum is ``xf``.
+def _rfft_records(x, n):
+    """``rfft(x, n=n, axis=2)`` of an (R, B, T, C) array, in chunks.
+
+    The spectrum is allocated once and filled ``_RFFT_CHUNK`` records
+    per call, so each call zero-pads only its own records to ``n``
+    points and no whole-batch padded copy exists. Every line is
+    transformed on its own, so the bytes equal one whole-batch call's.
+    """
+    r_dim, b_dim, _, c_dim = x.shape
+    xf = np.empty((r_dim, b_dim, n // 2 + 1, c_dim),
+                  dtype=np.result_type(x.dtype, np.complex64))
+    for lo in range(0, b_dim, _RFFT_CHUNK):
+        part = np.s_[:, lo:lo + _RFFT_CHUNK]
+        xf[part] = scipy.fft.rfft(x[part], n=n, axis=2)
+    return xf
+
+
+def _spectral_product(xf, w, pad_r, n):
+    """Output spectrum of the convolution of the input with spectrum ``xf``.
 
     ``xf`` is (R, B, Nf, C), the ``rfft`` along time at an ``n`` that
     holds the full linear convolution, so nothing wraps around. The
-    time-reversed kernel turns the correlation into a convolution whose
-    same-size part starts at ``kt - 1 - pad_t[0]``.
+    time-reversed kernel turns the correlation into a convolution.
 
     Kernel row ``pad_r[0]`` reads every input row into every output row,
     so its product is written into the output spectrum and the other
     rows' products are added to it; with ``kr`` below 5 that sums the
-    products in the order of a zero-filled accumulator. The result is a
-    strided view into the ``irfft`` output, not a copy.
+    products in the order of a zero-filled accumulator.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, nf, _ = xf.shape
-    n = _spectral_size(t_dim, kt)
     yf = np.empty((r_dim, b_dim, nf, f_out), dtype=xf.dtype)
     # (Nf, R * B, maps) views: one GEMM per frequency and row offset
     xv = xf.reshape(r_dim * b_dim, nf, c_in).transpose(1, 0, 2)
@@ -352,6 +404,15 @@ def _spectral_apply(xf, w, pad_r, pad_t, t_dim):
         yv[:, r_lo * b_dim:r_hi * b_dim] += \
             xv[:, i_lo * b_dim:(i_lo + rows) * b_dim] \
             @ _tap_spectrum(w[dr], n, xf.dtype)
+    return yf
+
+
+def _spectral_output(yf, n, kt, pad_t, t_dim):
+    """Same-size part of the convolution whose spectrum is ``yf``.
+
+    It starts at ``kt - 1 - pad_t[0]`` of the full linear convolution.
+    The result is a strided view into the ``irfft`` output, not a copy.
+    """
     lo = kt - 1 - pad_t[0]
     return scipy.fft.irfft(yf, n=n, axis=2)[:, :, lo:lo + t_dim]
 
@@ -360,27 +421,37 @@ def _conv_spectral(x, w, pad_r, pad_t):
     """Spectral form of ``_conv_same``; returns output and input spectrum.
 
     The training pass keeps the spectrum, (R, B, Nf, C) complex, for the
-    weight gradient.
+    weight gradient. ``x`` is dropped once its spectrum exists; a caller
+    that passes its last reference frees the input then.
     """
-    xf = scipy.fft.rfft(x, n=_spectral_size(x.shape[2], w.shape[1]), axis=2)
-    return _spectral_apply(xf, w, pad_r, pad_t, x.shape[2]), xf
+    t_dim, kt = x.shape[2], w.shape[1]
+    n = _spectral_size(t_dim, kt)
+    xf = _rfft_records(x, n)
+    del x
+    y = _spectral_output(_spectral_product(xf, w, pad_r, n), n, kt, pad_t,
+                         t_dim)
+    return y, xf
 
 
 def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
     """Gradients of ``_conv_spectral``; ``xf`` is its input spectrum.
 
-    The input gradient is ``_spectral_apply`` of ``dy``'s spectrum with
-    the kernel flipped in space and its channel axes swapped. The weight
-    gradient at tap ``dt`` is the circular cross-correlation of input
-    and output gradient at lag ``dt - pad_t[0]``: per frequency the
-    (C, F) product ``X^T conj(DY)``, summed over rows and batch, then
+    The input gradient is the spectral convolution of ``dy``'s spectrum
+    with the kernel flipped in space and its channel axes swapped. The
+    weight gradient at tap ``dt`` is the circular cross-correlation of
+    input and output gradient at lag ``dt - pad_t[0]``: per frequency
+    the (C, F) product ``X^T conj(DY)``, summed over rows and batch, then
     an inverse real DFT evaluated at those ``kt`` lags only. That last
     sum runs over every frequency, so it runs in double precision: in
     single precision its rounding alone matched im2col's whole error.
 
-    ``dy`` is dropped once its spectrum exists, and ``xf`` once the
-    weight gradient does, before the input gradient is built; a caller
-    that passes its last references to them frees both then.
+    Each full-size array is dropped as soon as it is spent: ``dy`` once
+    its spectrum exists, each row band's cross product before the next
+    band starts (it is widened to complex128 ``_LAG_COLUMNS`` columns at
+    a time), ``xf`` once the weight gradient exists, and ``dy``'s
+    spectrum once the input gradient's spectrum does, before its inverse
+    transform. A caller that passes its last references to ``dy`` and
+    ``xf`` frees both then.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = dy.shape
@@ -388,7 +459,7 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
     nf = xf.shape[2]
     dw = np.zeros(w.shape, dtype=dy.dtype)
     db = dy.sum(axis=(0, 1, 2))
-    dyf = scipy.fft.rfft(dy, n=n, axis=2)
+    dyf = _rfft_records(dy, n)
     del dy
     # irfft weights: every bin but DC and Nyquist stands for two
     k = np.arange(nf)
@@ -401,16 +472,20 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
         rows = r_hi - r_lo
         cross = (xv[:, :, i_lo * b_dim:(i_lo + rows) * b_dim]
                  @ gv[:, r_lo * b_dim:r_hi * b_dim])          # (Nf, C, F)
-        cross = cross.reshape(nf, c_in * f_out).astype(np.complex128)
-        dw[dr] = (lags @ cross).real.reshape(kt, c_in, f_out)
-    del xf, xv, cross
+        cross = cross.reshape(nf, c_in * f_out)
+        dw_row = dw[dr].reshape(kt, c_in * f_out)
+        for lo in range(0, c_in * f_out, _LAG_COLUMNS):
+            part = np.s_[:, lo:lo + _LAG_COLUMNS]
+            dw_row[part] = (lags @ cross[part].astype(np.complex128)).real
+        del cross
+    del xf, xv
     if not need_dx:
         return dw, db, None
     np.conjugate(dyf, out=dyf)                     # back to dy's spectrum
     wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
-    dx = _spectral_apply(dyf, wflip, (pad_r[1], pad_r[0]),
-                         (pad_t[1], pad_t[0]), t_dim)
-    return dw, db, dx
+    dxf = _spectral_product(dyf, wflip, (pad_r[1], pad_r[0]), n)
+    del dyf, gv
+    return dw, db, _spectral_output(dxf, n, kt, (pad_t[1], pad_t[0]), t_dim)
 
 
 _FORMS = {"im2col": (_conv_same, _conv_same_grads),
@@ -600,7 +675,12 @@ def _forward_impl(spec, params, x, keep):
             saved = act
             act, arg = _folded_stage(act, w, b, pad_r, pad_t, pr, pt, keep)
         else:
-            conv, saved = _FORMS[form][0](act, w, pad_r, pad_t)
+            # the input goes in without a caller name, so a spectral
+            # stage frees it once its spectrum exists (CPython 3.11 on;
+            # older ones hold call arguments until the return)
+            held = [act]
+            del act
+            conv, saved = _FORMS[form][0](held.pop(), w, pad_r, pad_t)
             act, arg = _bias_relu_pool(conv, b, pr, pt, keep)
             del conv
         if keep:
@@ -692,13 +772,16 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
                                          pr, pt)
             dact = None
         else:
-            # the routed gradient and the saved input go in without a
-            # name here, so the form can free them part way (CPython
-            # 3.11 on; older ones hold call arguments until the return)
+            # the pooled gradient is dropped once routed, and the routed
+            # gradient and the saved input go in without a caller name,
+            # so the form can free them part way (CPython 3.11 on; older
+            # ones hold call arguments until the return)
+            held = [_maxpool_grad(dact, stage.pop("arg"),
+                                  stage["pre_pool_shape"], pr, pt)]
+            del dact
             dw, db, dact = _FORMS[stage["form"]][1](
-                _maxpool_grad(dact, stage.pop("arg"),
-                              stage["pre_pool_shape"], pr, pt),
-                w, stage.pop("saved"), pad_r, pad_t, need_dx=s > 1)
+                held.pop(), w, stage.pop("saved"), pad_r, pad_t,
+                need_dx=s > 1)
         grads[f"conv{s}_w"] = dw
         grads[f"conv{s}_b"] = db
     return loss, grads

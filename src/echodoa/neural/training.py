@@ -174,7 +174,10 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
 
     Deterministic for a fixed seed in single-threaded mode: the split
     (``training_split``), initialization, and per-epoch shuffles all
-    derive from ``seed`` and the config's shuffle seed.
+    derive from ``seed`` and the config's shuffle seed. When no epoch's
+    held-out loss improves on infinity (it is NaN throughout), the
+    checkpoint holds the initial weights, ``best_epoch`` 0; they are
+    drawn again at the end rather than copied at the start.
     """
     train_ds, val_ds = training_split(dataset, train_config)
     x_train, y_train = prepare_inputs(train_ds.records, spec)
@@ -189,7 +192,7 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
     rng = np.random.default_rng(seed)
     history = []
     best_val = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = None
     best_epoch = 0
     since_best = 0
     n = len(y_train)
@@ -220,6 +223,9 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
                     and since_best > train_config.patience):
                 break
 
+    if best_params is None:
+        # no epoch improved on the start: its weights, drawn again
+        best_params = init_params(spec, seed, dtype=np.float32)
     checkpoint = Checkpoint(
         spec=spec,
         params=best_params,

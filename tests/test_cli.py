@@ -87,6 +87,15 @@ class TestMusicCommand:
                   for ln in spectrum.read_text().splitlines()[1:]]
         assert angles == [-90.0, 10.0]
 
+    def test_grid_of_180_holds_both_ends(self, tmp_path, capsys):
+        spectrum = tmp_path / "spectrum.txt"
+        code, _, _ = run(capsys, "music", "--grid-step", "180",
+                         "--spectrum-out", str(spectrum))
+        assert code == 0
+        angles = [float(ln.split()[0])
+                  for ln in spectrum.read_text().splitlines()[1:]]
+        assert angles == [-90.0, 90.0]
+
     def test_dataset_record_input(self, tmp_path, capsys):
         ds_path = tmp_path / "tiny.edds"
         code, _, _ = run(capsys, "dataset", "--angles", "10",
@@ -498,7 +507,8 @@ class TestGradcheckCommand:
     @pytest.mark.parametrize("argv, field", [
         (("--seeds", "0"), "--seeds"), (("--seeds=-2",), "--seeds"),
         (("--tolerance=-1",), "tolerance"), (("--tolerance", "nan"),
-                                             "tolerance")])
+                                             "tolerance"),
+        (("--samples=-5",), "samples"), (("--samples", "0"), "samples")])
     def test_vacuous_or_malformed_check_is_input_error(self, argv, field,
                                                        capsys):
         code, out, err = run(capsys, "gradcheck", *argv)
@@ -620,6 +630,34 @@ class TestNonFiniteInputs:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: InputError: {field} ")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestGridStep:
+    @pytest.mark.parametrize("argv", [
+        ("music", "--spectrum-out", "s.txt"),
+        ("simulate", "--doa", "30", "--range", "1", "--out", "c.edcf",
+         "--baseband-out", "b.edds", "--spectrum-out", "s.txt"),
+        ("eval", "--dataset", "d.edds", "--music", "--out", "m.csv"),
+        ("sweep", "--angles=0,10", "--snrs=20", "--records-per-cell", "2",
+         "--epochs", "1", "--out-dir", "run")])
+    @pytest.mark.parametrize("step", ["200", "180.5", "1e300"])
+    def test_fewer_than_two_points_is_input_error(self, argv, step,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        # a step above 180 leaves the grid one point: MUSIC could never
+        # converge on it
+        monkeypatch.chdir(tmp_path)
+        if "eval" in argv:
+            assert run(capsys, "dataset", "--angles=0", "--snrs=20",
+                       "--records-per-cell", "1", "--out", "d.edds")[0] == 0
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, *argv, "--grid-step", step)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: InputError: grid step ")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 DATASET = ("dataset", "--records-per-cell", "1", "--out", "d.edds")

@@ -164,6 +164,25 @@ class TestTrain:
         assert checkpoint.metadata["best_val_loss"] == pytest.approx(
             best.val_loss)
 
+    def test_no_improving_epoch_returns_the_initial_weights(
+            self, noiseless_32, monkeypatch):
+        # a NaN held-out loss never beats infinity, so no epoch is kept
+        from echodoa.neural import training
+        monkeypatch.setattr(training, "_val_loss",
+                            lambda *args: math.nan)
+        config = TrainConfig(epochs=2, batch_size=8, shuffle_seed=0)
+        checkpoint, history = train(noiseless_32, TINY, config,
+                                    AdamHyper(), seed=5)
+        assert len(history) == 2
+        assert checkpoint.metadata["best_epoch"] == 0
+        assert checkpoint.metadata["best_val_loss"] == math.inf
+        want = init_params(TINY, 5, dtype=np.float32)
+        assert checkpoint.params.keys() == want.keys()
+        for name, value in want.items():
+            assert checkpoint.params32[name].tobytes() == value.tobytes()
+            assert checkpoint.params[name].tobytes() == value.astype(
+                np.float64).tobytes(), name
+
     def test_shuffled_labels_do_not_generalize(self):
         ds = tiny_dataset(angles=(-40.0, 0.0, 40.0), records_per_cell=10)
         rng = np.random.default_rng(0)
