@@ -92,7 +92,9 @@ class MusicOptions:
     """The one setting of the MUSIC pipeline: its grid step in degrees.
 
     The step must be positive, finite and at most 180, so that the grid
-    holds at least two points; any other step raises InputError.
+    holds at least two points, and must leave at most
+    ``_MAX_GRID_POINTS`` points, as any step of 0.001 degree or more
+    does; any other step raises InputError.
 
     Everything else is fixed: the grid spans [-90, 90], the echo is
     detected at ``DETECTION_THRESHOLD`` and widened to at least 16
@@ -161,12 +163,27 @@ def noise_subspace(r: np.ndarray) -> NoiseSubspace:
                          degenerate=gap > _DEGENERATE_GAP)
 
 
+# the most points a grid may hold (steps of 0.001 degree and up): a
+# smaller step would ask for a steering matrix of gigabytes, or more
+# points than NumPy can index
+_MAX_GRID_POINTS = 180_001
+
+
 def _grid_steps(step_deg):
-    """Steps of ``step_deg`` from -90 that stay within 90."""
+    """Steps of ``step_deg`` from -90 that stay within 90.
+
+    A step that is not positive and finite, or that would leave more
+    than ``_MAX_GRID_POINTS`` points, raises InputError.
+    """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise InputError("grid step must be positive and finite")
     # the 1e-9 keeps 90 when the quotient rounds low
-    return math.floor(180.0 / step_deg + 1e-9)
+    steps = 180.0 / step_deg + 1e-9
+    if steps >= _MAX_GRID_POINTS:
+        raise InputError(
+            f"grid step must leave at most {_MAX_GRID_POINTS} grid points "
+            f"(0.001 degree or more), got {step_deg}")
+    return math.floor(steps)
 
 
 def _angle_grid(step_deg):

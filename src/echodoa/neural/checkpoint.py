@@ -4,7 +4,9 @@ An ``EDCK`` file is a container (framing and SHA-256 trailer in
 ``container.py``) whose JSON header holds the architecture, the
 normalization rule, training metadata and the parameter manifest, and
 whose payload is the weight arrays as little-endian 64-bit floats in
-declaration order.
+declaration order. The header carries all seven spec keys and the
+normalization rule by name, though only three spec keys vary; a file
+whose fixed keys or rule differ from the network's does not load.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,8 +26,8 @@ from .network import NetworkSpec
 MAGIC = b"EDCK"
 VERSION = 1
 
-# Per-record input scaling applied before the forward pass.
-NORMALIZATION_RMS_WINDOW = "rms_window_v1"
+# spec keys every header carries at the one value the network has
+_FIXED_SPEC_KEYS = ("input_rows", "conv_stages", "kernel_rows", "kernel_time")
 
 
 @dataclass(frozen=True)
@@ -38,9 +41,11 @@ class Checkpoint:
     it cannot go stale.
     """
 
+    # the per-record input scaling of ``baseband_to_input``
+    normalization: ClassVar[str] = "rms_window_v1"
+
     spec: NetworkSpec
     params: Mapping                   # name -> read-only float64 ndarray
-    normalization: str = NORMALIZATION_RMS_WINDOW
     metadata: dict = field(default_factory=dict)
     params32: Mapping = field(init=False, repr=False, compare=False)
 
@@ -64,8 +69,7 @@ class Checkpoint:
 
     def __reduce__(self):
         # pickle the float64 weights only; unpickling re-derives the rest
-        return (Checkpoint, (self.spec, dict(self.params),
-                             self.normalization, self.metadata))
+        return (Checkpoint, (self.spec, dict(self.params), self.metadata))
 
 
 def _read_only(array):
@@ -76,7 +80,8 @@ def _read_only(array):
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     spec = checkpoint.spec
     header = {
-        "spec": asdict(spec),
+        "spec": {**{k: getattr(spec, k) for k in _FIXED_SPEC_KEYS},
+                 **asdict(spec)},
         "normalization": checkpoint.normalization,
         "metadata": checkpoint.metadata,
         "params": [{"name": n, "shape": list(s)}
@@ -93,7 +98,7 @@ def load_checkpoint(path) -> Checkpoint:
     A defect in the framing, the checksum, the header or the payload
     raises ``FileFormatError`` (or a subclass of it).
     """
-    (spec, normalization, metadata, layout), payload = container.read(
+    (spec, metadata, layout), payload = container.read(
         path, MAGIC, VERSION, _checkpoint_header)
     if len(payload) != layout.itemsize:
         raise FileFormatError(f"{path}: {len(payload)} bytes of weights, "
@@ -101,16 +106,19 @@ def load_checkpoint(path) -> Checkpoint:
     weights = np.frombuffer(payload, dtype=layout)[0]
     return Checkpoint(spec=spec,
                       params={name: weights[name] for name in layout.names},
-                      normalization=normalization, metadata=metadata)
+                      metadata=metadata)
 
 
 def _checkpoint_header(header):
-    """Spec, normalization, metadata and payload layout of a header.
+    """Spec, metadata and payload layout of a header.
 
     Raises KeyError, TypeError or ValueError (the spec's own InputError
-    included) on anything that ``save_checkpoint`` would not write.
+    included) on anything that ``save_checkpoint`` would not write: a
+    fixed spec key or a normalization rule other than the network's
+    included.
     """
-    names = [f.name for f in fields(NetworkSpec)]
+    varying = [f.name for f in fields(NetworkSpec)]
+    names = [*_FIXED_SPEC_KEYS, *varying]
     spec_dict = header["spec"]
     if not isinstance(spec_dict, dict) or sorted(spec_dict) != sorted(names):
         raise ValueError(f"spec must have exactly the keys {names}")
@@ -119,19 +127,25 @@ def _checkpoint_header(header):
     if not isinstance(widths, list) or any(
             type(v) is not int for v in sizes + widths):
         raise TypeError("spec values must be integers")
-    spec = NetworkSpec(**{**spec_dict, "dense_widths": tuple(widths)})
+    for key in _FIXED_SPEC_KEYS:
+        if spec_dict[key] != getattr(NetworkSpec, key):
+            raise ValueError(f"spec {key} must be {getattr(NetworkSpec, key)}, "
+                             f"got {spec_dict[key]}")
+    spec = NetworkSpec(**{**{n: spec_dict[n] for n in varying},
+                          "dense_widths": tuple(widths)})
     manifest = [(entry["name"], entry["shape"]) for entry in header["params"]]
     if manifest != [(n, list(s)) for n, s in spec.param_shapes().items()]:
         raise ValueError("parameter manifest does not match the spec")
-    normalization, metadata = header["normalization"], header["metadata"]
-    if not isinstance(normalization, str) or not isinstance(metadata, dict):
-        raise TypeError("normalization must be a string and metadata an "
-                        "object")
+    if header["normalization"] != Checkpoint.normalization:
+        raise ValueError(f"normalization must be {Checkpoint.normalization!r}")
+    metadata = header["metadata"]
+    if not isinstance(metadata, dict):
+        raise TypeError("metadata must be an object")
     # the payload: every parameter as float64, in declaration order; a
     # spec too large for a NumPy dtype raises ValueError here
     layout = np.dtype([(name, "<f8", shape)
                        for name, shape in spec.param_shapes().items()])
-    return spec, normalization, metadata, layout
+    return spec, metadata, layout
 
 
 def export_weights_text(checkpoint: Checkpoint, path) -> None:

@@ -96,6 +96,7 @@ returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.fft
@@ -108,54 +109,41 @@ from ..errors import InputError, ShapeMismatchError
 class NetworkSpec:
     """Architecture of the DoA regression network.
 
-    The pooling schedule is derived: every stage halves time; the row
-    axis is halved while it still has more than one row (two 2x2 pools
-    followed by 1x2 pools for the default four-row input).
+    The layout is fixed: four input rows (the pair's re and im rows),
+    five conv stages of 4x16 kernels, each pooling time by 2 and rows by
+    2 until the four rows are one. The input length, the map count and
+    the two dense widths are the settings; the input length must be a
+    multiple of 32, so that every pool divides it.
     """
 
-    input_rows: int = 4
+    input_rows: ClassVar[int] = 4
+    conv_stages: ClassVar[int] = 5
+    kernel_rows: ClassVar[int] = 4
+    kernel_time: ClassVar[int] = 16
+
     input_time: int = 512
-    conv_stages: int = 5
     feature_maps: int = 64
-    kernel_rows: int = 4
-    kernel_time: int = 16
     dense_widths: tuple = (128, 32)
 
     def __post_init__(self):
-        for name in ("input_rows", "input_time", "conv_stages",
-                     "feature_maps", "kernel_rows", "kernel_time"):
+        for name in ("input_time", "feature_maps"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")
         if len(self.dense_widths) != 2 or any(w < 1 for w in self.dense_widths):
             raise InputError("dense_widths must be two positive integers")
-        rows, time = self.input_rows, self.input_time
-        for pr, pt in self.pool_schedule():
-            if rows % pr or time % pt:
-                raise ShapeMismatchError(
-                    f"pool {pr}x{pt} does not divide activation {rows}x{time}")
-            rows //= pr
-            time //= pt
-        if rows != 1:
+        if self.input_time % 2 ** self.conv_stages:
             raise ShapeMismatchError(
-                f"row axis must reduce to 1 after pooling, got {rows}")
+                f"input_time must be a multiple of {2 ** self.conv_stages}, "
+                f"got {self.input_time}")
         object.__setattr__(self, "dense_widths", tuple(self.dense_widths))
 
     def pool_schedule(self) -> list:
         """(row, time) pool factors per stage."""
-        schedule = []
-        rows = self.input_rows
-        for _ in range(self.conv_stages):
-            pr = 2 if rows >= 2 else 1
-            schedule.append((pr, 2))
-            rows //= pr
-        return schedule
+        return [(2, 2), (2, 2), (1, 2), (1, 2), (1, 2)]
 
     @property
     def flattened_size(self) -> int:
-        time = self.input_time
-        for _, pt in self.pool_schedule():
-            time //= pt
-        return self.feature_maps * time
+        return self.feature_maps * (self.input_time // 2 ** self.conv_stages)
 
     def param_shapes(self) -> dict:
         """Parameter names and shapes in declaration order."""

@@ -29,7 +29,7 @@ from ..signal_sim import (
     detect_echo_window,
 )
 from .adam import AdamHyper, AdamState, adam_step
-from .checkpoint import NORMALIZATION_RMS_WINDOW, Checkpoint
+from .checkpoint import Checkpoint
 from .network import NetworkSpec, backward, init_params, _forward_impl
 
 ANGLE_SCALE_DEG = 90.0
@@ -67,11 +67,11 @@ class EpochStats:
 GATE_THRESHOLD_FACTOR = 1.5
 
 
-def _check_rows(base: ComplexBaseband, spec: NetworkSpec) -> None:
-    if base.channels * 2 != spec.input_rows:
+def _check_rows(base: ComplexBaseband) -> None:
+    if base.channels * 2 != NetworkSpec.input_rows:
         raise IncompatibleCheckpointError(
             f"{base.channels}-channel record feeds {base.channels * 2} rows, "
-            f"network expects {spec.input_rows}")
+            f"network expects {NetworkSpec.input_rows}")
 
 
 def _center_window(base: ComplexBaseband, spec: NetworkSpec) -> EchoWindow:
@@ -98,7 +98,7 @@ def baseband_to_input(base: ComplexBaseband, spec: NetworkSpec,
     interleaves channels as (re, im) row pairs, and divides by the RMS
     magnitude over the window.
     """
-    _check_rows(base, spec)
+    _check_rows(base)
     if window is None:
         window = _crop_window(base, spec)
     n = base.samples_per_channel
@@ -229,7 +229,6 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
     checkpoint = Checkpoint(
         spec=spec,
         params=best_params,
-        normalization=NORMALIZATION_RMS_WINDOW,
         metadata={
             "seed": seed,
             "best_epoch": best_epoch,
@@ -252,14 +251,11 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband) -> DoaEstimate:
     signal-free records are gated out. One detection pass over the
     record yields both the gate and the crop window of
     ``baseband_to_input``. The forward pass runs in float32 on the
-    checkpoint's cached ``params32``. A record whose channel count does
-    not match the checkpoint's input rows raises before the gate, so
-    even a signal-free record cannot pass for a fallback.
+    checkpoint's cached ``params32``. A record that is not a pair (two
+    channels for the network's four input rows) raises before the gate,
+    so even a signal-free record cannot pass for a fallback.
     """
-    _check_rows(base, checkpoint.spec)
-    if checkpoint.normalization != NORMALIZATION_RMS_WINDOW:
-        raise IncompatibleCheckpointError(
-            f"unknown normalization rule {checkpoint.normalization!r}")
+    _check_rows(base)
     gate, crop = _echo_windows(base, (GATE_THRESHOLD_FACTOR, DETECTION_THRESHOLD))
     if gate is None:
         return DoaEstimate.fallback()

@@ -632,20 +632,37 @@ class TestNonFiniteInputs:
         assert list(tmp_path.iterdir()) == []
 
 
+GRID_STEP_COMMANDS = [
+    ("music", "--spectrum-out", "s.txt"),
+    ("simulate", "--doa", "30", "--range", "1", "--out", "c.edcf",
+     "--baseband-out", "b.edds", "--spectrum-out", "s.txt"),
+    ("eval", "--dataset", "d.edds", "--music", "--out", "m.csv"),
+    ("sweep", "--angles=0,10", "--snrs=20", "--records-per-cell", "2",
+     "--epochs", "1", "--out-dir", "run")]
+
+
 class TestGridStep:
-    @pytest.mark.parametrize("argv", [
-        ("music", "--spectrum-out", "s.txt"),
-        ("simulate", "--doa", "30", "--range", "1", "--out", "c.edcf",
-         "--baseband-out", "b.edds", "--spectrum-out", "s.txt"),
-        ("eval", "--dataset", "d.edds", "--music", "--out", "m.csv"),
-        ("sweep", "--angles=0,10", "--snrs=20", "--records-per-cell", "2",
-         "--epochs", "1", "--out-dir", "run")])
+    @pytest.mark.parametrize("argv", GRID_STEP_COMMANDS)
     @pytest.mark.parametrize("step", ["200", "180.5", "1e300"])
     def test_fewer_than_two_points_is_input_error(self, argv, step,
                                                   tmp_path, capsys,
                                                   monkeypatch):
         # a step above 180 leaves the grid one point: MUSIC could never
         # converge on it
+        self.check_rejected(argv, step, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("argv", GRID_STEP_COMMANDS)
+    @pytest.mark.parametrize("step", ["0.000999", "1e-6", "1e-300",
+                                      "5e-324"])
+    def test_more_than_the_point_cap_is_input_error(self, argv, step,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        # 1e-6 would ask for 1.8e8 points, 1e-300 for more than NumPy can
+        # index and 5e-324 for an infinite count
+        self.check_rejected(argv, step, tmp_path, capsys, monkeypatch)
+
+    @staticmethod
+    def check_rejected(argv, step, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         if "eval" in argv:
             assert run(capsys, "dataset", "--angles=0", "--snrs=20",

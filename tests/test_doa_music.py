@@ -12,7 +12,9 @@ from echodoa.doa_music import (
     DoaEstimate,
     MusicOptions,
     NoiseSubspace,
+    _MAX_GRID_POINTS,
     _angle_grid,
+    _grid_steps,
     _top_peak,
     covariance,
     estimate_doa_music,
@@ -162,6 +164,31 @@ class TestPseudospectrum:
         sub = noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
         with pytest.raises(InputError, match="grid step"):
             pseudospectrum(sub, HALF_WL, LAM, grid_step_deg=step)
+
+    @pytest.mark.parametrize("step", [0.000999, 180.0 / 180_001, 1e-6,
+                                      1e-300, 5e-324])
+    def test_rejects_more_points_than_the_cap_unallocated(self, step):
+        import tracemalloc
+
+        sub = noise_subspace(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
+        tracemalloc.start()
+        try:
+            for make in (lambda: MusicOptions(grid_step_deg=step),
+                         lambda: pseudospectrum(sub, HALF_WL, LAM,
+                                                grid_step_deg=step)):
+                with pytest.raises(InputError, match="grid step"):
+                    make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_point_cap_holds_a_step_of_a_thousandth(self):
+        assert _MAX_GRID_POINTS == 180_001
+        assert _grid_steps(0.001) == 180_000
+        # one point short of the cap: still accepted
+        assert _grid_steps(180.0 / 180_000.5) == 180_000
+        assert MusicOptions(grid_step_deg=0.001).grid_step_deg == 0.001
 
     @pytest.mark.parametrize("step", [0.1, 0.25, 0.5, 1.0, 60.0])
     def test_steps_dividing_180_end_at_90(self, step):

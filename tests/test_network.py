@@ -27,10 +27,14 @@ def small_setup(seed=0, batch=3, dtype=np.float64):
 
 class TestNetworkSpec:
     def test_default_shape_algebra(self):
-        spec = NetworkSpec()
-        assert spec.flattened_size == 64 * 16 == 1024
-        assert spec.pool_schedule() == [(2, 2), (2, 2), (1, 2), (1, 2),
-                                        (1, 2)]
+        # the values benchmarks/layers.py reads to count backward FLOPs
+        for spec, flattened in ((NetworkSpec(), 64 * 16),
+                                (REDUCED_SPEC, 4 * 2)):
+            assert (spec.input_rows, spec.conv_stages) == (4, 5)
+            assert (spec.kernel_rows, spec.kernel_time) == (4, 16)
+            assert spec.pool_schedule() == [(2, 2), (2, 2), (1, 2), (1, 2),
+                                            (1, 2)]
+            assert spec.flattened_size == flattened
 
     def test_parameter_count_of_default(self):
         spec = NetworkSpec()
@@ -45,8 +49,11 @@ class TestNetworkSpec:
             NetworkSpec(input_time=100)
 
     def test_rejects_rows_not_reducing_to_one(self):
-        with pytest.raises(ShapeMismatchError):
-            NetworkSpec(input_rows=6)
+        # the row count, like the rest of the layout, is no setting
+        for key in ("input_rows", "conv_stages", "kernel_rows",
+                    "kernel_time"):
+            with pytest.raises(TypeError):
+                NetworkSpec(**{key: 6})
 
 
 class TestForward:

@@ -9,6 +9,7 @@ import pytest
 from echodoa.datasets import SweepSpec, generate_dataset, split
 from echodoa.errors import (
     EmptyDatasetError,
+    FileFormatError,
     IncompatibleCheckpointError,
     InputError,
     TrainingDivergedError,
@@ -54,6 +55,12 @@ def tiny_dataset(angles, records_per_cell, snrs=(math.inf,), seed=0):
     return generate_dataset(spec)
 
 
+def four_channels(base):
+    """The pair's record twice over: eight rows for a four-row network."""
+    return ComplexBaseband(data=np.vstack([base.data, base.data]),
+                           sample_rate=base.sample_rate)
+
+
 @pytest.fixture(scope="module")
 def noiseless_32():
     return tiny_dataset(angles=(-45.0, -15.0, 15.0, 45.0),
@@ -79,11 +86,9 @@ class TestFeatureExtraction:
         np.testing.assert_allclose(env0.max(), env1.max(), rtol=0.05)
 
     def test_channel_count_mismatch(self, noiseless_32):
-        rec = noiseless_32.records[0]
-        three_row_spec = NetworkSpec(input_rows=8, input_time=256,
-                                     feature_maps=4, dense_widths=(8, 4))
         with pytest.raises(IncompatibleCheckpointError):
-            baseband_to_input(rec.baseband, three_row_spec)
+            baseband_to_input(four_channels(noiseless_32.records[0].baseband),
+                              TINY)
 
     def test_mirror_swaps_channels_and_negates(self, noiseless_32):
         x, y = prepare_inputs(noiseless_32.records[:4], TINY)
@@ -274,13 +279,11 @@ class TestPredict:
 
     def test_channel_mismatch_raises_before_the_gate(self, noiseless_32):
         # a signal-free record must not pass for a fallback either
-        spec = NetworkSpec(input_rows=8, input_time=256, feature_maps=4,
-                           dense_widths=(8, 4))
-        params = {k: np.zeros(s) for k, s in spec.param_shapes().items()}
-        checkpoint = Checkpoint(spec=spec, params=params)
-        silent = ComplexBaseband(data=np.zeros((2, 600), dtype=complex),
+        params = {k: np.zeros(s) for k, s in TINY.param_shapes().items()}
+        checkpoint = Checkpoint(spec=TINY, params=params)
+        silent = ComplexBaseband(data=np.zeros((4, 600), dtype=complex),
                                  sample_rate=CFG.effective_rate)
-        for base in (silent, noiseless_32.records[0].baseband):
+        for base in (silent, four_channels(noiseless_32.records[0].baseband)):
             with pytest.raises(IncompatibleCheckpointError):
                 predict_doa(checkpoint, base)
 
@@ -450,21 +453,61 @@ MALFORMED_HEADERS = {
         {**e, "name": "x"} if e["name"] == "output_b" else e
         for e in h["params"]]},
     "normalization not a string": _set("normalization", 1),
+    "other normalization": _set("normalization", "rms_window_v2"),
     "metadata not an object": _set("metadata", [1]),
     "nested too deeply": lambda header: b"[" * 100_000,
 }
 
 
+# TINY's header spec: the four fixed keys and the three settings
+SPEC_KEYS = {"input_rows": 4, "input_time": 256, "conv_stages": 5,
+             "feature_maps": 8, "kernel_rows": 4, "kernel_time": 16,
+             "dense_widths": [16, 8]}
+
+
+def framed_spec(spec):
+    """An EDCK image of zero weights whose manifest and payload fit the
+    header ``spec``, computed here from its keys, whatever their values."""
+    kr, kt, maps = spec["kernel_rows"], spec["kernel_time"], spec["feature_maps"]
+    shapes, in_maps = [], 1
+    for s in range(1, spec["conv_stages"] + 1):
+        shapes += [(f"conv{s}_w", [kr, kt, in_maps, maps]),
+                   (f"conv{s}_b", [maps])]
+        in_maps = maps
+    widths = [maps * (spec["input_time"] >> spec["conv_stages"]),
+              *spec["dense_widths"], 1]
+    for name, w_in, w_out in zip(("dense1", "dense2", "output"), widths,
+                                 widths[1:]):
+        shapes += [(f"{name}_w", [w_in, w_out]), (f"{name}_b", [w_out])]
+    header = {"spec": spec, "normalization": "rms_window_v1", "metadata": {},
+              "params": [{"name": n, "shape": s} for n, s in shapes]}
+    blob = json.dumps(header, sort_keys=True).encode()
+    out = bytearray(b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
+    out += bytes(8 * sum(math.prod(s) for _, s in shapes))
+    return bytes(out + hashlib.sha256(out).digest())
+
+
 class TestMalformedHeader:
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
     def test_maps_to_file_format_error(self, case, tmp_path):
-        from echodoa.errors import FileFormatError
         path = tmp_path / "model.edck"
         save_checkpoint(Checkpoint(spec=TINY,
                                    params=init_params(TINY, 0, np.float64)),
                         path)
         _rewrite_header(path, MALFORMED_HEADERS[case])
         with pytest.raises(FileFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("kernel_time", 8), ("conv_stages", 4), ("kernel_rows", 3)])
+    def test_other_fixed_spec_value(self, key, value, tmp_path):
+        path = tmp_path / "model.edck"
+        path.write_bytes(framed_spec(SPEC_KEYS))
+        assert load_checkpoint(path).spec == TINY
+        # manifest and payload fit the header's spec, so only the fixed
+        # value itself is wrong
+        path.write_bytes(framed_spec({**SPEC_KEYS, key: value}))
+        with pytest.raises(FileFormatError, match=key):
             load_checkpoint(path)
 
     def test_untouched_header_still_loads(self, tmp_path):
