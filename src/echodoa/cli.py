@@ -19,18 +19,18 @@ printing one ``error: <Kind>: <message>`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
-from . import datasets, evaluation, neural
+from . import container, datasets, evaluation, neural
 from .doa_music import (
     CONVERGED,
     DoaEstimate,
     MusicOptions,
+    _grid_steps,
     music_with_spectrum,
 )
 from .errors import EchoDoaError, EchoNotFoundError, InputError, ProcessingError
@@ -62,7 +62,12 @@ def _numbers(text: str, sep: str, flag: str) -> tuple:
 
 
 def _parse_grid(text: str, flag: str):
-    """Angle/SNR grid: 'lo:hi:step' or a comma-separated list."""
+    """Angle/SNR grid: 'lo:hi:step' or a comma-separated list.
+
+    A 'lo:hi:step' grid counts its steps as the MUSIC angle grid does:
+    it stops at its last point within ``hi`` and holds at most
+    ``doa_music._MAX_GRID_POINTS`` points.
+    """
     if ":" in text:
         bounds = _numbers(text, ":", flag)
         if len(bounds) != 3:
@@ -70,7 +75,10 @@ def _parse_grid(text: str, flag: str):
         lo, hi, step = bounds
         if not (all(map(math.isfinite, bounds)) and step > 0 and hi >= lo):
             raise InputError(f"bad {flag} grid bounds in {text!r}")
-        count = round((hi - lo) / step)
+        try:
+            count = _grid_steps(step, hi - lo)
+        except InputError as exc:
+            raise InputError(f"{flag} {exc}") from None
         return tuple(lo + step * i for i in range(count + 1))
     return _numbers(text, ",", flag)
 
@@ -107,7 +115,7 @@ def _geometry(args, config: SimConfig) -> ArrayGeometry:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(container.json_text(payload), end="")
 
 
 def _estimate_json(est: DoaEstimate) -> dict:
@@ -195,10 +203,8 @@ def _train_config(args) -> neural.TrainConfig:
 
 
 def _write_history(history, path) -> None:
-    lines = ["# epoch train_loss val_loss"]
-    lines += [f"{h.epoch} {h.train_loss:.17g} {h.val_loss:.17g}"
-              for h in history]
-    Path(path).write_text("\n".join(lines) + "\n")
+    container.write_table(path, [f.name for f in fields(neural.EpochStats)],
+                          map(astuple, history))
 
 
 def _cmd_train(args) -> int:
@@ -290,8 +296,7 @@ def _cmd_triangulate(args) -> int:
                            "semi_minor": fix.ellipse.semi_minor,
                            "orientation_deg": fix.ellipse.orientation_deg}}
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2,
-                                             sort_keys=True) + "\n")
+        Path(args.out).write_text(container.json_text(payload))
     _print_json(payload)
     return 0
 
@@ -330,8 +335,7 @@ def _cmd_sweep(args) -> int:
                "metrics": str(metrics_path),
                "held_out_records": len(held_out.records),
                "crossover_db": crossover}
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out_dir / "summary.json").write_text(container.json_text(summary))
     _print_json(summary)
     return 0
 

@@ -1,8 +1,14 @@
-"""The framing shared by EDDS datasets, EDCK checkpoints and EDCF captures.
+"""The layout of every file and document the program writes.
 
-Each file is the magic (4 bytes), a version byte, a little-endian u32
-header length, the UTF-8 JSON header with sorted keys, the payload laid
-out by the format, and, except in EDCF, a SHA-256 of all those bytes.
+Binary files (EDDS datasets, EDCK checkpoints, EDCF captures) are the
+magic (4 bytes), a version byte, a little-endian u32 header length, the
+UTF-8 JSON header with sorted keys, the payload laid out by the format,
+and, except in EDCF, a SHA-256 of all those bytes.
+
+Text tables are a header line, then one line of separated values per
+row, each float written ``.17g`` so that ``float`` reads it back
+exactly. JSON documents are indented by 2 with sorted keys, and hold
+each non-finite float as the string ``float`` reads back.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import numbers
 import os
 import struct
 import uuid
@@ -91,3 +99,43 @@ def read(path, magic: bytes, version: int, decode, checksum: bool = True):
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(
             f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+
+
+def write_table(path, columns, rows, sep: str = " ",
+                comment: str = "# ") -> None:
+    """Write ``rows`` as a text table under a header of ``columns``.
+
+    The header is ``comment`` then the column names joined by ``sep``;
+    each row is its values joined by ``sep``, integers and strings as
+    ``str`` writes them and every other number ``.17g``.
+    """
+    lines = [comment + sep.join(columns)]
+    lines += [sep.join(_table_value(value) for value in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _table_value(value) -> str:
+    if isinstance(value, (str, numbers.Integral)):
+        return str(value)
+    return f"{value:.17g}"
+
+
+def json_text(document) -> str:
+    """``document`` as strict JSON text ending in one newline.
+
+    Objects are indented by 2 with sorted keys; a float that is not
+    finite becomes the string ``float`` reads back (``"inf"``,
+    ``"-inf"``, ``"nan"``).
+    """
+    return json.dumps(_finite(document), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _finite(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value

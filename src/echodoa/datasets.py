@@ -7,9 +7,9 @@ cell indices, so generation order and worker count never change the
 output.
 
 Two file formats live here: ``EDDS`` dataset files, whose payload is
-fixed-size records (``_record_layout``: five labels, then the baseband
-samples), and ``EDCF`` capture files, whose payload is an externally
-recorded raw waveform. Their shared framing (magic, version, JSON
+fixed-size records (``_record_layout``: the five ``_LABELS``, then the
+baseband samples), and ``EDCF`` capture files, whose payload is an
+externally recorded raw waveform. Their shared framing (magic, version, JSON
 header, SHA-256 trailer on EDDS only) is defined in ``container.py``.
 """
 
@@ -21,7 +21,6 @@ import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -215,11 +214,19 @@ def _make_record_star(args):
 
 # --- persistence -----------------------------------------------------------
 
+# the labels of a record, in EDDS payload and index order, with the
+# type each has in the payload
+_LABELS = {"doa_deg": "<f8", "snr_db": "<f8", "range_m": "<f8",
+           "seed": "<u8", "tof_s": "<f8"}
+
+
 def _record_layout(channels: int, samples: int) -> np.dtype:
     """One EDDS payload record: its labels, then its baseband samples."""
-    return np.dtype([("doa_deg", "<f8"), ("snr_db", "<f8"), ("range_m", "<f8"),
-                     ("seed", "<u8"), ("tof_s", "<f8"),
-                     ("data", "<c16", (channels, samples))])
+    return np.dtype([*_LABELS.items(), ("data", "<c16", (channels, samples))])
+
+
+def _labels(record: DatasetRecord) -> tuple:
+    return tuple(getattr(record, name) for name in _LABELS)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -239,8 +246,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         "effective_rate": dataset.config.effective_rate,
     }
     layout = _record_layout(channels, samples)
-    rows = (np.array((rec.doa_deg, rec.snr_db, rec.range_m, rec.seed,
-                      rec.tof_s, rec.baseband.data), dtype=layout)
+    rows = (np.array((*_labels(rec), rec.baseband.data), dtype=layout)
             for rec in records)
     container.write(path, DATASET_MAGIC, FORMAT_VERSION, header, rows)
 
@@ -320,25 +326,21 @@ def load_dataset(path) -> Dataset:
     if len(payload) != header["record_count"] * layout.itemsize:
         raise FileFormatError(f"{path}: payload length mismatch")
     rows = np.frombuffer(payload, dtype=layout)
-    labels = rows[["doa_deg", "snr_db", "range_m", "seed", "tof_s"]].tolist()
+    labels = rows[list(_LABELS)].tolist()
     rate = header["effective_rate"]
-    records = [DatasetRecord(doa_deg=doa, snr_db=snr, range_m=range_m,
-                             seed=seed, tof_s=tof,
+    records = [DatasetRecord(**dict(zip(_LABELS, values)),
                              baseband=ComplexBaseband(data=data.copy(),
                                                       sample_rate=rate))
-               for (doa, snr, range_m, seed, tof), data
-               in zip(labels, rows["data"])]
+               for values, data in zip(labels, rows["data"])]
     return Dataset(config=header["config"], geometry=header["geometry"],
                    records=records, master_seed=header["master_seed"])
 
 
 def write_index_text(dataset: Dataset, path) -> None:
     """Plain-text audit listing of per-record labels."""
-    lines = ["# index doa_deg snr_db range_m seed tof_s"]
-    for i, rec in enumerate(dataset.records):
-        lines.append(f"{i} {rec.doa_deg:.17g} {rec.snr_db:.17g} "
-                     f"{rec.range_m:.17g} {rec.seed} {rec.tof_s:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    container.write_table(path, ("index", *_LABELS),
+                          ((i, *_labels(rec))
+                           for i, rec in enumerate(dataset.records)))
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int):

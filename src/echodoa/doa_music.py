@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import EchoNotFoundError, InputError, TooFewSnapshotsError
 from .signal_sim import (
     ArrayGeometry,
@@ -60,10 +60,8 @@ class Pseudospectrum:
 
     def write_table(self, path) -> None:
         """Two-column plain-text export (angle_deg, power)."""
-        lines = ["# angle_deg power"]
-        lines += [f"{a:.17g} {p:.17g}"
-                  for a, p in zip(self.angles_deg, self.power)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        container.write_table(path, ("angle_deg", "power"),
+                              zip(self.angles_deg, self.power))
 
 
 @dataclass(frozen=True)
@@ -169,20 +167,22 @@ def noise_subspace(r: np.ndarray) -> NoiseSubspace:
 _MAX_GRID_POINTS = 180_001
 
 
-def _grid_steps(step_deg):
-    """Steps of ``step_deg`` from -90 that stay within 90.
+def _grid_steps(step, span=180.0):
+    """Steps of ``step`` from a grid's start that stay within ``span``
+    of it; the MUSIC grid spans the 180 degrees from -90 to 90.
 
     A step that is not positive and finite, or that would leave more
     than ``_MAX_GRID_POINTS`` points, raises InputError.
     """
-    if not (math.isfinite(step_deg) and step_deg > 0):
+    if not (math.isfinite(step) and step > 0):
         raise InputError("grid step must be positive and finite")
-    # the 1e-9 keeps 90 when the quotient rounds low
-    steps = 180.0 / step_deg + 1e-9
+    # the 1e-9 keeps the end point when the quotient rounds low
+    steps = span / step + 1e-9
     if steps >= _MAX_GRID_POINTS:
         raise InputError(
             f"grid step must leave at most {_MAX_GRID_POINTS} grid points "
-            f"(0.001 degree or more), got {step_deg}")
+            f"(a step of {span / (_MAX_GRID_POINTS - 1):.3g} or more), "
+            f"got {step}")
     return math.floor(steps)
 
 

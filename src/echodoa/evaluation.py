@@ -9,13 +9,14 @@ curves, and writes plot-ready tables that re-parse losslessly.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from . import container
 from .datasets import pool_size
 from .doa_music import FALLBACK, MusicOptions, estimate_doa_music
 from .errors import (
@@ -32,9 +33,6 @@ DOMAIN_INSIDE_30 = "inside_30"
 DOMAIN_OUTSIDE_30 = "outside_30"
 DOMAINS = (DOMAIN_FULL, DOMAIN_INSIDE_30, DOMAIN_OUTSIDE_30)
 
-_COLUMNS = ("snr_db", "estimator", "domain", "mae_deg", "median_deg",
-            "fallback_rate", "n")
-
 
 @dataclass(frozen=True)
 class MetricsRow:
@@ -47,19 +45,27 @@ class MetricsRow:
     n: int
 
 
+# the columns of a table file, in order, and the type each reads as
+_COLUMNS = get_type_hints(MetricsRow)
+
+
 @dataclass
 class MetricsTable:
+    """Rows of one domain, at most one per (SNR, estimator)."""
+
     rows: list
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        keys = [(r.snr_db, r.estimator, r.domain) for r in self.rows]
+        domains = sorted({r.domain for r in self.rows})
+        if len(domains) > 1:
+            raise InputError(f"a table holds one domain, got {domains}")
+        keys = [(r.snr_db, r.estimator) for r in self.rows]
         if len(set(keys)) != len(keys):
-            raise InputError("duplicate (snr, estimator, domain) rows")
+            raise InputError("duplicate (snr, estimator) rows")
 
-    def select(self, estimator: str, domain: str = DOMAIN_FULL) -> list:
-        rows = [r for r in self.rows
-                if r.estimator == estimator and r.domain == domain]
+    def select(self, estimator: str) -> list:
+        rows = [r for r in self.rows if r.estimator == estimator]
         return sorted(rows, key=lambda r: r.snr_db)
 
 
@@ -204,28 +210,15 @@ def snr_crossover(table: MetricsTable, estimator_a: str,
     return float(np.median(shifts))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def emit_results(table: MetricsTable, path, format: str = "csv") -> None:
     """Write the table as delimited text (csv) or structured text (json)."""
-    path = Path(path)
     if format == "csv":
-        lines = [",".join(_COLUMNS)]
-        for r in table.rows:
-            lines.append(",".join(_format_value(getattr(r, c))
-                                  for c in _COLUMNS))
-        path.write_text("\n".join(lines) + "\n")
+        container.write_table(path, _COLUMNS, map(astuple, table.rows),
+                              sep=",", comment="")
     elif format == "json":
-        payload = {
-            "provenance": table.provenance,
-            "rows": [{c: getattr(r, c) for c in _COLUMNS}
-                     for r in table.rows],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        payload = {"provenance": table.provenance,
+                   "rows": [asdict(r) for r in table.rows]}
+        Path(path).write_text(container.json_text(payload))
     else:
         raise InputError("format must be 'csv' (delimited text) or "
                          "'json' (structured text)")
@@ -233,18 +226,11 @@ def emit_results(table: MetricsTable, path, format: str = "csv") -> None:
 
 def load_results(path) -> MetricsTable:
     """Parse a table written by emit_results; values round-trip exactly."""
-    path = Path(path)
-    text = path.read_text()
+    text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        rows = [MetricsRow(snr_db=float(r["snr_db"]),
-                           estimator=r["estimator"], domain=r["domain"],
-                           mae_deg=float(r["mae_deg"]),
-                           median_deg=float(r["median_deg"]),
-                           fallback_rate=float(r["fallback_rate"]),
-                           n=int(r["n"]))
-                for r in payload["rows"]]
-        return MetricsTable(rows=rows, provenance=payload["provenance"])
+        return MetricsTable(rows=[_metrics_row(r) for r in payload["rows"]],
+                            provenance=payload["provenance"])
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != ",".join(_COLUMNS):
         raise FileFormatError(f"{path}: unexpected header")
@@ -253,8 +239,11 @@ def load_results(path) -> MetricsTable:
         parts = line.split(",")
         if len(parts) != len(_COLUMNS):
             raise FileFormatError(f"{path}: malformed row {line!r}")
-        rows.append(MetricsRow(
-            snr_db=float(parts[0]), estimator=parts[1], domain=parts[2],
-            mae_deg=float(parts[3]), median_deg=float(parts[4]),
-            fallback_rate=float(parts[5]), n=int(parts[6])))
+        rows.append(_metrics_row(dict(zip(_COLUMNS, parts))))
     return MetricsTable(rows=rows)
+
+
+def _metrics_row(values: dict) -> MetricsRow:
+    """The row whose column values ``values`` holds, each read as its type."""
+    return MetricsRow(**{name: kind(values[name])
+                         for name, kind in _COLUMNS.items()})

@@ -1,12 +1,7 @@
 """Convolutional DoA regression: network, optimizer, training, persistence."""
 
 from .adam import AdamHyper, AdamState, adam_step
-from .checkpoint import (
-    Checkpoint,
-    export_weights_text,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .gradcheck import REDUCED_SPEC, GradCheckReport, grad_check
 from .network import NetworkSpec, backward, forward, init_params
 from .training import (
@@ -22,7 +17,7 @@ from .training import (
 
 __all__ = [
     "AdamHyper", "AdamState", "adam_step",
-    "Checkpoint", "export_weights_text", "load_checkpoint", "save_checkpoint",
+    "Checkpoint", "load_checkpoint", "save_checkpoint",
     "REDUCED_SPEC", "GradCheckReport", "grad_check",
     "NetworkSpec", "backward", "forward", "init_params",
     "ANGLE_SCALE_DEG", "EpochStats", "TrainConfig", "baseband_to_input",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 from types import MappingProxyType
 from typing import ClassVar
 
@@ -146,13 +145,3 @@ def _checkpoint_header(header):
     layout = np.dtype([(name, "<f8", shape)
                        for name, shape in spec.param_shapes().items()])
     return spec, metadata, layout
-
-
-def export_weights_text(checkpoint: Checkpoint, path) -> None:
-    """Debug dump: one line per tensor name/shape, then its values."""
-    lines = []
-    for name in checkpoint.spec.param_shapes():
-        arr = checkpoint.params[name]
-        lines.append(f"# {name} shape={list(arr.shape)}")
-        lines.extend(f"{v:.17g}" for v in arr.ravel())
-    Path(path).write_text("\n".join(lines) + "\n")

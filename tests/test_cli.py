@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from echodoa.cli import build_parser, main
+from echodoa.cli import _parse_grid, build_parser, main
 from echodoa.datasets import load_dataset
 from echodoa.doa_music import (
     covariance,
@@ -141,6 +141,18 @@ class TestSimulateCommand:
         # a dataset file
         base = ds.records[0].baseband
         assert ds.records[0].tof_s == detect_echo_window(base).tof_s
+
+    def test_noiseless_stdout_is_strict_json(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "simulate", "--doa", "30", "--range", "1",
+                           "--spectrum-out", str(tmp_path / "s.txt"))
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        scenario = json.loads(out, parse_constant=reject)["scenario"]
+        assert scenario["snr_db"] == "inf"
+        assert float(scenario["snr_db"]) == math.inf
 
     def test_no_output_requested_is_validation_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--doa", "0",
@@ -678,6 +690,47 @@ class TestGridStep:
 
 
 DATASET = ("dataset", "--records-per-cell", "1", "--out", "d.edds")
+
+
+class TestGridBounds:
+    def test_step_not_dividing_the_span_stops_within_hi(self, tmp_path,
+                                                        capsys):
+        # rounding the step count would reach 65 degrees, outside the
+        # aperture, and 12 dB
+        path = tmp_path / "g.edds"
+        code, out, err = run(capsys, "dataset", "--angles=-60:60:25",
+                             "--snrs=0:11:4", "--records-per-cell", "1",
+                             "--out", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["records"] == 15
+        records = load_dataset(path).records
+        assert sorted({r.doa_deg for r in records}) == [-60, -35, -10, 15, 40]
+        assert sorted({r.snr_db for r in records}) == [0, 4, 8]
+
+    @pytest.mark.parametrize("text, values", [
+        ("-60:60:10", tuple(float(a) for a in range(-60, 61, 10))),
+        ("-30:20:5", tuple(float(s) for s in range(-30, 21, 5))),
+        ("0:0.3:0.1", (0.0, 0.1, 0.2, 0.1 * 3)),
+        ("5:5:1", (5.0,))])
+    def test_step_dividing_the_span_keeps_every_value(self, text, values):
+        assert _parse_grid(text, "--angles") == values
+
+    @pytest.mark.parametrize("argv, flag", [
+        ((*DATASET, "--angles=0:60:1e-12", "--snrs=20"), "--angles"),
+        ((*DATASET, "--angles=0", "--snrs=0:10:5e-324"), "--snrs"),
+        (("sweep", "--angles=0:60:0.0003", "--snrs=20",
+          "--records-per-cell", "2", "--out-dir", "run"), "--angles")])
+    def test_more_than_the_point_cap_is_input_error(self, argv, flag,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: InputError: {flag} grid step ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMalformedNumbers:

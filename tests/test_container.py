@@ -1,5 +1,5 @@
-"""The shared container codec, and truncated or bit-flipped EDDS, EDCK
-and EDCF files.
+"""The shared container codec and text layouts, and truncated or
+bit-flipped EDDS, EDCK and EDCF files.
 
 Each file is cut, or has one byte flipped, at the start, the middle and
 the end of every region: the 9-byte prefix (magic, version, header
@@ -9,6 +9,7 @@ may come out of the readers.
 """
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -74,6 +75,30 @@ def test_header_length_past_the_payload(checksum, tmp_path):
                              else b""))
     with pytest.raises(FileFormatError, match="runs past the payload"):
         container.read(path, b"TEST", 3, dict, checksum=checksum)
+
+
+@pytest.mark.parametrize("sep, comment, text", [
+    (" ", "# ", "# i x s\n1 0.10000000000000001 a\n"
+                "18446744073709551615 inf b\n-3 nan c\n4 0.25 d\n"),
+    (",", "", "i,x,s\n1,0.10000000000000001,a\n"
+              "18446744073709551615,inf,b\n-3,nan,c\n4,0.25,d\n")],
+    ids=["text", "csv"])
+def test_table_layout(sep, comment, text, tmp_path):
+    path = tmp_path / "table.txt"
+    rows = [(1, 0.1, "a"), (np.uint64(2**64 - 1), math.inf, "b"),
+            (-3, np.float64(math.nan), "c"), (4, np.float32(0.25), "d")]
+    container.write_table(path, ("i", "x", "s"), iter(rows), sep=sep,
+                          comment=comment)
+    assert path.read_text() == text
+
+
+def test_json_text_is_strict():
+    text = container.json_text({"b": [math.inf, -math.inf, 1.5],
+                                "a": {"c": math.nan},
+                                "d": (np.float64(math.inf), 2)})
+    assert text == ('{\n  "a": {\n    "c": "nan"\n  },\n'
+                    '  "b": [\n    "inf",\n    "-inf",\n    1.5\n  ],\n'
+                    '  "d": [\n    "inf",\n    2\n  ]\n}\n')
 
 
 @pytest.mark.parametrize("old", [b"the previous file", None])

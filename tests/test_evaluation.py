@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -183,6 +184,17 @@ class TestCrossover:
         with pytest.raises(InputError):
             snr_crossover(table, "a", "b")
 
+    @pytest.mark.parametrize("domain", [DOMAIN_INSIDE_30, DOMAIN_OUTSIDE_30])
+    def test_filtered_table(self, domain):
+        # a table from evaluate(..., domain) holds only that domain's rows
+        pts_a = [(s, 40.0 * 2.0 ** (-(s + 30) / 10.0))
+                 for s in range(-30, 25, 5)]
+        pts_b = [(s + 10.0, m) for s, m in pts_a]
+        table = MetricsTable(rows=table_from(pts_a, "a", domain)
+                             + table_from(pts_b, "b", domain))
+        assert snr_crossover(table, "a", "b") == pytest.approx(10.0,
+                                                               abs=1e-9)
+
     def test_disjoint_mae_ranges_raise(self):
         pts_a = [(s, 50.0 - s) for s in (0.0, 5.0, 10.0, 15.0)]
         pts_b = [(s, 5.0 - 0.1 * s) for s in (0.0, 5.0, 10.0, 15.0)]
@@ -226,6 +238,26 @@ class TestEmitResults:
         rows = table_from([(0.0, 1.0)], "a") + table_from([(0.0, 2.0)], "a")
         with pytest.raises(InputError):
             MetricsTable(rows=rows)
+
+    def test_rows_of_two_domains_rejected(self):
+        rows = (table_from([(0.0, 1.0)], "a")
+                + table_from([(10.0, 1.0)], "a", DOMAIN_INSIDE_30))
+        with pytest.raises(InputError, match="one domain"):
+            MetricsTable(rows=rows)
+
+    def test_json_holds_non_finite_floats_as_strings(self, tmp_path):
+        # noiseless rows: the JSON is strict and still reads back exactly
+        table = MetricsTable(rows=table_from([(10.0, 1.5), (math.inf, 0.0)],
+                                             "music"))
+        path = tmp_path / "metrics.json"
+        emit_results(table, path, format="json")
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        rows = json.loads(path.read_text(), parse_constant=reject)["rows"]
+        assert [r["snr_db"] for r in rows] == [10.0, "inf"]
+        assert load_results(path).rows == table.rows
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InputError):

@@ -21,7 +21,6 @@ from echodoa.neural import (
     NetworkSpec,
     TrainConfig,
     baseband_to_input,
-    export_weights_text,
     forward,
     load_checkpoint,
     predict_doa,
@@ -557,17 +556,6 @@ class TestCheckpointIO:
         params["dense1_w"] = params["dense1_w"][:, :4]
         with pytest.raises(ShapeMismatchError):
             Checkpoint(spec=TINY, params=params)
-
-    def test_text_export(self, tmp_path):
-        params = init_params(TINY, seed=3, dtype=np.float64)
-        checkpoint = Checkpoint(spec=TINY, params=params)
-        path = tmp_path / "weights.txt"
-        export_weights_text(checkpoint, path)
-        text = path.read_text()
-        assert "# conv1_w shape=[4, 16, 1, 8]" in text
-        total = sum(p.size for p in params.values())
-        values = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        assert len(values) == total
 
 
 def framed_checkpoint(checkpoint):
