@@ -34,15 +34,7 @@ from .doa_music import (
     music_with_spectrum,
 )
 from .errors import EchoDoaError, EchoNotFoundError, InputError, ProcessingError
-from .signal_sim import (
-    ArrayGeometry,
-    SimConfig,
-    SourceScenario,
-    add_awgn,
-    synthesize_echo,
-    to_baseband,
-    wavelength,
-)
+from .signal_sim import ArrayGeometry, SimConfig, SourceScenario, wavelength
 from .triangulation import (
     RangeMeasurement,
     SensorPose,
@@ -138,9 +130,8 @@ def _cmd_simulate(args) -> int:
     geometry = _geometry(args, config)
     scenario = SourceScenario(doa_deg=args.doa, range_m=args.range,
                               snr_db=args.snr)
-    wave = synthesize_echo(scenario, geometry, config)
-    noisy = add_awgn(wave, scenario.snr_db, args.seed)
-    base = to_baseband(noisy, config)
+    noisy, record = datasets.simulate_record(scenario, geometry, config,
+                                             args.seed)
     outputs = {}
     if args.out:
         annotation = (f"doa_deg={args.doa};snr_db={args.snr};"
@@ -148,16 +139,12 @@ def _cmd_simulate(args) -> int:
         datasets.write_capture(args.out, noisy, geometry, annotation)
         outputs["capture"] = str(args.out)
     if args.baseband_out:
-        record = datasets.DatasetRecord(
-            doa_deg=args.doa, snr_db=args.snr, range_m=args.range,
-            seed=args.seed, baseband=base,
-            tof_s=datasets.detected_tof(base))
         ds = datasets.Dataset(config=config, geometry=geometry,
                               records=[record], master_seed=args.seed)
         datasets.save_dataset(ds, args.baseband_out)
         outputs["baseband"] = str(args.baseband_out)
     if args.spectrum_out:
-        _, spectrum = music_with_spectrum(base, geometry, config,
+        _, spectrum = music_with_spectrum(record.baseband, geometry, config,
                                           args.music_options)
         _write_spectrum(spectrum, args.spectrum_out)
         outputs["spectrum"] = str(args.spectrum_out)
@@ -264,9 +251,8 @@ def _cmd_music(args) -> int:
         geometry = _geometry(args, config)
         scenario = SourceScenario(doa_deg=args.doa, range_m=args.range,
                                   snr_db=args.snr)
-        wave = add_awgn(synthesize_echo(scenario, geometry, config),
-                        scenario.snr_db, args.seed)
-        base = to_baseband(wave, config)
+        base = datasets.simulate_record(scenario, geometry, config,
+                                        args.seed)[1].baseband
     estimate, spectrum = music_with_spectrum(base, geometry, config,
                                              args.music_options)
     if args.spectrum_out:

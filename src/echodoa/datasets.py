@@ -150,22 +150,32 @@ def detected_tof(base: ComplexBaseband) -> float:
 _SCENARIO_STREAM = 2**32
 
 
+def simulate_record(scenario: SourceScenario, geometry: ArrayGeometry,
+                    config: SimConfig, seed: int) -> tuple:
+    """The noisy waveform of ``scenario`` and its labeled record.
+
+    Synthesis, AWGN drawn from ``seed``, demodulation and echo
+    detection, in that order; ``(noisy wave, DatasetRecord)``.
+    """
+    wave = add_awgn(synthesize_echo(scenario, geometry, config),
+                    scenario.snr_db, seed)
+    base = to_baseband(wave, config)
+    return wave, DatasetRecord(doa_deg=scenario.doa_deg,
+                               snr_db=scenario.snr_db,
+                               range_m=scenario.range_m, seed=seed,
+                               baseband=base, tof_s=detected_tof(base))
+
+
 def _make_record(spec: SweepSpec, angle_idx: int, snr_idx: int,
                  rep: int) -> DatasetRecord:
     seed = record_seed(spec.master_seed, angle_idx, snr_idx, rep)
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, _SCENARIO_STREAM], dtype=np.uint64)))
     lo, hi = spec.range_interval_m
-    range_m = float(rng.uniform(lo, hi))
     scenario = SourceScenario(doa_deg=spec.angles_deg[angle_idx],
-                              range_m=range_m,
+                              range_m=float(rng.uniform(lo, hi)),
                               snr_db=spec.snrs_db[snr_idx])
-    wave = synthesize_echo(scenario, spec.geometry, spec.config)
-    wave = add_awgn(wave, scenario.snr_db, seed)
-    base = to_baseband(wave, spec.config)
-    return DatasetRecord(doa_deg=scenario.doa_deg, snr_db=scenario.snr_db,
-                         range_m=range_m, seed=seed, baseband=base,
-                         tof_s=detected_tof(base))
+    return simulate_record(scenario, spec.geometry, spec.config, seed)[1]
 
 
 def pool_size(workers: int, chunks: int) -> int:
@@ -183,33 +193,36 @@ def pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, chunks, cpus))
 
 
+def pool_map(fn, arg_tuples: list, workers: int, chunk: int) -> list:
+    """``[fn(*args) for args in arg_tuples]``, in item order.
+
+    The items go out ``chunk`` at a time to ``pool_size(workers,
+    chunks)`` processes; with one, they run in the calling process.
+    ``fn`` and the items must pickle.
+    """
+    size = pool_size(workers, -(-len(arg_tuples) // chunk))
+    if size == 1:
+        return [fn(*args) for args in arg_tuples]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, *zip(*arg_tuples), chunksize=chunk))
+
+
 _GENERATE_CHUNK = 32
 
 
 def generate_dataset(spec: SweepSpec, workers: int = 1) -> Dataset:
     """All grid cells times records_per_cell, in deterministic order.
 
-    ``workers`` processes at most (see ``pool_size``); the records do
-    not depend on how many run.
+    ``workers`` processes at most, ``_GENERATE_CHUNK`` records to a
+    chunk (see ``pool_map``); the records do not depend on how many run.
     """
-    cells = [(ai, si, rep)
+    cells = [(spec, ai, si, rep)
              for ai in range(len(spec.angles_deg))
              for si in range(len(spec.snrs_db))
              for rep in range(spec.records_per_cell)]
-    size = pool_size(workers, -(-len(cells) // _GENERATE_CHUNK))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            records = list(pool.map(_make_record_star,
-                                    [(spec, *cell) for cell in cells],
-                                    chunksize=_GENERATE_CHUNK))
-    else:
-        records = [_make_record(spec, *cell) for cell in cells]
+    records = pool_map(_make_record, cells, workers, _GENERATE_CHUNK)
     return Dataset(config=spec.config, geometry=spec.geometry,
                    records=records, master_seed=spec.master_seed)
-
-
-def _make_record_star(args):
-    return _make_record(*args)
 
 
 # --- persistence -----------------------------------------------------------

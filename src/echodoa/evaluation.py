@@ -9,7 +9,6 @@ curves, and writes plot-ready tables that re-parse losslessly.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -17,7 +16,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import container
-from .datasets import pool_size
+from .datasets import pool_map, pool_size
 from .doa_music import FALLBACK, MusicOptions, estimate_doa_music
 from .errors import (
     EmptyDatasetError,
@@ -104,19 +103,13 @@ def _in_domain(doa_deg: float, domain: str) -> bool:
         return True
     if domain == DOMAIN_INSIDE_30:
         return abs(doa_deg) <= 30.0
-    if domain == DOMAIN_OUTSIDE_30:
-        return abs(doa_deg) > 30.0
-    raise InputError(f"unknown domain filter {domain!r}")
+    return abs(doa_deg) > 30.0
 
 
-def _estimate_chunk(args):
-    est, records, geometry, config = args
-    out = []
-    for rec in records:
-        result = est.estimate(rec.baseband, geometry, config)
-        out.append((rec.snr_db, abs(result.angle_deg - rec.doa_deg),
-                    result.status == FALLBACK))
-    return out
+def _estimate(est, rec, geometry, config):
+    result = est.estimate(rec.baseband, geometry, config)
+    return (rec.snr_db, abs(result.angle_deg - rec.doa_deg),
+            result.status == FALLBACK)
 
 
 def evaluate(dataset, estimators, domain_filter: str = DOMAIN_FULL,
@@ -126,30 +119,29 @@ def evaluate(dataset, estimators, domain_filter: str = DOMAIN_FULL,
     Fallback estimates count at their actual error |0 - truth|, the
     same convention both estimators use at runtime. Aggregation is a
     deterministic fold in record order whatever the worker count.
+    Estimators that share a name, an empty dataset and a domain that
+    leaves no record raise before any record is estimated.
     """
     if len(dataset.records) == 0:
         raise EmptyDatasetError("nothing to evaluate")
     if domain_filter not in DOMAINS:
         raise InputError(f"domain_filter must be one of {DOMAINS}")
+    names = [est.name for est in estimators]
+    for name in names:
+        if names.count(name) > 1:
+            raise InputError(f"two estimators are named {name!r}")
     records = [r for r in dataset.records
                if _in_domain(r.doa_deg, domain_filter)]
+    if not records:
+        raise EmptyDatasetError(f"no record lies in domain {domain_filter!r}")
 
-    processes = pool_size(workers, len(records))
+    # one contiguous chunk of records per process
+    chunk = -(-len(records) // pool_size(workers, len(records)))
     rows = []
     for est in estimators:
-        if processes > 1:
-            size = -(-len(records) // processes)
-            chunks = [records[i:i + size]
-                      for i in range(0, len(records), size)]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(pool.map(
-                    _estimate_chunk,
-                    [(est, chunk, dataset.geometry, dataset.config)
-                     for chunk in chunks]))
-            results = [item for part in parts for item in part]
-        else:
-            results = _estimate_chunk((est, records, dataset.geometry,
-                                       dataset.config))
+        results = pool_map(_estimate, [(est, rec, dataset.geometry,
+                                        dataset.config) for rec in records],
+                           workers, chunk)
         by_snr = {}
         for snr_db, err, fell_back in results:
             bucket = by_snr.setdefault(snr_db, {"err": [], "fb": 0})

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from echodoa import datasets
 from echodoa.cli import _parse_grid, build_parser, main
 from echodoa.datasets import load_dataset
 from echodoa.doa_music import (
@@ -14,6 +15,7 @@ from echodoa.doa_music import (
     pseudospectrum,
 )
 from echodoa.evaluation import load_results
+from echodoa.neural import Checkpoint, NetworkSpec, init_params, save_checkpoint
 from echodoa.signal_sim import (
     ArrayGeometry,
     SimConfig,
@@ -141,6 +143,29 @@ class TestSimulateCommand:
         # a dataset file
         base = ds.records[0].baseband
         assert ds.records[0].tof_s == detect_echo_window(base).tof_s
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--doa", "-20", "--range", "0.8", "--out", "c.edcf"),
+        ("music",)])
+    def test_simulates_through_the_dataset_module(self, argv, tmp_path,
+                                                  capsys, monkeypatch):
+        # the benchmark tracer wraps these datasets globals
+        chain = ("synthesize_echo", "add_awgn", "to_baseband",
+                 "detect_echo_window")
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in chain:
+            monkeypatch.setattr(datasets, name,
+                                counted(name, getattr(datasets, name)))
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv)[0] == 0
+        assert calls == list(chain)
 
     def test_noiseless_stdout_is_strict_json(self, tmp_path, capsys):
         code, out, _ = run(capsys, "simulate", "--doa", "30", "--range", "1",
@@ -386,6 +411,45 @@ class TestTrainEvalCommands:
                            str(tiny_dataset_path),
                            "--out", str(tmp_path / "m.csv"))
         assert code == 3
+
+    @pytest.mark.parametrize("estimators, name", [
+        (("--checkpoint", "a/m.edck", "--checkpoint", "b/m.edck"), "m"),
+        # two or more checkpoints are named after their file stems
+        (("--music", "--checkpoint", "a/music.edck", "--checkpoint",
+          "a/m.edck"), "music")])
+    def test_shared_estimator_name_writes_nothing(
+            self, estimators, name, tiny_dataset_path, tmp_path, capsys,
+            monkeypatch):
+        spec = NetworkSpec(input_time=256, feature_maps=8,
+                           dense_widths=(16, 8))
+        checkpoint = Checkpoint(spec=spec,
+                                params=init_params(spec, 2, np.float64))
+        monkeypatch.chdir(tmp_path)
+        for path in estimators:
+            if path.endswith(".edck"):
+                (tmp_path / path).parent.mkdir(exist_ok=True)
+                save_checkpoint(checkpoint, path)
+        code, out, err = run(capsys, "eval", "--dataset",
+                             str(tiny_dataset_path), *estimators,
+                             "--out", "e.csv")
+        assert (code, out) == (3, "")
+        assert err == (f"error: InputError: two estimators are named "
+                       f"{name!r}\n")
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_domain_leaving_no_record_writes_nothing(
+            self, fmt, tiny_dataset_path, tmp_path, capsys):
+        # the dataset holds angles -30, 0 and 30 only
+        path = tmp_path / f"o.{fmt}"
+        code, out, err = run(capsys, "eval", "--dataset",
+                             str(tiny_dataset_path), "--music",
+                             "--domain", "outside_30", "--format", fmt,
+                             "--out", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("error: EmptyDatasetError: no record lies in "
+                       "domain 'outside_30'\n")
+        assert not path.exists()
 
     def test_malformed_checkpoint_header_is_validation_error(
             self, tiny_dataset_path, tmp_path, capsys):

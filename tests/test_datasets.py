@@ -13,6 +13,7 @@ from echodoa.datasets import (
     SweepSpec,
     generate_dataset,
     ingest_capture,
+    pool_map,
     pool_size,
     load_dataset,
     read_capture,
@@ -189,6 +190,13 @@ class TestWorkerCount:
         assert sizes == [size]
         assert [r.baseband.data.tobytes() for r in pooled.records] \
             == [r.baseband.data.tobytes() for r in serial.records]
+
+    def test_pool_map_keeps_item_order(self, record_pool_sizes):
+        # 5 items in chunks of 2 make three chunks: a pool of three
+        sizes = record_pool_sizes(datasets, 64)
+        squares = pool_map(pow, [(i, 2) for i in range(5)], 8, 2)
+        assert squares == [0, 1, 4, 9, 16]
+        assert sizes == [3]
 
     def test_one_chunk_runs_in_process(self, record_pool_sizes,
                                        small_dataset):

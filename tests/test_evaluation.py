@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from echodoa import evaluation
+from echodoa import datasets
 from echodoa.datasets import Dataset, DatasetRecord, SweepSpec, generate_dataset
 from echodoa.errors import (
     EmptyDatasetError,
@@ -41,6 +41,24 @@ def table_from(points, estimator, domain=DOMAIN_FULL):
     return [MetricsRow(snr_db=s, estimator=estimator, domain=domain,
                        mae_deg=m, median_deg=m, fallback_rate=0.0, n=10)
             for s, m in points]
+
+
+def tiny_cnn():
+    spec = NetworkSpec(input_time=256, feature_maps=8, dense_widths=(16, 8))
+    return NeuralEstimator(
+        Checkpoint(spec=spec, params=init_params(spec, 2, np.float64)))
+
+
+class CountingEstimator(MusicEstimator):
+    """MUSIC under another name; ``calls`` collects each record's baseband."""
+
+    def __init__(self, name, calls):
+        super().__init__()
+        self.name, self.calls = name, calls
+
+    def estimate(self, base, geometry, config):
+        self.calls.append(base)
+        return super().estimate(base, geometry, config)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +105,24 @@ class TestEvaluate:
         assert inside.rows[0].n == 6    # -20, 0, 20
         assert outside.rows[0].n == 4   # -50, 50
 
+    def test_domain_leaving_no_record_raises(self):
+        spec = SweepSpec(angles_deg=(-30.0, 0.0, 30.0),
+                         snrs_db=(math.inf,), records_per_cell=1)
+        ds = generate_dataset(spec)
+        with pytest.raises(EmptyDatasetError,
+                           match="no record lies in domain 'outside_30'"):
+            evaluate(ds, [MusicEstimator()], DOMAIN_OUTSIDE_30)
+
+    @pytest.mark.parametrize("names", [("m", "m"), ("music", "cnn", "music")])
+    def test_shared_estimator_name_raises_before_estimating(
+            self, sweep_dataset, names):
+        calls = []
+        estimators = [CountingEstimator(name, calls) for name in names]
+        with pytest.raises(InputError,
+                           match=f"two estimators are named '{names[0]}'"):
+            evaluate(sweep_dataset, estimators)
+        assert calls == []
+
     def test_deterministic(self, sweep_dataset):
         small = Dataset(config=sweep_dataset.config,
                         geometry=sweep_dataset.geometry,
@@ -111,14 +147,10 @@ class TestEvaluate:
     def test_worker_count_does_not_change_cnn_table(self, sweep_dataset):
         # the estimator, float32 weight cache included, crosses the
         # process boundary by pickle
-        spec = NetworkSpec(input_time=256, feature_maps=8,
-                           dense_widths=(16, 8))
-        checkpoint = Checkpoint(spec=spec,
-                                params=init_params(spec, 2, np.float64))
         small = Dataset(config=sweep_dataset.config,
                         geometry=sweep_dataset.geometry,
                         records=sweep_dataset.records[:40])
-        estimators = [NeuralEstimator(checkpoint)]
+        estimators = [tiny_cnn()]
         serial = evaluate(small, estimators, workers=1)
         parallel = evaluate(small, estimators, workers=2)
         assert serial.rows == parallel.rows
@@ -132,10 +164,24 @@ class TestEvaluate:
                         geometry=sweep_dataset.geometry,
                         records=sweep_dataset.records[:40])
         serial = evaluate(small, [MusicEstimator()])
-        sizes = record_pool_sizes(evaluation, cpus)
+        sizes = record_pool_sizes(datasets, cpus)
         pooled = evaluate(small, [MusicEstimator()], workers=10**6)
         assert sizes == [size]
         assert pooled.rows == serial.rows
+
+    def test_one_pool_per_estimator(self, sweep_dataset, record_pool_sizes):
+        # a CNN record costs several MUSIC records, so each estimator
+        # maps over the records in its own pool
+        small = Dataset(config=sweep_dataset.config,
+                        geometry=sweep_dataset.geometry,
+                        records=sweep_dataset.records[:40])
+        estimators = [MusicEstimator(), tiny_cnn()]
+        serial = evaluate(small, estimators)
+        sizes = record_pool_sizes(datasets, 2)
+        pooled = evaluate(small, estimators, workers=10**6)
+        assert sizes == [2, 2]
+        assert pooled.rows == serial.rows
+        assert {r.estimator for r in pooled.rows} == {"music", "cnn"}
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_is_an_input_error(self, sweep_dataset,
