@@ -3,7 +3,8 @@
 One binary with subcommands (simulate, dataset, train, eval, music,
 triangulate, sweep, gradcheck). Every subcommand accepts and validates
 ``--seed``, ``--config`` (also via the ECHODOA_CONFIG environment
-variable), ``--sim`` and ``--workers``, but only some read them:
+variable), ``--sim`` and ``--workers`` before it runs, but only some
+read them:
 
 * ``--seed``: simulate, dataset, train, sweep, gradcheck, and music's
   demo scenario;
@@ -126,7 +127,7 @@ def _write_spectrum(spectrum, path) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    config = _sim_config(args)
+    config = args.sim_config
     geometry = _geometry(args, config)
     scenario = SourceScenario(doa_deg=args.doa, range_m=args.range,
                               snr_db=args.snr)
@@ -170,8 +171,7 @@ def _sweep_spec(args, config) -> datasets.SweepSpec:
 
 
 def _cmd_dataset(args) -> int:
-    config = _sim_config(args)
-    spec = _sweep_spec(args, config)
+    spec = _sweep_spec(args, args.sim_config)
     ds = datasets.generate_dataset(spec, workers=args.workers)
     datasets.save_dataset(ds, args.out)
     if args.index_out:
@@ -234,7 +234,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_music(args) -> int:
-    config = _sim_config(args)
+    config = args.sim_config
     if args.dataset:
         ds = datasets.load_dataset(args.dataset)
         if not 0 <= args.index < len(ds.records):
@@ -290,8 +290,7 @@ def _cmd_triangulate(args) -> int:
 def _cmd_sweep(args) -> int:
     train_config = _train_config(args)
     hyper = neural.AdamHyper(learning_rate=args.learning_rate)
-    config = _sim_config(args)
-    spec = _sweep_spec(args, config)
+    spec = _sweep_spec(args, args.sim_config)
     ds = datasets.generate_dataset(spec, workers=args.workers)
     # the split train() selects on, checked before any file is written
     _, held_out = neural.training_split(ds, train_config)
@@ -483,9 +482,10 @@ def main(argv=None) -> int:
             raise InputError(f"--seed must lie in [0, 2**64), got {args.seed}")
         if args.workers < 1:
             raise InputError(f"--workers must be at least 1, got {args.workers}")
+        # checked before any subcommand writes a file
         if "grid_step" in args:
-            # checked before any subcommand writes a file
             args.music_options = MusicOptions(grid_step_deg=args.grid_step)
+        args.sim_config = _sim_config(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

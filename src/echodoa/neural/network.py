@@ -12,54 +12,57 @@ Pooling works on strided views of that layout and copies nothing; it
 records the int8 window index of each maximum only for the training
 pass. Bias-add and ReLU run in place on the convolution output.
 
-Each convolution runs in one of three forms, picked by ``_conv_form``
+Each convolution runs in one of two forms, picked by ``_conv_form``
 from the shape alone:
 
-- im2col (``_conv_same``): one real GEMM per kernel row offset over a
-  column buffer of every 16-tap time window. It takes every stage of a
-  network narrower than 32 maps, the first stage (one input map) at
-  batches below 16, and every later stage whose rows times batch is
-  below 32. So batch-1 inference (``predict_doa``, ``evaluate``) and
-  default-spec batches up to 15 run exactly as before, byte for byte.
-- folded (``_conv_folded``): the first stage of a network at least 32
-  maps wide from batch 16 on. Its columns hold every input row's 16
-  taps side by side, so each output row is one GEMM whose inner
-  dimension spans all the input rows it reads (32-64 deep in place of
-  16), written straight into the output. The stage runs in chunks of
-  ``_FOLDED_CHUNK`` (2) records: each chunk's columns, GEMMs, bias,
-  ReLU and pooling run while its 1 MB output is still in cache, so no
-  full-resolution first-stage array exists in either pass.
+- folded (``_conv_folded``): the column buffer holds every input row's
+  16-tap time windows side by side, so each output row is one GEMM
+  whose inner dimension spans all the input rows it reads (16-64 taps
+  deep per input map), written straight into the output. It takes
+  every stage with fewer than 32 input maps, so every first stage and
+  every stage of a narrower network, and every stage whose rows times
+  batch is below 32, so all of batch-1 inference (``predict_doa``,
+  ``evaluate``). The first stage (one input map) runs in chunks of
+  ``_FOLDED_CHUNK`` (2) records at every batch size: each chunk's
+  columns, GEMMs, bias, ReLU and pooling run while its output is still
+  in cache, so no full-resolution first-stage array exists in either
+  pass. Its input gradient is never needed. A later stage's input
+  gradient is the folded convolution of the output gradient with the
+  kernel flipped in space and its channel axes swapped, under mirrored
+  padding.
 - spectral (``_conv_spectral``): ``rfft`` along time to
   ``next_fast_len(T + kt - 1)`` points, one batched complex GEMM per
-  row offset and frequency, and one ``irfft``. It takes stages 2-5 of
-  the default spec once rows times batch reaches 32: stage 2 from
-  batch 16, stages 3-5 from batch 32, so every stage but the first of
-  a 64-record training batch. It does about 7x fewer multiply-adds.
-  The ``rfft`` runs ``_RFFT_CHUNK`` (4) records per call into one
-  preallocated spectrum, so only a chunk is ever zero-padded; the
-  output is a strided view into the ``irfft`` result, not a copy.
+  row offset and frequency, and one ``irfft``. It takes stages with at
+  least 32 input maps once rows times batch reaches 32: stage 2 of the
+  default spec from batch 16, stages 3-5 from batch 32, so every stage
+  but the first of a 64-record training batch. It does about 7x fewer
+  multiply-adds. The ``rfft`` runs ``_RFFT_CHUNK`` (4) records per call
+  into one preallocated spectrum, so only a chunk is ever zero-padded;
+  the output is a strided view into the ``irfft`` result, not a copy.
 
-The folded and spectral forms are float reordering only. In float64
-each agrees with im2col to about 1e-14 relative. In float32 all three
-stay a few 1e-7 from the float64 result, relative to its largest value:
-the spectral forward pass and gradients no further than im2col's, the
-folded output and weight gradient within 1e-6 (about 3e-7, where
-im2col's are 1-9e-7), its bias gradient bit for bit on the same
-records. Chunking leaves every forward byte as it is; the folded
-stage's gradients become sums of per-chunk sums, which moved
-whole-network float32 gradients by up to 4.2e-6 of their maximum at
-batches 16-64. Whole-network float32 gradients of a large batch can
-still differ from the im2col ones by a few 1e-3 of their maximum,
-because a last-bit change can flip a max-pool or ReLU near-tie;
-compare the forms per stage, not per network.
+The two forms are float reorderings of the same sums. In float64 each
+agrees to about 1e-14 relative with a reference that the tests keep:
+one GEMM per kernel row offset over columns of one input row each. In
+float32 each stays a few 1e-7 from the float64 result, relative to its
+largest value: the spectral forward pass and gradients closer than
+that reference, the folded output and weight gradient within 1e-6, the
+bias gradient bit for bit the reference's. A GEMM over fewer rows may
+sum in another order, so the chunked first stage need not give the
+bytes of a whole-batch pass: at 64 maps its forward output does; at 8
+maps it does not from batch 16 on, nor at 4 maps at batch 64. Its
+gradients are sums of per-chunk sums, up to 4.2e-6 of their maximum
+from the whole-batch ones (64 maps, batches 16-64). Whole-network
+float32 gradients of a large batch can differ between orders by a few
+1e-3 of their maximum, because a last-bit change can flip a max-pool
+or ReLU near-tie; compare the forms per stage, not per network.
 
 The training pass caches, per convolution stage, three things: the
-stage input in the form its gradient needs (the im2col column buffer;
-the input spectrum, about 14x smaller; for a folded stage the input
-itself, 16x smaller than its columns, which each chunk rebuilds), the
-int8 window index of each pooled maximum, and a bool mask of the
-positive pooled outputs (one byte per pooling window, in place of the
-full-size ReLU output).
+stage input in the form its gradient needs (the folded column buffer;
+the input spectrum, about 14x smaller; for the chunked first stage the
+input itself, 16x smaller than its columns, which each chunk
+rebuilds), the int8 window index of each pooled maximum, and a bool
+mask of the positive pooled outputs (one byte per pooling window, in
+place of the full-size ReLU output).
 
 A spectral stage frees each full-size array as soon as it is spent,
 so it holds about three at once. At stage 2 of a batch-64 step
@@ -85,9 +88,9 @@ tap spectrum 4.7 MB each:
   saved input spectrum are alive.
 
 The convolution output of every form is freed once pooled, and the
-reverse pass takes each stage's cache out as it reaches that stage. An
-im2col stage builds its input-gradient columns into its spent forward
-column buffer rather than a second one. The stage functions free their
+reverse pass takes each stage's cache out as it reaches that stage. A
+folded stage drops its forward column buffer before its input
+gradient builds columns of its own. The stage functions free their
 inputs only when the caller passes its last reference, and CPython
 before 3.11 keeps call arguments on the caller's stack until the call
 returns.
@@ -195,63 +198,6 @@ def _row_bands(kr, r_dim, pad_r):
             yield dr, r_lo, r_hi, r_lo + dr - pad_r[0]
 
 
-def _conv_same(x, w, pad_r, pad_t, cols=None):
-    """Same-size 2-D convolution; returns output and the column buffer.
-
-    ``x`` is (R, B, T, C) and ``w`` is (kr, kt, C, F). Row offsets whose
-    taps land entirely in padding are skipped; time padding is explicit.
-    The column buffer is (R, B, T, kt * C); the training pass keeps it
-    for the weight gradient. A contiguous ``cols`` of that shape and of
-    ``x``'s dtype is overwritten instead of allocating a fresh buffer.
-    """
-    kr, kt, c_in, f_out = w.shape
-    r_dim, b_dim, t_dim, _ = x.shape
-    xpt = np.pad(x, ((0, 0), (0, 0), pad_t, (0, 0)))
-    win = sliding_window_view(xpt, kt, axis=2)               # (R,B,T,C,kt)
-    win = win.transpose(0, 1, 2, 4, 3)
-    if cols is None:
-        cols = np.ascontiguousarray(win)
-    else:
-        np.copyto(cols.reshape(win.shape), win, casting="no")
-    cols = cols.reshape(r_dim, b_dim, t_dim, kt * c_in)
-    wm = w.reshape(kr, kt * c_in, f_out)
-    y = np.zeros((r_dim, b_dim, t_dim, f_out), dtype=x.dtype)
-    for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
-        rows = r_hi - r_lo
-        xs = cols[i_lo:i_lo + rows].reshape(rows * b_dim * t_dim, kt * c_in)
-        y[r_lo:r_hi] += (xs @ wm[dr]).reshape(rows, b_dim, t_dim, f_out)
-    return y, cols
-
-
-def _conv_same_grads(dy, w, cols, pad_r, pad_t, need_dx):
-    """Gradients of _conv_same w.r.t. weights, bias, and (optionally) input.
-
-    ``cols`` is the forward column buffer. When the input gradient is
-    needed, ``dy``'s columns are built into ``cols`` once the weight
-    gradient has used it, so its contents are then spent. That needs
-    C == F, which holds for every stage but the first, the only one
-    whose input gradient is never needed.
-    """
-    kr, kt, c_in, f_out = w.shape
-    r_dim, b_dim, t_dim, _ = dy.shape
-    dwm = np.zeros((kr, kt * c_in, f_out), dtype=dy.dtype)
-    db = dy.sum(axis=(0, 1, 2))
-    for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
-        rows = r_hi - r_lo
-        xs = cols[i_lo:i_lo + rows].reshape(rows * b_dim * t_dim, kt * c_in)
-        gy = dy[r_lo:r_hi].reshape(rows * b_dim * t_dim, f_out)
-        dwm[dr] = xs.T @ gy
-    dw = dwm.reshape(kr, kt, c_in, f_out)
-    dx = None
-    if need_dx:
-        # input gradient is a convolution with the space-flipped,
-        # channel-transposed kernel and mirrored padding
-        wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-        dx, _ = _conv_same(dy, wflip, (pad_r[1], pad_r[0]),
-                           (pad_t[1], pad_t[0]), cols=cols)
-    return dw, db, dx
-
-
 def _out_rows(kr, r_dim, pad_r):
     """(r, d_lo, d_hi, i_lo) for each output row with work to do.
 
@@ -276,13 +222,15 @@ def _folded_cols(x, kt, pad_t):
 
 
 def _conv_folded(x, w, pad_r, pad_t):
-    """Row-folded form of ``_conv_same``; returns output and columns.
+    """Same-size 2-D convolution; returns output and the column buffer.
 
-    The column buffer is (B * T, R * kt * C): each row holds the time
-    window of every input row side by side, so the input rows that one
-    output row reads form one contiguous band of columns. Each output
-    row is then one GEMM of that band with the matching kernel rows,
-    written into the output without an accumulator.
+    ``x`` is (R, B, T, C) and ``w`` is (kr, kt, C, F); time padding is
+    explicit. The column buffer is (B * T, R * kt * C): each row holds
+    the time window of every input row side by side, so the input rows
+    that one output row reads form one contiguous band of columns. Each
+    output row is then one GEMM of that band with the matching kernel
+    rows, written into the output without an accumulator. Kernel rows
+    whose taps land entirely in the row padding are left out.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = x.shape
@@ -298,10 +246,14 @@ def _conv_folded(x, w, pad_r, pad_t):
 
 
 def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx):
-    """Weight and bias gradients of ``_conv_folded``.
+    """Gradients of ``_conv_folded``; ``cols`` is its column buffer.
 
-    The folded form runs only first stages, whose input gradient is
-    never needed, so ``dx`` is always None.
+    The weight gradient sums, output row by output row, that row's band
+    of columns against its output gradient. The input gradient is the
+    folded convolution of ``dy`` with the kernel flipped in space and
+    its channel axes swapped, under mirrored padding. ``cols`` is
+    dropped before that convolution builds its own columns, so a caller
+    that passes its last reference holds one column buffer at a time.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = dy.shape
@@ -313,7 +265,13 @@ def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx):
         i_hi = i_lo + d_hi - d_lo
         dwm[d_lo * k:d_hi * k] += (cols[:, i_lo * k:i_hi * k].T
                                    @ dy[r].reshape(b_dim * t_dim, f_out))
-    return dw, db, None
+    del cols
+    if not need_dx:
+        return dw, db, None
+    wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
+    dx, _ = _conv_folded(dy, wflip, (pad_r[1], pad_r[0]),
+                         (pad_t[1], pad_t[0]))
+    return dw, db, dx
 
 
 # Records per ``rfft`` call of a spectral stage (``_rfft_records``), and
@@ -406,7 +364,7 @@ def _spectral_output(yf, n, kt, pad_t, t_dim):
 
 
 def _conv_spectral(x, w, pad_r, pad_t):
-    """Spectral form of ``_conv_same``; returns output and input spectrum.
+    """Spectral form of ``_conv_folded``; returns output and input spectrum.
 
     The training pass keeps the spectrum, (R, B, Nf, C) complex, for the
     weight gradient. ``x`` is dropped once its spectrum exists; a caller
@@ -431,7 +389,7 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
     the (C, F) product ``X^T conj(DY)``, summed over rows and batch, then
     an inverse real DFT evaluated at those ``kt`` lags only. That last
     sum runs over every frequency, so it runs in double precision: in
-    single precision its rounding alone matched im2col's whole error.
+    single precision its rounding alone matched a GEMM's whole error.
 
     Each full-size array is dropped as soon as it is spent: ``dy`` once
     its spectrum exists, each row band's cross product before the next
@@ -476,44 +434,32 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
     return dw, db, _spectral_output(dxf, n, kt, (pad_t[1], pad_t[0]), t_dim)
 
 
-_FORMS = {"im2col": (_conv_same, _conv_same_grads),
-          "folded": (_conv_folded, _conv_folded_grads),
+_FORMS = {"folded": (_conv_folded, _conv_folded_grads),
           "spectral": (_conv_spectral, _conv_spectral_grads)}
 
 
 # Crossover of the convolution forms, measured on 2 CPUs with OpenBLAS
-# on one thread in float32, as (im2col time) / (other form's time) for
-# a forward pass plus the gradients, kt = 16.
+# on one thread in float32, as (folded time) / (spectral time) for a
+# forward pass plus both gradients, C = F, kt = 16, medians of 9 over
+# two runs:
 #
-# Spectral against im2col, C = F, both gradients:
+#   rows x batch      2x8        1x16       2x16       1x32
+#   C=64, T=256    1.45-1.61  2.05-2.19  2.25-2.28  2.72-2.76
+#   C=64, T=128    1.22-1.23  1.51       2.06-2.20  3.03-3.32
+#   C=64, T=32     0.66-0.77  0.99-1.02  1.13-1.20  1.37-1.78
+#   C=8,  T=128    0.52-0.76  0.59-0.63  1.07-1.45  0.65-0.69
 #
-#   rows x batch      1x8   2x8   1x16  2x16  1x32  1x64  2x32
-#   C=64, T=256      0.94  1.14  1.42  1.77  1.95  2.41  2.51
-#   C=64, T=128      0.97  1.14  1.45  1.72  1.98  2.36  2.35
-#   C=64, T=32       0.73  0.76  1.06  1.22  1.48  1.80  1.69
-#   C=8,  T=128      0.85  0.83  1.00  1.36  2.04  1.84  1.89
+# From rows x batch 32 on the spectral form wins at 64 maps at every
+# length. At 16 it already wins the longer stages but loses or ties
+# stage 5 (T = 32); the threshold stays at 32. At 8 maps it loses at
+# nearly every shape, so networks narrower than 32 maps stay folded in
+# every stage. The first stage has one input map, so each
+# per-frequency product is a 1-deep outer product: the spectral form
+# took 2.7x as long as a column GEMM there at batch 64.
 #
-# From rows x batch 32 on the spectral form wins at every width and
-# length; below 16 it loses (stage 2 at batch 1: 14.3 ms against
-# 3.0 ms). The first stage has one input map, so each per-frequency
-# product is a 1-deep outer product: the spectral form took 2.7x as
-# long there at batch 64.
-#
-# Folded against im2col, the default first stage (4 rows, T = 512,
-# C = 1, F = 64), forward and weight gradient:
-#
-#   batch             1     16    51    64
-#   im2col / folded  1.50  1.87  2.31  2.42
-#
-# At batch 64 that is 81 against 33 ms. The folded form wins at every
-# batch, but below 16 it stays on im2col so that batch-1 inference and
-# small batches keep their bytes. Networks narrower than 32 maps stay
-# on im2col in every stage so that their training results do not move
-# (the spectral form would save them about a millisecond per step).
-#
-# The folded stage runs _FOLDED_CHUNK records at a time through bias,
-# ReLU and pooling. Default first stage at batch 64, forward pass plus
-# gradients, medians of 9 (2 MiB of L2 per core):
+# The folded first stage runs _FOLDED_CHUNK records at a time through
+# bias, ReLU and pooling. Default first stage at batch 64, forward pass
+# plus gradients, medians of 9 (2 MiB of L2 per core):
 #
 #   records per chunk    1     2     4     8     16    64 (whole batch)
 #   ms                 94.4  76.1  75.8  82.1  84.9  118.4
@@ -525,12 +471,9 @@ _FOLDED_CHUNK = 2
 def _conv_form(x_shape, w_shape) -> str:
     """Name of the form, a key of ``_FORMS``, that runs this convolution."""
     r_dim, b_dim, _, _ = x_shape
-    _, _, c_in, f_out = w_shape
-    if c_in == 1 and f_out >= 32 and b_dim >= 16:
-        return "folded"
-    if c_in >= 32 and r_dim * b_dim >= 32:
+    if w_shape[2] >= 32 and r_dim * b_dim >= 32:
         return "spectral"
-    return "im2col"
+    return "folded"
 
 
 def _pool_slots(x, pr, pt):
@@ -659,7 +602,8 @@ def _forward_impl(spec, params, x, keep):
         w, b = params[f"conv{s}_w"], params[f"conv{s}_b"]
         form = _conv_form(act.shape, w.shape)
         conv_shape = act.shape[:3] + w.shape[3:]
-        if form == "folded":
+        if s == 1:
+            # one input map, so no input gradient: chunks of records
             saved = act
             act, arg = _folded_stage(act, w, b, pad_r, pad_t, pr, pt, keep)
         else:
@@ -705,8 +649,8 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
 
     Each stage's cache entry (column buffer, input spectrum or stage
     input, window index, pooled mask) is taken out of the cache and
-    freed once that stage's gradients exist; an im2col stage's input
-    gradient reuses its column buffer.
+    freed once that stage's gradients exist; a folded stage drops its
+    column buffer before its input gradient builds columns of its own.
     The ReLU mask is applied to the pooled gradient before routing:
     a routed slot holds its window's maximum, so its ReLU output is
     positive exactly when the pooled output is, and unrouted slots
@@ -754,7 +698,7 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
         pr, pt = schedule[s - 1]
         w = params[f"conv{s}_w"]
         dact *= stage.pop("mask")
-        if stage["form"] == "folded":
+        if s == 1:
             dw, db = _folded_stage_grads(dact, stage.pop("arg"),
                                          stage.pop("saved"), w, pad_r, pad_t,
                                          pr, pt)
@@ -768,8 +712,7 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
                                   stage["pre_pool_shape"], pr, pt)]
             del dact
             dw, db, dact = _FORMS[stage["form"]][1](
-                held.pop(), w, stage.pop("saved"), pad_r, pad_t,
-                need_dx=s > 1)
+                held.pop(), w, stage.pop("saved"), pad_r, pad_t, need_dx=True)
         grads[f"conv{s}_w"] = dw
         grads[f"conv{s}_b"] = db
     return loss, grads

@@ -636,6 +636,39 @@ class TestConfigPlumbing:
         code, _, err = run(capsys, "music", "--sim", "who=1")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--doa", "30", "--range", "1", "--out", "c.edcf"),
+        ("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
+         "--out", "d.edds"),
+        ("train", "--dataset", "d.edds", "--out", "m.edck"),
+        ("eval", "--dataset", "d.edds", "--music", "--out", "e.csv"),
+        ("music", "--spectrum-out", "s.txt"),
+        ("triangulate", "--r1", "1", "--r2", "1", "--out", "fix.json"),
+        ("sweep", "--angles=0", "--snrs=20", "--records-per-cell", "2",
+         "--epochs", "1", "--out-dir", "run"),
+        ("gradcheck",)], ids=SUBCOMMANDS)
+    def test_malformed_sim_fails_every_subcommand(self, argv, tmp_path,
+                                                  capsys, monkeypatch):
+        # also those that read no simulation key; d.edds does not exist,
+        # so train and eval show that the check comes first
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--sim", "bogus")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: InputError: --sim expects key=value, got 'bogus'"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_config_file_fails_a_subcommand_that_reads_none(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ECHODOA_CONFIG", str(tmp_path / "missing.cfg"))
+        code, out, err = run(capsys, "triangulate", "--r1", "1", "--r2", "1")
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileNotFoundError: ")
+
     def test_rng_seed_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("rng_seed = 1\n")

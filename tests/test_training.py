@@ -116,7 +116,7 @@ def memorization_runs(noiseless_32):
 
 
 # train seeds whose returned weights miss 1 degree on their own training
-# records (5.659, 4.845, 1.492 and 1.998 degrees); CHANGES.md records the
+# records (5.232, 4.851, 1.569 and 2.415 degrees); CHANGES.md records the
 # two causes as FOUND: the returned epoch is the one with the lowest loss
 # on the four held-out records, which stay near 7.8 degrees, so it is
 # arbitrary; and ADAM at batch 8 swings the training fit late in training
