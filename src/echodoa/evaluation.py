@@ -117,8 +117,10 @@ def evaluate(dataset, estimators, domain_filter: str = DOMAIN_FULL,
     """Per-(SNR, estimator) absolute-error metrics over the dataset.
 
     Fallback estimates count at their actual error |0 - truth|, the
-    same convention both estimators use at runtime. Aggregation is a
-    deterministic fold in record order whatever the worker count.
+    same convention both estimators use at runtime. Every estimator's
+    records go through one process pool, so ``workers`` processes
+    start once per call. Aggregation is a deterministic fold in record
+    order whatever the worker count.
     Estimators that share a name, an empty dataset and a domain that
     leaves no record raise before any record is estimated.
     """
@@ -135,15 +137,17 @@ def evaluate(dataset, estimators, domain_filter: str = DOMAIN_FULL,
     if not records:
         raise EmptyDatasetError(f"no record lies in domain {domain_filter!r}")
 
-    # one contiguous chunk of records per process
-    chunk = -(-len(records) // pool_size(workers, len(records)))
+    # one pool for every estimator, in contiguous chunks that split
+    # one estimator's records evenly over the processes
+    n = len(records)
+    chunk = -(-n // pool_size(workers, n))
+    results = pool_map(_estimate, [(est, rec, dataset.geometry, dataset.config)
+                                   for est in estimators for rec in records],
+                       workers, chunk)
     rows = []
-    for est in estimators:
-        results = pool_map(_estimate, [(est, rec, dataset.geometry,
-                                        dataset.config) for rec in records],
-                           workers, chunk)
+    for i, est in enumerate(estimators):
         by_snr = {}
-        for snr_db, err, fell_back in results:
+        for snr_db, err, fell_back in results[i * n:(i + 1) * n]:
             bucket = by_snr.setdefault(snr_db, {"err": [], "fb": 0})
             bucket["err"].append(err)
             bucket["fb"] += fell_back

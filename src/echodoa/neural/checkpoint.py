@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from types import MappingProxyType
 from typing import ClassVar
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .. import container
 from ..errors import FileFormatError, ShapeMismatchError
-from .network import NetworkSpec
+from .network import NetworkSpec, _blocked_taps
 
 MAGIC = b"EDCK"
 VERSION = 1
@@ -37,7 +38,8 @@ class Checkpoint:
     given arrays, so the caller's arrays stay theirs and writable.
     ``params32`` holds their float32 cast, derived once here and used by
     every inference call; since nothing can write the float64 weights,
-    it cannot go stale.
+    it cannot go stale. ``tap_spectra`` holds the blocked inference
+    form's tap spectra of those float32 weights, derived on first use.
     """
 
     # the per-record input scaling of ``baseband_to_input``
@@ -65,6 +67,11 @@ class Checkpoint:
                     for name, p in params.items()}
         object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "params32", MappingProxyType(params32))
+
+    @cached_property
+    def tap_spectra(self):
+        """``_blocked_taps`` of ``params32``: read-only, derived once."""
+        return _blocked_taps(self.spec, self.params32)
 
     def __reduce__(self):
         # pickle the float64 weights only; unpickling re-derives the rest

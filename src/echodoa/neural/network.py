@@ -21,8 +21,8 @@ from the shape alone:
   deep per input map), written straight into the output. It takes
   every stage with fewer than 32 input maps, so every first stage and
   every stage of a narrower network, and every stage whose rows times
-  batch is below 32, so all of batch-1 inference (``predict_doa``,
-  ``evaluate``). The first stage (one input map) runs in chunks of
+  batch is below 32, so every stage of a batch-1 ``forward``. The
+  first stage (one input map) runs in chunks of
   ``_FOLDED_CHUNK`` (2) records at every batch size: each chunk's
   columns, GEMMs, bias, ReLU and pooling run while its output is still
   in cache, so no full-resolution first-stage array exists in either
@@ -40,21 +40,38 @@ from the shape alone:
   into one preallocated spectrum, so only a chunk is ever zero-padded;
   the output is a strided view into the ``irfft`` result, not a copy.
 
-The two forms are float reorderings of the same sums. In float64 each
+Inference has a third, forward-only path, which ``_conv_form`` never
+picks: ``predict_doa`` passes the checkpoint's cached tap spectra, and
+then stages 2-5 run ``_conv_blocked``, an overlap-save convolution
+over blocks of ``_BLOCK_TIME`` (48) samples that step by 33, with one
+complex GEMM per frequency and row band against a stored tap spectrum.
+``_blocked_taps`` derives those spectra once per checkpoint
+(``Checkpoint.tap_spectra``, read-only, about 4.9 MB for the default
+spec; pickles carry only the float64 weights). At batch 1 stage 2 it
+does about 13 M real multiply-adds against the folded form's 67 M, and
+its short blocks keep the tap spectra small: the spectral form's
+whole-record spectra would take about 19 MB for stages 2-5. A network
+narrower than 32 maps derives none and stays folded, and everything
+that runs without the cache (``forward``, training, the held-out loss,
+the first stage) keeps the two forms above and their bytes.
+
+The forms are float reorderings of the same sums. In float64 each
 agrees to about 1e-14 relative with a reference that the tests keep:
 one GEMM per kernel row offset over columns of one input row each. In
 float32 each stays a few 1e-7 from the float64 result, relative to its
 largest value: the spectral forward pass and gradients closer than
 that reference, the folded output and weight gradient within 1e-6, the
-bias gradient bit for bit the reference's. A GEMM over fewer rows may
-sum in another order, so the chunked first stage need not give the
-bytes of a whole-batch pass: at 64 maps its forward output does; at 8
-maps it does not from batch 16 on, nor at 4 maps at batch 64. Its
-gradients are sums of per-chunk sums, up to 4.2e-6 of their maximum
-from the whole-batch ones (64 maps, batches 16-64). Whole-network
-float32 gradients of a large batch can differ between orders by a few
-1e-3 of their maximum, because a last-bit change can flip a max-pool
-or ReLU near-tie; compare the forms per stage, not per network.
+bias gradient bit for bit the reference's; the blocked output reads
+1.6-2.5e-7 at batch-1 stage shapes, where folded reads 3.9-5.8e-7. A
+GEMM over fewer rows may sum in another order, so the chunked first
+stage need not give the bytes of a whole-batch pass: at 64 maps its
+forward output does; at 8 maps it does not from batch 16 on, nor at 4
+maps at batch 64. Its gradients are sums of per-chunk sums, up to
+4.2e-6 of their maximum from the whole-batch ones (64 maps, batches
+16-64). Whole-network float32 gradients of a large batch can differ
+between orders by a few 1e-3 of their maximum, because a last-bit
+change can flip a max-pool or ReLU near-tie; compare the forms per
+stage, not per network.
 
 The training pass caches, per convolution stage, three things: the
 stage input in the form its gradient needs (the folded column buffer;
@@ -99,6 +116,7 @@ returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -324,32 +342,35 @@ def _rfft_records(x, n):
     return xf
 
 
-def _spectral_product(xf, w, pad_r, n):
+def _spectral_product(xf, taps, kr, pad_r):
     """Output spectrum of the convolution of the input with spectrum ``xf``.
 
     ``xf`` is (R, B, Nf, C), the ``rfft`` along time at an ``n`` that
-    holds the full linear convolution, so nothing wraps around. The
-    time-reversed kernel turns the correlation into a convolution.
+    holds the linear convolution each output sample needs.
+    ``taps(dr)`` is kernel row ``dr``'s ``_tap_spectrum`` at that ``n``,
+    (Nf, C, F): the time-reversed kernel turns the correlation into a
+    convolution.
 
     Kernel row ``pad_r[0]`` reads every input row into every output row,
     so its product is written into the output spectrum and the other
     rows' products are added to it; with ``kr`` below 5 that sums the
     products in the order of a zero-filled accumulator.
     """
-    kr, kt, c_in, f_out = w.shape
-    r_dim, b_dim, nf, _ = xf.shape
+    r_dim, b_dim, nf, c_in = xf.shape
+    first = taps(pad_r[0])
+    f_out = first.shape[2]
     yf = np.empty((r_dim, b_dim, nf, f_out), dtype=xf.dtype)
     # (Nf, R * B, maps) views: one GEMM per frequency and row offset
     xv = xf.reshape(r_dim * b_dim, nf, c_in).transpose(1, 0, 2)
     yv = yf.reshape(r_dim * b_dim, nf, f_out).transpose(1, 0, 2)
-    np.matmul(xv, _tap_spectrum(w[pad_r[0]], n, xf.dtype), out=yv)
+    np.matmul(xv, first, out=yv)
+    del first
     for dr, r_lo, r_hi, i_lo in _row_bands(kr, r_dim, pad_r):
         if dr == pad_r[0]:
             continue
         rows = r_hi - r_lo
         yv[:, r_lo * b_dim:r_hi * b_dim] += \
-            xv[:, i_lo * b_dim:(i_lo + rows) * b_dim] \
-            @ _tap_spectrum(w[dr], n, xf.dtype)
+            xv[:, i_lo * b_dim:(i_lo + rows) * b_dim] @ taps(dr)
     return yf
 
 
@@ -374,9 +395,9 @@ def _conv_spectral(x, w, pad_r, pad_t):
     n = _spectral_size(t_dim, kt)
     xf = _rfft_records(x, n)
     del x
-    y = _spectral_output(_spectral_product(xf, w, pad_r, n), n, kt, pad_t,
-                         t_dim)
-    return y, xf
+    yf = _spectral_product(
+        xf, lambda dr: _tap_spectrum(w[dr], n, xf.dtype), w.shape[0], pad_r)
+    return _spectral_output(yf, n, kt, pad_t, t_dim), xf
 
 
 def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
@@ -429,13 +450,88 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
         return dw, db, None
     np.conjugate(dyf, out=dyf)                     # back to dy's spectrum
     wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
-    dxf = _spectral_product(dyf, wflip, (pad_r[1], pad_r[0]), n)
+    dxf = _spectral_product(
+        dyf, lambda dr: _tap_spectrum(wflip[dr], n, dyf.dtype), kr,
+        (pad_r[1], pad_r[0]))
     del dyf, gv
     return dw, db, _spectral_output(dxf, n, kt, (pad_t[1], pad_t[0]), t_dim)
 
 
 _FORMS = {"folded": (_conv_folded, _conv_folded_grads),
           "spectral": (_conv_spectral, _conv_spectral_grads)}
+
+
+# Time samples per overlap-save block of the blocked inference form
+# (``_conv_blocked``); each block keeps its last 48 - kt + 1 = 33.
+# ``to_baseband`` plus ``predict_doa`` over one 286-echo benchmark
+# block, default spec: the median over 8 alternating rounds of each
+# round's p50, as a ratio to the all-folded order's (3.20 and 3.09 ms),
+# on 2 CPUs with OpenBLAS on one thread, float32, on a shared host:
+#
+#   block samples     32     48     64
+#   seed 77          0.82   0.79   0.83
+#   seed 4242        0.80   0.80   0.85
+#
+# Shorter blocks spend more of each transform on the kt - 1 samples
+# they drop; longer ones pad the short late stages (32-128 samples)
+# further and hold larger tap spectra.
+_BLOCK_TIME = 48
+
+
+def _conv_blocked(x, w, taps, pad_r, pad_t):
+    """Same-size convolution by overlap-save over short time blocks.
+
+    Forward only, for inference; ``w`` gives only the kernel's shape.
+    ``taps`` maps each kernel row offset that ``_row_bands`` uses at
+    this row count to its ``_tap_spectrum`` at ``_BLOCK_TIME`` points
+    (see ``_blocked_taps``). Time is zero-padded by ``pad_t`` and cut
+    into blocks of ``_BLOCK_TIME`` samples that step by
+    ``_BLOCK_TIME - kt + 1``; each block's circular convolution (one
+    ``rfft``, one complex GEMM per frequency and row band, one
+    ``irfft``) equals the linear one from sample ``kt - 1`` on, which
+    it keeps. The output is a view into a copy of those samples.
+    """
+    kr, kt = w.shape[:2]
+    r_dim, b_dim, t_dim, c_in = x.shape
+    step = _BLOCK_TIME - kt + 1
+    blocks = -(-t_dim // step)
+    xp = np.zeros((r_dim, b_dim, blocks * step + kt - 1, c_in), x.dtype)
+    xp[:, :, pad_t[0]:pad_t[0] + t_dim] = x
+    # (R, B, blocks, _BLOCK_TIME, C) view of the overlapping blocks
+    win = sliding_window_view(xp, _BLOCK_TIME, axis=2)[:, :, ::step]
+    xf = scipy.fft.rfft(win.swapaxes(3, 4), axis=3)
+    xf = xf.reshape(r_dim, b_dim * blocks, -1, c_in)
+    yf = _spectral_product(xf, taps.__getitem__, kr, pad_r)
+    z = scipy.fft.irfft(yf, n=_BLOCK_TIME, axis=2)[:, :, kt - 1:]
+    return z.reshape(r_dim, b_dim, blocks * step, -1)[:, :, :t_dim]
+
+
+def _blocked_taps(spec, params):
+    """Tap spectra of ``_conv_blocked`` for conv stages 2-5, or None.
+
+    One read-only mapping per stage from each kernel row offset that
+    ``_row_bands`` uses at the stage's input row count (three at stage
+    2, one at stages 3-5) to its ``_tap_spectrum`` at ``_BLOCK_TIME``
+    points, complex64 for float32 weights: about 4.9 MB for the default
+    spec. A network narrower than 32 maps gets None and stays folded,
+    as ``_conv_form`` keeps it in training.
+    """
+    if spec.feature_maps < 32:
+        return None
+    pad_r = _same_pads(spec.kernel_rows)
+    rows = spec.input_rows
+    taps = []
+    for s, (pr, _) in enumerate(spec.pool_schedule(), start=1):
+        if s > 1:
+            w = params[f"conv{s}_w"]
+            ctype = np.result_type(w.dtype, np.complex64)
+            stage = {}
+            for dr, *_ in _row_bands(spec.kernel_rows, rows, pad_r):
+                stage[dr] = _tap_spectrum(w[dr], _BLOCK_TIME, ctype)
+                stage[dr].setflags(write=False)
+            taps.append(MappingProxyType(stage))
+        rows //= pr
+    return tuple(taps)
 
 
 # Crossover of the convolution forms, measured on 2 CPUs with OpenBLAS
@@ -591,7 +687,13 @@ def _check_params(spec, params):
                 f"{name} has shape {params[name].shape}, expected {shape}")
 
 
-def _forward_impl(spec, params, x, keep):
+def _forward_impl(spec, params, x, keep, taps=None):
+    """Predictions, and the training cache when ``keep``.
+
+    With ``taps`` from ``_blocked_taps`` (inference only, never with
+    ``keep``) stages 2-5 run ``_conv_blocked``; without, each stage
+    takes the form ``_conv_form`` picks.
+    """
     dtype = params["conv1_w"].dtype
     act = np.ascontiguousarray(
         x.astype(dtype, copy=False).transpose(1, 0, 2))[..., None]
@@ -606,6 +708,11 @@ def _forward_impl(spec, params, x, keep):
             # one input map, so no input gradient: chunks of records
             saved = act
             act, arg = _folded_stage(act, w, b, pad_r, pad_t, pr, pt, keep)
+        elif taps is not None:
+            saved = None
+            act, arg = _bias_relu_pool(
+                _conv_blocked(act, w, taps[s - 2], pad_r, pad_t), b, pr, pt,
+                keep)
         else:
             # the input goes in without a caller name, so a spectral
             # stage frees it once its spectrum exists (CPython 3.11 on;

@@ -251,7 +251,9 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband) -> DoaEstimate:
     signal-free records are gated out. One detection pass over the
     record yields both the gate and the crop window of
     ``baseband_to_input``. The forward pass runs in float32 on the
-    checkpoint's cached ``params32``. A record that is not a pair (two
+    checkpoint's cached ``params32``, and its stages 2-5 in overlap-save
+    blocks on the checkpoint's cached ``tap_spectra`` (folded, as in
+    ``forward``, for a network narrower than 32 maps). A record that is not a pair (two
     channels for the network's four input rows) raises before the gate,
     so even a signal-free record cannot pass for a fallback.
     """
@@ -263,7 +265,7 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband) -> DoaEstimate:
         crop = _center_window(base, checkpoint.spec)
     rows = baseband_to_input(base, checkpoint.spec, crop)
     pred, _ = _forward_impl(checkpoint.spec, checkpoint.params32, rows[None],
-                            keep=False)
+                            keep=False, taps=checkpoint.tap_spectra)
     angle = float(pred[0]) * ANGLE_SCALE_DEG
     return DoaEstimate(angle_deg=angle, status=CONVERGED,
                        ambiguity_deg=(angle,))

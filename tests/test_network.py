@@ -825,22 +825,26 @@ def traced_peak(run):
 
 # --- the first stage in chunks of records ---------------------------------
 
-def whole_batch_forward(spec, params, x):
+def whole_batch_forward(spec, params, x, taps=None):
     """Predictions with each stage run over the whole batch at once.
 
-    Every stage takes the form ``_conv_form`` picks, then adds the bias,
-    applies ReLU and pools its full-resolution output.
+    Every stage takes the form ``_conv_form`` picks, or with ``taps``
+    stages 2-5 the blocked form on those tap spectra, then adds the
+    bias, applies ReLU and pools its full-resolution output.
     """
     from echodoa.neural.network import (
-        _FORMS, _conv_form, _maxpool, _same_pads)
+        _FORMS, _conv_blocked, _conv_form, _maxpool, _same_pads)
     dtype = params["conv1_w"].dtype
     act = np.ascontiguousarray(
         x.astype(dtype, copy=False).transpose(1, 0, 2))[..., None]
     pad_r, pad_t = _same_pads(spec.kernel_rows), _same_pads(spec.kernel_time)
     for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
         w = params[f"conv{s}_w"]
-        conv, _ = _FORMS[_conv_form(act.shape, w.shape)][0](
-            act, w, pad_r, pad_t)
+        if s > 1 and taps is not None:
+            conv = _conv_blocked(act, w, taps[s - 2], pad_r, pad_t)
+        else:
+            conv, _ = _FORMS[_conv_form(act.shape, w.shape)][0](
+                act, w, pad_r, pad_t)
         conv += params[f"conv{s}_b"]
         np.maximum(conv, 0.0, out=conv)
         act, _ = _maxpool(conv, pr, pt, keep=False)
@@ -873,17 +877,16 @@ class TestChunkedFirstStage:
             assert trained.tobytes() == want, batch
 
     def test_predict_doa_bytes_equal_whole_batch_order(self):
-        from echodoa.datasets import SweepSpec, generate_dataset
+        # stages 2-5 run blocked on the checkpoint's own tap spectra
         from echodoa.neural import (
             ANGLE_SCALE_DEG, Checkpoint, baseband_to_input, predict_doa)
         spec = NetworkSpec()
         checkpoint = Checkpoint(
             spec=spec, params=init_params(spec, 11, dtype=np.float64))
-        ds = generate_dataset(SweepSpec(angles_deg=(-20.0, 35.0),
-                                        snrs_db=(20.0,), records_per_cell=1))
-        for rec in ds.records:
+        for rec in echo_records().records:
             rows = baseband_to_input(rec.baseband, spec)
-            pred = whole_batch_forward(spec, checkpoint.params32, rows[None])
+            pred = whole_batch_forward(spec, checkpoint.params32, rows[None],
+                                       checkpoint.tap_spectra)
             want = float(pred[0]) * ANGLE_SCALE_DEG
             got = predict_doa(checkpoint, rec.baseband).angle_deg
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -1044,6 +1047,177 @@ class TestFoldedConvolution:
         assert folded[2].tobytes() == im2col[2].tobytes()
 
 
+# --- the blocked inference form and its cached tap spectra ------------------
+
+def blocked_conv(x, w):
+    """``_conv_blocked`` on tap spectra derived here, in ``x``'s precision."""
+    from echodoa.neural.network import (
+        _BLOCK_TIME, _conv_blocked, _row_bands, _same_pads, _tap_spectrum)
+    pad_r, pad_t = _same_pads(w.shape[0]), _same_pads(w.shape[1])
+    ctype = np.result_type(x.dtype, np.complex64)
+    taps = {dr: _tap_spectrum(w[dr], _BLOCK_TIME, ctype)
+            for dr, *_ in _row_bands(w.shape[0], x.shape[0], pad_r)}
+    return _conv_blocked(x, w, taps, pad_r, pad_t)
+
+
+def forms_called(monkeypatch, run):
+    """Calls of the folded and the blocked convolution while ``run()``."""
+    from echodoa.neural import network
+    calls = {"folded": 0, "blocked": 0}
+    for form in calls:
+        real = getattr(network, f"_conv_{form}")
+
+        def counted(*args, _real=real, _form=form):
+            calls[_form] += 1
+            return _real(*args)
+        monkeypatch.setattr(network, f"_conv_{form}", counted)
+    monkeypatch.setitem(network._FORMS, "folded",
+                        (network._conv_folded, network._conv_folded_grads))
+    run()
+    return calls
+
+
+def echo_records():
+    from echodoa.datasets import SweepSpec, generate_dataset
+    return generate_dataset(SweepSpec(angles_deg=(-20.0, 35.0),
+                                      snrs_db=(20.0,), records_per_cell=1))
+
+
+# T = 66 is two whole block steps of 33; the others end on a part block
+BLOCKED_TIMES = [32, 64, 66, 100, 128, 256]
+
+
+class TestBlockedConvolution:
+    @pytest.mark.parametrize("time", BLOCKED_TIMES)
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_float64_matches_direct_and_folded(self, rows, time):
+        from echodoa.neural.network import _conv_folded, _same_pads
+        x, w, _ = conv_case((rows, 1, time, 64), 64, seed=time + rows)
+        got = blocked_conv(x, w)
+        assert got.dtype == np.float64 and got.shape == (rows, 1, time, 64)
+        pad_r, pad_t = _same_pads(4), _same_pads(16)
+        folded, _ = _conv_folded(x, w, pad_r, pad_t)
+        assert rel_error(got, folded) <= 1e-12
+        assert rel_error(got, direct_conv(x, w, pad_r, pad_t)) <= 1e-12
+
+    def test_float64_several_records_and_narrow_maps(self):
+        # rows and blocks of three records share each GEMM
+        from echodoa.neural.network import _same_pads
+        x, w, _ = conv_case((2, 3, 70, 5), 7, seed=5)
+        want = direct_conv(x, w, _same_pads(4), _same_pads(16))
+        assert rel_error(blocked_conv(x, w), want) <= 1e-12
+
+    @pytest.mark.parametrize("time", BLOCKED_TIMES)
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_float32_within_1e_6_of_float64(self, rows, time):
+        # measured 1.6-2.5e-7 over these shapes; the folded form's float32
+        # output reads 3.9-5.8e-7 from the same float64 result
+        x, w, _ = conv_case((rows, 1, time, 64), 64, seed=time + rows)
+        truth = blocked_conv(x, w)
+        got = blocked_conv(x.astype(np.float32), w.astype(np.float32))
+        assert got.dtype == np.float32
+        assert rel_error(got, truth) < 1e-6
+
+
+class TestTapSpectra:
+    def test_stage_offsets_shapes_and_size(self):
+        # three row offsets at stage 2 (two input rows), one at 3-5
+        from echodoa.neural import Checkpoint
+        from echodoa.neural.network import _BLOCK_TIME
+        spec = NetworkSpec()
+        checkpoint = Checkpoint(
+            spec=spec, params=init_params(spec, 0, dtype=np.float64))
+        taps = checkpoint.tap_spectra
+        assert [sorted(stage) for stage in taps] == [[0, 1, 2], [1], [1],
+                                                     [1]]
+        nbytes = 0
+        for stage in taps:
+            for spectrum in stage.values():
+                assert spectrum.dtype == np.complex64
+                assert spectrum.shape == (_BLOCK_TIME // 2 + 1, 64, 64)
+                nbytes += spectrum.nbytes
+        assert nbytes == 6 * 25 * 64 * 64 * 8      # about 4.9 MB
+
+    def test_read_only_and_derived_once(self, monkeypatch):
+        from echodoa.neural import Checkpoint, checkpoint as module
+        from echodoa.neural import predict_doa
+        spec = NetworkSpec()
+        checkpoint = Checkpoint(
+            spec=spec, params=init_params(spec, 1, dtype=np.float64))
+        derived = []
+        real = module._blocked_taps
+
+        def counted(*args):
+            derived.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "_blocked_taps", counted)
+        for rec in echo_records().records:
+            predict_doa(checkpoint, rec.baseband)
+            predict_doa(checkpoint, rec.baseband)
+        assert len(derived) == 1
+        assert derived[0][1] is checkpoint.params32
+        taps = checkpoint.tap_spectra
+        assert taps is checkpoint.tap_spectra
+        for stage in taps:
+            with pytest.raises(TypeError):
+                stage[3] = None
+            for spectrum in stage.values():
+                assert not spectrum.flags.writeable
+                with pytest.raises(ValueError):
+                    spectrum[0, 0, 0] = 0
+
+    def test_pickle_round_trip_rederives_the_same_bytes(self):
+        import pickle
+        from echodoa.neural import Checkpoint
+        spec = NetworkSpec()
+        checkpoint = Checkpoint(
+            spec=spec, params=init_params(spec, 2, dtype=np.float64))
+        blob = pickle.dumps(checkpoint)
+        taps = checkpoint.tap_spectra
+        # the pickle carries the float64 weights only, derived or not
+        assert pickle.dumps(checkpoint) == blob
+        copy = pickle.loads(blob)
+        assert "tap_spectra" not in vars(copy)
+        for mine, theirs in zip(taps, copy.tap_spectra, strict=True):
+            assert sorted(mine) == sorted(theirs)
+            for dr in mine:
+                assert mine[dr].tobytes() == theirs[dr].tobytes()
+
+
+class TestInferenceDispatch:
+    def test_default_spec_runs_folded_then_blocked(self, monkeypatch):
+        from echodoa.neural import Checkpoint, predict_doa
+        spec = NetworkSpec()
+        checkpoint = Checkpoint(
+            spec=spec, params=init_params(spec, 3, dtype=np.float64))
+        base = echo_records().records[0].baseband
+        calls = forms_called(monkeypatch,
+                             lambda: predict_doa(checkpoint, base))
+        assert calls == {"folded": 1, "blocked": 4}
+
+    @pytest.mark.parametrize("spec", [
+        NetworkSpec(input_time=256, feature_maps=8, dense_widths=(16, 8)),
+        MID, REDUCED_SPEC])
+    def test_narrow_networks_run_folded_and_derive_nothing(self, spec,
+                                                           monkeypatch):
+        from echodoa.neural import Checkpoint, predict_doa
+        checkpoint = Checkpoint(
+            spec=spec, params=init_params(spec, 3, dtype=np.float64))
+        base = echo_records().records[0].baseband
+        calls = forms_called(monkeypatch,
+                             lambda: predict_doa(checkpoint, base))
+        assert calls == {"folded": 5, "blocked": 0}
+        assert checkpoint.tap_spectra is None
+
+    def test_forward_keeps_the_folded_order(self, monkeypatch):
+        # only predict_doa passes the cache; forward and training do not
+        spec = NetworkSpec()
+        params = init_params(spec, 4)
+        x, _ = random_batch(spec, 1, np.float32)
+        calls = forms_called(monkeypatch, lambda: forward(spec, params, x))
+        assert calls == {"folded": 5, "blocked": 0}
+
+
 # --- the float contract of inference ----------------------------------------
 
 class TestFloatContract:
@@ -1051,8 +1225,10 @@ class TestFloatContract:
         # the written contract for float reordering: a fixed checkpoint's
         # predictions stay within 1e-4 degrees of the im2col order that
         # batch-1 inference ran before it became row-folded. Measured at
-        # most 7.4e-6 degrees over these 144 predictions, a margin of
-        # about 13x (float32, OpenBLAS on one and on two threads)
+        # most 9.4e-6 degrees over these 144 predictions with stages 2-5
+        # blocked, a margin of about 10x (7.4e-6 all folded; float32,
+        # OpenBLAS on one and on two threads). The blocked stages moved
+        # them at most 1.2e-5 degrees from the all-folded order
         from echodoa.datasets import SweepSpec, generate_dataset
         from echodoa.doa_music import CONVERGED
         from echodoa.neural import (
