@@ -59,16 +59,17 @@ def write(path, magic: bytes, version: int, header: dict, chunks,
         raise
 
 
-def read(path, magic: bytes, version: int, decode, checksum: bool = True):
-    """``decode`` applied to the header, and the payload as a memoryview.
+def read(path, magic: bytes, decoders: dict, checksum: bool = True):
+    """The header decoded for its version, and the payload as a memoryview.
 
-    Raises ``UnsupportedVersionError`` on another version,
+    ``decoders`` maps each readable version to its header decoder.
+    Raises ``UnsupportedVersionError`` on a version it does not map,
     ``ChecksumError`` on a digest that does not match, and
     ``FileFormatError`` on any other defect: a file too short for the
     prefix and digest, another magic, a header running past the payload,
     header bytes that are not UTF-8 JSON or nest too deeply, a value
     that is not an object, and any KeyError, TypeError or ValueError
-    (InputError included) that ``decode`` raises on a missing or
+    (InputError included) that the decoder raises on a missing or
     mistyped key. The payload length is left to the caller.
     """
     raw = memoryview(Path(path).read_bytes())
@@ -78,9 +79,9 @@ def read(path, magic: bytes, version: int, decode, checksum: bool = True):
     file_magic, file_version, header_len = _PREFIX.unpack_from(raw)
     if file_magic != magic:
         raise FileFormatError(f"{path}: bad magic {file_magic!r}")
-    if file_version != version:
+    if file_version not in decoders:
         raise UnsupportedVersionError(
-            f"{path}: version {file_version}, expected {version}")
+            f"{path}: version {file_version}, expected {list(decoders)}")
     body = raw[:len(raw) - trailer]
     if checksum and hashlib.sha256(body).digest() != raw[len(body):]:
         raise ChecksumError(f"{path}: checksum mismatch")
@@ -95,7 +96,7 @@ def read(path, magic: bytes, version: int, decode, checksum: bool = True):
     try:
         if type(header) is not dict:
             raise TypeError("header must be a JSON object")
-        return decode(header), body[header_end:]
+        return decoders[file_version](header), body[header_end:]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(
             f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc

@@ -333,8 +333,8 @@ def load_dataset(path) -> Dataset:
     A defect in the framing, the checksum, the header or the payload
     length raises ``FileFormatError`` (or a subclass of it).
     """
-    header, payload = container.read(path, DATASET_MAGIC, FORMAT_VERSION,
-                                     _dataset_header)
+    header, payload = container.read(path, DATASET_MAGIC,
+                                     {FORMAT_VERSION: _dataset_header})
     layout = header["layout"]
     if len(payload) != header["record_count"] * layout.itemsize:
         raise FileFormatError(f"{path}: payload length mismatch")
@@ -431,11 +431,12 @@ def write_capture(path, wave: RealWaveform, geometry: ArrayGeometry,
 def read_capture(path):
     """Raw waveform, geometry, and annotation from a capture file.
 
-    A defect in the framing, the header or the payload length raises
-    ``FileFormatError`` (or a subclass of it).
+    A defect in the framing, the header or the payload length, or a
+    sample that is not finite, raises ``FileFormatError`` (or a
+    subclass of it).
     """
-    header, payload = container.read(path, CAPTURE_MAGIC, FORMAT_VERSION,
-                                     _capture_header, checksum=False)
+    header, payload = container.read(
+        path, CAPTURE_MAGIC, {FORMAT_VERSION: _capture_header}, checksum=False)
     channels = header["channels"]
     frames = header["frame_count"]
     if len(payload) != channels * frames * 8:
@@ -443,6 +444,8 @@ def read_capture(path):
             f"{path}: declared {frames} frames x {channels} channels does "
             f"not match payload size")
     data = np.frombuffer(payload, dtype="<f8").reshape(channels, frames).copy()
+    if not np.isfinite(data).all():
+        raise FileFormatError(f"{path}: a sample is not finite")
     wave = RealWaveform(data=data, sample_rate=header["sample_rate"])
     return wave, header["geometry"], header["annotation"]
 

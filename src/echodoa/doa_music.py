@@ -66,7 +66,12 @@ class Pseudospectrum:
 
 @dataclass(frozen=True)
 class DoaEstimate:
-    """Angle estimate with convergence status and aliasing ambiguities."""
+    """Angle estimate with convergence status and aliasing ambiguities.
+
+    The angle and prominence are finite, a fallback's angle is 0, and
+    the ambiguity set holds the angle; any other estimate raises
+    ``InputError``.
+    """
 
     angle_deg: float
     status: str                     # CONVERGED or FALLBACK
@@ -76,6 +81,9 @@ class DoaEstimate:
     def __post_init__(self):
         if self.status == FALLBACK and self.angle_deg != 0.0:
             raise InputError("fallback estimates report angle 0")
+        if not all(map(math.isfinite, (self.angle_deg, self.prominence))):
+            raise InputError(f"doa_deg and prominence must be finite, got "
+                             f"{self.angle_deg} and {self.prominence}")
         if self.angle_deg not in self.ambiguity_deg:
             raise InputError("ambiguity set must contain the estimate")
 

@@ -3,8 +3,10 @@
 An ``EDCK`` file is a container (framing and SHA-256 trailer in
 ``container.py``) whose JSON header holds the architecture, the
 normalization rule, training metadata and the parameter manifest, and
-whose payload is the weight arrays as little-endian 64-bit floats in
-declaration order. The header carries all seven spec keys and the
+whose payload is the weight arrays in declaration order: little-endian
+32-bit floats in version 2, the version ``save_checkpoint`` writes, and
+64-bit floats in version 1, which ``load_checkpoint`` still reads and
+casts to float32. The header carries all seven spec keys and the
 normalization rule by name, though only three spec keys vary; a file
 whose fixed keys or rule differ from the network's does not load.
 """
@@ -13,60 +15,62 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
 
 from .. import container
-from ..errors import FileFormatError, ShapeMismatchError
-from .network import NetworkSpec, _blocked_taps
+from ..errors import FileFormatError
+from .network import NetworkSpec, _blocked_taps, _check_params
 
 MAGIC = b"EDCK"
-VERSION = 1
+VERSION = 2
+# the payload's weight type in each version that loads; a checkpoint
+# holds its weights in the type of the version it writes
+_WEIGHT_TYPES = {1: "<f8", 2: "<f4"}
 
 # spec keys every header carries at the one value the network has
 _FIXED_SPEC_KEYS = ("input_rows", "conv_stages", "kernel_rows", "kernel_time")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Checkpoint:
     """Network weights plus everything needed to reproduce inference.
 
-    ``params`` is a read-only mapping of read-only float64 copies of the
-    given arrays, so the caller's arrays stay theirs and writable.
-    ``params32`` holds their float32 cast, derived once here and used by
-    every inference call; since nothing can write the float64 weights,
-    it cannot go stale. ``tap_spectra`` holds the blocked inference
-    form's tap spectra of those float32 weights, derived on first use.
+    The weights are float32, the type ``train`` produces and inference
+    runs in. ``params32`` is a read-only mapping of read-only float32
+    copies of the given arrays, cast once here, so the caller's arrays
+    stay theirs and writable; it is the one weight store, and what
+    files and pickles carry. ``params`` is its exact float64 upcast,
+    read-only and derived on each read. ``tap_spectra`` holds the
+    blocked inference form's tap spectra of ``params32``, derived on
+    first use; since nothing can write the weights, it cannot go stale.
     """
 
     # the per-record input scaling of ``baseband_to_input``
     normalization: ClassVar[str] = "rms_window_v1"
 
     spec: NetworkSpec
-    params: Mapping                   # name -> read-only float64 ndarray
-    metadata: dict = field(default_factory=dict)
-    params32: Mapping = field(init=False, repr=False, compare=False)
+    params32: Mapping = field(repr=False)   # name -> read-only float32
+    metadata: dict
 
-    def __post_init__(self):
-        expected = self.spec.param_shapes()
-        if set(self.params) != set(expected):
-            raise ShapeMismatchError("checkpoint parameter names do not "
-                                     "match the network spec")
-        for name, shape in expected.items():
-            if self.params[name].shape != shape:
-                raise ShapeMismatchError(
-                    f"{name} has shape {self.params[name].shape}, "
-                    f"expected {shape}")
-        params = {name: _read_only(np.array(self.params[name],
-                                            dtype=np.float64))
-                  for name in expected}
-        params32 = {name: _read_only(p.astype(np.float32))
-                    for name, p in params.items()}
-        object.__setattr__(self, "params", MappingProxyType(params))
+    def __init__(self, spec: NetworkSpec, params: Mapping,
+                 metadata: dict | None = None):
+        _check_params(spec, params)
+        params32 = {name: _read_only(np.array(params[name],
+                                              dtype=_WEIGHT_TYPES[VERSION]))
+                    for name in spec.param_shapes()}
+        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "params32", MappingProxyType(params32))
+        object.__setattr__(self, "metadata", dict(metadata or {}))
+
+    @property
+    def params(self) -> Mapping:
+        """The float64 upcast of ``params32``, built anew on each read."""
+        return MappingProxyType({name: _read_only(p.astype(np.float64))
+                                 for name, p in self.params32.items()})
 
     @cached_property
     def tap_spectra(self):
@@ -74,8 +78,8 @@ class Checkpoint:
         return _blocked_taps(self.spec, self.params32)
 
     def __reduce__(self):
-        # pickle the float64 weights only; unpickling re-derives the rest
-        return (Checkpoint, (self.spec, dict(self.params), self.metadata))
+        # pickle the float32 weights only; unpickling re-derives the rest
+        return (Checkpoint, (self.spec, dict(self.params32), self.metadata))
 
 
 def _read_only(array):
@@ -94,18 +98,18 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
                    for n, s in spec.param_shapes().items()],
     }
     container.write(path, MAGIC, VERSION, header,
-                    (np.ascontiguousarray(checkpoint.params[name], dtype="<f8")
-                     for name in spec.param_shapes()))
+                    checkpoint.params32.values())
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by ``save_checkpoint``.
+    """Read a checkpoint of either version, its weights cast to float32.
 
     A defect in the framing, the checksum, the header or the payload
     raises ``FileFormatError`` (or a subclass of it).
     """
     (spec, metadata, layout), payload = container.read(
-        path, MAGIC, VERSION, _checkpoint_header)
+        path, MAGIC, {version: partial(_checkpoint_header, weight_type=kind)
+                      for version, kind in _WEIGHT_TYPES.items()})
     if len(payload) != layout.itemsize:
         raise FileFormatError(f"{path}: {len(payload)} bytes of weights, "
                               f"the spec needs {layout.itemsize}")
@@ -115,7 +119,7 @@ def load_checkpoint(path) -> Checkpoint:
                       metadata=metadata)
 
 
-def _checkpoint_header(header):
+def _checkpoint_header(header, weight_type):
     """Spec, metadata and payload layout of a header.
 
     Raises KeyError, TypeError or ValueError (the spec's own InputError
@@ -147,8 +151,8 @@ def _checkpoint_header(header):
     metadata = header["metadata"]
     if not isinstance(metadata, dict):
         raise TypeError("metadata must be an object")
-    # the payload: every parameter as float64, in declaration order; a
-    # spec too large for a NumPy dtype raises ValueError here
-    layout = np.dtype([(name, "<f8", shape)
+    # the payload: every parameter as ``weight_type``, in declaration
+    # order; a spec too large for a NumPy dtype raises ValueError here
+    layout = np.dtype([(name, weight_type, shape)
                        for name, shape in spec.param_shapes().items()])
     return spec, metadata, layout

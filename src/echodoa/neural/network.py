@@ -47,7 +47,7 @@ over blocks of ``_BLOCK_TIME`` (48) samples that step by 33, with one
 complex GEMM per frequency and row band against a stored tap spectrum.
 ``_blocked_taps`` derives those spectra once per checkpoint
 (``Checkpoint.tap_spectra``, read-only, about 4.9 MB for the default
-spec; pickles carry only the float64 weights). At batch 1 stage 2 it
+spec; pickles carry only the float32 weights). At batch 1 stage 2 it
 does about 13 M real multiply-adds against the folded form's 67 M, and
 its short blocks keep the tap spectra small: the spectral form's
 whole-record spectra would take about 19 MB for stages 2-5. A network
@@ -679,12 +679,12 @@ def _check_input(spec, x):
 
 
 def _check_params(spec, params):
-    for name, shape in spec.param_shapes().items():
-        if name not in params:
-            raise ShapeMismatchError(f"missing parameter {name}")
-        if params[name].shape != shape:
-            raise ShapeMismatchError(
-                f"{name} has shape {params[name].shape}, expected {shape}")
+    """ShapeMismatchError unless ``params`` holds exactly the spec's
+    parameter names, each at its shape."""
+    got = {name: np.shape(p) for name, p in params.items()}
+    if got != spec.param_shapes():
+        raise ShapeMismatchError(f"parameter shapes {got} differ from the "
+                                 f"spec's {spec.param_shapes()}")
 
 
 def _forward_impl(spec, params, x, keep, taps=None):

@@ -250,12 +250,13 @@ def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband) -> DoaEstimate:
     regresses toward zero on uninformative input by itself, so only
     signal-free records are gated out. One detection pass over the
     record yields both the gate and the crop window of
-    ``baseband_to_input``. The forward pass runs in float32 on the
-    checkpoint's cached ``params32``, and its stages 2-5 in overlap-save
+    ``baseband_to_input``. The forward pass runs on the checkpoint's
+    float32 weights, ``params32``, and its stages 2-5 in overlap-save
     blocks on the checkpoint's cached ``tap_spectra`` (folded, as in
-    ``forward``, for a network narrower than 32 maps). A record that is not a pair (two
-    channels for the network's four input rows) raises before the gate,
-    so even a signal-free record cannot pass for a fallback.
+    ``forward``, for a network narrower than 32 maps). A record that is
+    not a pair (two channels for the network's four input rows) raises
+    before the gate, so even a signal-free record cannot pass for a
+    fallback.
     """
     _check_rows(base)
     gate, crop = _echo_windows(base, (GATE_THRESHOLD_FACTOR, DETECTION_THRESHOLD))

@@ -326,6 +326,31 @@ class TestMalformedCaptureHeader:
         assert lines[0].startswith("error: FileFormatError: ")
 
 
+    @pytest.mark.parametrize("channel, value", [
+        (1, math.inf), (1, math.nan), (0, math.inf)])
+    def test_non_finite_sample(self, channel, value, tmp_path, capsys):
+        import warnings
+        capture = tmp_path / "echo.edcf"
+        code, _, _ = run(capsys, "simulate", "--doa", "30", "--range", "1.0",
+                         "--snr", "10", "--out", str(capture))
+        assert code == 0
+        raw = bytearray(capture.read_bytes())
+        (n,) = struct.unpack_from("<I", raw, 5)
+        frames = (len(raw) - 9 - n) // 16
+        struct.pack_into("<d", raw, 9 + n + 8 * (channel * frames
+                                                 + frames // 2), value)
+        capture.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "music", "--capture", str(capture))
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileFormatError: ")
+        assert lines[0].endswith("a sample is not finite")
+
+
 def _edds_with_header(raw, **changes):
     """EDDS bytes with some header keys replaced and the digest redone."""
     (n,) = struct.unpack_from("<I", raw, 5)

@@ -1,8 +1,9 @@
 """The shared container codec and text layouts, and truncated or
 bit-flipped EDDS, EDCK and EDCF files.
 
-Each file is cut, or has one byte flipped, at the start, the middle and
-the end of every region: the 9-byte prefix (magic, version, header
+Each file, and an EDCK image of the version that ``load_checkpoint``
+still reads, is cut, or has one byte flipped, at the start, the middle
+and the end of every region: the 9-byte prefix (magic, version, header
 length), the JSON header, the payload and, for the checksummed EDDS and
 EDCK, the SHA-256 trailer. Only ``FileFormatError`` and its subclasses
 may come out of the readers.
@@ -60,11 +61,15 @@ def test_codec_frames_and_reads_back(checksum, tmp_path):
             + samples.tobytes())
     digest = hashlib.sha256(body).digest() if checksum else b""
     assert path.read_bytes() == body + digest
-    header, payload = container.read(path, b"TEST", 3, dict,
+    # each version is read by its own decoder
+    header, payload = container.read(path, b"TEST", {2: list, 3: dict},
                                      checksum=checksum)
     assert header == {"a": [2], "b": 1}
     assert isinstance(payload, memoryview)
     assert payload.tobytes() == b"xy" + samples.tobytes()
+    with pytest.raises(UnsupportedVersionError,
+                       match=r"version 3, expected \[1, 2\]"):
+        container.read(path, b"TEST", {1: dict, 2: dict}, checksum=checksum)
 
 
 @pytest.mark.parametrize("checksum", [True, False])
@@ -74,7 +79,7 @@ def test_header_length_past_the_payload(checksum, tmp_path):
     path.write_bytes(body + (hashlib.sha256(body).digest() if checksum
                              else b""))
     with pytest.raises(FileFormatError, match="runs past the payload"):
-        container.read(path, b"TEST", 3, dict, checksum=checksum)
+        container.read(path, b"TEST", {3: dict}, checksum=checksum)
 
 
 @pytest.mark.parametrize("sep, comment, text", [
@@ -120,7 +125,7 @@ def test_failed_write_leaves_the_old_file_or_none(old, tmp_path):
         assert path.read_bytes() == old
     container.write(path, b"TEST", 3, {}, [b"xy"])
     assert list(tmp_path.iterdir()) == [path]
-    assert container.read(path, b"TEST", 3, dict)[1].tobytes() == b"xy"
+    assert container.read(path, b"TEST", {3: dict})[1].tobytes() == b"xy"
 
 
 def _write_edds(path):
@@ -133,6 +138,16 @@ def _write_edck(path):
                                params=init_params(TINY, 1, np.float64)), path)
 
 
+def _write_edck_v1(path):
+    """The image of ``_write_edck`` as version 1: its weights as ``<f8``."""
+    _write_edck(path)
+    raw = bytearray(path.read_bytes())
+    raw[4] = 1
+    start, stop = regions(raw, True)["payload"]
+    weights = np.frombuffer(raw[start:stop], dtype="<f4").astype("<f8")
+    path.write_bytes(_with_payload(bytes(raw), True, weights.tobytes()))
+
+
 def _write_edcf(path):
     wave = synthesize_echo(SourceScenario(doa_deg=20.0, range_m=0.8), GEO, CFG)
     write_capture(path, wave, GEO, annotation="doa_deg=20")
@@ -142,6 +157,7 @@ def _write_edcf(path):
 FORMATS = {
     "edds": (_write_edds, load_dataset, True),
     "edck": (_write_edck, load_checkpoint, True),
+    "edck_v1": (_write_edck_v1, load_checkpoint, True),
     "edcf": (_write_edcf, read_capture, False),
 }
 

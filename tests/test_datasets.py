@@ -380,6 +380,19 @@ class TestCaptureFiles:
         with pytest.raises(InputError):
             ingest_capture(path, other, CFG)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_non_finite_sample_is_file_format_error(self, channel, value,
+                                                     tmp_path):
+        wave = add_awgn(synthesize_echo(
+            SourceScenario(doa_deg=30.0, range_m=1.0), GEO, CFG), 10.0, seed=0)
+        wave.data[channel, wave.data.shape[1] // 2] = value
+        path = tmp_path / "echo.edcf"
+        write_capture(path, wave, GEO)
+        # raised while reading, before anything is demodulated or estimated
+        with pytest.raises(FileFormatError, match="not finite"):
+            ingest_capture(path, GEO, CFG)
+
     def test_declared_frame_count_must_match(self, tmp_path):
         wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=0.8),
                                GEO, CFG)

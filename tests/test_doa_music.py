@@ -413,6 +413,15 @@ class TestEstimateDoaMusic:
         with pytest.raises(InputError):
             DoaEstimate(angle_deg=5.0, status=CONVERGED, ambiguity_deg=(4.0,))
 
+    @pytest.mark.parametrize("angle, prominence", [
+        (math.nan, 4.0), (math.inf, 4.0), (-math.inf, 4.0),
+        (30.0, math.nan), (30.0, math.inf)])
+    def test_converged_estimate_is_finite(self, angle, prominence):
+        # the angle is its own ambiguity set, which NaN passes by identity
+        with pytest.raises(InputError, match="must be finite"):
+            DoaEstimate(angle_deg=angle, status=CONVERGED,
+                        ambiguity_deg=(angle,), prominence=prominence)
+
 
 class TestMusicWithSpectrum:
     """The estimate of ``estimate_doa_music`` and the spectrum it searched."""

@@ -329,9 +329,11 @@ class TestWeightCache:
         for name, array in params.items():
             assert array.flags.writeable
             array += 1.0
-            np.testing.assert_array_equal(checkpoint.params[name],
-                                          before[name])
-            assert checkpoint.params[name].dtype == np.float64
+            assert (checkpoint.params32[name].tobytes()
+                    == before[name].astype(np.float32).tobytes())
+            assert (checkpoint.params[name].tobytes()
+                    == before[name].astype(np.float32).astype(
+                        np.float64).tobytes())
             assert checkpoint.params32[name].dtype == np.float32
 
     def test_pickle_round_trip_rebuilds_cache(self):
@@ -530,7 +532,8 @@ class TestCheckpointIO:
         assert loaded.normalization == checkpoint.normalization
         assert loaded.metadata == checkpoint.metadata
         for name in params:
-            np.testing.assert_array_equal(loaded.params[name], params[name])
+            assert (loaded.params32[name].tobytes()
+                    == params[name].astype(np.float32).tobytes())
 
     def test_corruption_detected(self, tmp_path):
         from echodoa.errors import ChecksumError
@@ -558,9 +561,11 @@ class TestCheckpointIO:
             Checkpoint(spec=TINY, params=params)
 
 
-def framed_checkpoint(checkpoint):
-    """The EDCK image built in memory: magic, version, header, weights, hash."""
-    spec = checkpoint.spec
+def framed_checkpoint(spec, weights, metadata, version):
+    """The EDCK image built in memory: magic, version, header, weights, hash.
+
+    Version 1 holds ``weights`` as ``<f8``, version 2 as ``<f4``.
+    """
     header = {
         "spec": {"input_rows": spec.input_rows,
                  "input_time": spec.input_time,
@@ -569,64 +574,110 @@ def framed_checkpoint(checkpoint):
                  "kernel_rows": spec.kernel_rows,
                  "kernel_time": spec.kernel_time,
                  "dense_widths": list(spec.dense_widths)},
-        "normalization": checkpoint.normalization,
-        "metadata": checkpoint.metadata,
+        "normalization": "rms_window_v1",
+        "metadata": metadata,
         "params": [{"name": n, "shape": list(s)}
                    for n, s in spec.param_shapes().items()],
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    out = bytearray(b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
+    out = bytearray(b"EDCK" + struct.pack("<BI", version, len(blob)) + blob)
     for name in spec.param_shapes():
-        out += np.asarray(checkpoint.params[name], dtype="<f8").tobytes()
+        out += np.asarray(weights[name],
+                          dtype={1: "<f8", 2: "<f4"}[version]).tobytes()
     out += hashlib.sha256(out).digest()
     return bytes(out)
 
 
 class TestCheckpointBytes:
-    """``save_checkpoint`` writes exactly the reference framing."""
+    """``save_checkpoint`` writes exactly the version-2 reference framing,
+    and ``load_checkpoint`` reads the version-1 one too."""
 
     @pytest.mark.parametrize("spec", [TINY, NetworkSpec()],
                              ids=["tiny", "default"])
     def test_bytes_equal_reference_and_roundtrip(self, spec, tmp_path):
+        metadata = {"seed": 4, "best_epoch": 2, "best_val_loss": 0.125}
         checkpoint = Checkpoint(spec=spec,
                                 params=init_params(spec, 4, np.float64),
-                                metadata={"seed": 4, "best_epoch": 2,
-                                          "best_val_loss": 0.125})
+                                metadata=metadata)
         path = tmp_path / "model.edck"
         save_checkpoint(checkpoint, path)
-        assert path.read_bytes() == framed_checkpoint(checkpoint)
+        assert path.read_bytes() == framed_checkpoint(
+            spec, checkpoint.params32, metadata, 2)
         loaded = load_checkpoint(path)
         assert loaded.spec == spec
         assert loaded.normalization == checkpoint.normalization
         assert loaded.metadata == checkpoint.metadata
-        for name, value in checkpoint.params.items():
-            assert loaded.params[name].tobytes() == value.tobytes()
-            assert loaded.params32[name].tobytes() \
-                == checkpoint.params32[name].tobytes()
+        for name, value in checkpoint.params32.items():
+            assert loaded.params32[name].tobytes() == value.tobytes()
         save_checkpoint(loaded, tmp_path / "again.edck")
         assert (tmp_path / "again.edck").read_bytes() == path.read_bytes()
 
-    def test_peak_memory(self, tmp_path):
-        """Saving copies no weights; loading holds the file, the float64
-        weights and their float32 cast, about 2.5 times the file."""
-        import tracemalloc
+    @pytest.mark.parametrize("spec", [TINY, NetworkSpec()],
+                             ids=["tiny", "default"])
+    def test_version_1_loads_to_the_float32_cast(self, spec, noiseless_32,
+                                                 tmp_path):
+        params = init_params(spec, 5, np.float64)
+        metadata = {"seed": 5}
+        v1 = tmp_path / "v1.edck"
+        v1.write_bytes(framed_checkpoint(spec, params, metadata, 1))
+        loaded = load_checkpoint(v1)
+        assert loaded.spec == spec
+        assert loaded.metadata == metadata
+        for name, value in params.items():
+            assert (loaded.params32[name].tobytes()
+                    == value.astype(np.float32).tobytes())
+        # saved again it is version 2: the version-1 weights cast to <f4
+        v2 = tmp_path / "v2.edck"
+        save_checkpoint(loaded, v2)
+        assert v2.read_bytes() == framed_checkpoint(spec, params, metadata, 2)
+        again = load_checkpoint(v2)
+        for rec in noiseless_32.records[::4]:
+            ests = [predict_doa(c, rec.baseband) for c in (loaded, again)]
+            assert ests[0].status == ests[1].status == CONVERGED
+            assert ests[0].angle_deg.hex() == ests[1].angle_deg.hex()
 
+    def test_default_spec_pickle_carries_the_float32_weights_once(self):
+        import pickle
         spec = NetworkSpec()
         checkpoint = Checkpoint(spec=spec,
                                 params=init_params(spec, 0, np.float64))
-        path = tmp_path / "model.edck"
-        peaks = []
-        for step in (lambda: save_checkpoint(checkpoint, path),
-                     lambda: load_checkpoint(path)):
+        weights = 4 * sum(p.size for p in checkpoint.params32.values())
+        assert weights == 4_753_412
+        assert weights < len(pickle.dumps(checkpoint)) < weights + 10_000
+
+    def test_peak_memory(self, tmp_path):
+        """No step holds a float64 copy of the weights, which alone would
+        take twice their float32 size. Building casts the caller's
+        arrays once; saving copies no weights; loading holds the file
+        and the float32 weights (a version-1 file is twice as large);
+        pickling holds the pickle while it is built, and unpickling the
+        weights it reads and their copy."""
+        import pickle
+        import tracemalloc
+
+        spec = NetworkSpec()
+        params = init_params(spec, 0, np.float64)
+        weights = 4 * sum(p.size for p in params.values())
+        path, v1 = tmp_path / "model.edck", tmp_path / "v1.edck"
+        v1.write_bytes(framed_checkpoint(spec, params, {}, 1))
+        built = []
+        steps = [
+            ("build", lambda: built.append(Checkpoint(spec=spec,
+                                                      params=params)), 1.5),
+            ("save", lambda: save_checkpoint(built[0], path), 0.05),
+            ("load", lambda: load_checkpoint(path), 2.5),
+            ("load version 1", lambda: load_checkpoint(v1), 3.5),
+            ("pickle", lambda: built.append(pickle.dumps(built[0])), 3.0),
+            ("unpickle", lambda: pickle.loads(built[1]), 2.5),
+        ]
+        for name, step, bound in steps:
             tracemalloc.start()
             try:
                 step()
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        size = path.stat().st_size
-        assert peaks[0] < 0.05 * size, (peaks, size)
-        assert peaks[1] < 2.6 * size, (peaks, size)
+            assert peak < bound * weights, (name, peak / weights)
 
 
 class TestMirrorAugmentation:

@@ -227,8 +227,9 @@ class TestFuseDoaWithRanges:
         (math.nan, None), (100.0, None), (-90.5, None),
         (30.0, (-100.0, 30.0)), (30.0, (30.0, math.nan))])
     def test_rejects_doa_outside_the_half_plane(self, angle, ambiguity):
-        est = DoaEstimate(angle, CONVERGED, ambiguity or (angle,))
+        # a NaN angle is refused as the estimate is built
         with pytest.raises(InputError, match="doa_deg"):
+            est = DoaEstimate(angle, CONVERGED, ambiguity or (angle,))
             fuse_doa_with_ranges(est, meas(-0.25, 0, 2.0), meas(0.25, 0, 2.0))
 
     @pytest.mark.parametrize("sigma_theta", [math.nan, -1.0, 90.0, math.inf])
