@@ -243,12 +243,19 @@ def _labels(record: DatasetRecord) -> tuple:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write ``dataset`` as an EDDS file, one record at a time."""
+    """Write ``dataset`` as an EDDS file, one record at a time.
+
+    Records of differing shapes, or a baseband sample that is not
+    finite, raise ``InputError`` before any byte is written.
+    """
     records = dataset.records
     channels = dataset.geometry.num_elements
     samples = records[0].baseband.samples_per_channel if records else 0
     if any(rec.baseband.data.shape != (channels, samples) for rec in records):
         raise InputError("records must share one payload shape")
+    for i, rec in enumerate(records):
+        if not np.isfinite(rec.baseband.data).all():
+            raise InputError(f"record {i}: a baseband sample is not finite")
     header = {
         "config": asdict(dataset.config),
         "element_x": list(dataset.geometry.element_x),
@@ -331,7 +338,8 @@ def load_dataset(path) -> Dataset:
     """Read an EDDS file written by ``save_dataset``.
 
     A defect in the framing, the checksum, the header or the payload
-    length raises ``FileFormatError`` (or a subclass of it).
+    length, or a baseband sample that is not finite, raises
+    ``FileFormatError`` (or a subclass of it).
     """
     header, payload = container.read(path, DATASET_MAGIC,
                                      {FORMAT_VERSION: _dataset_header})
@@ -339,6 +347,8 @@ def load_dataset(path) -> Dataset:
     if len(payload) != header["record_count"] * layout.itemsize:
         raise FileFormatError(f"{path}: payload length mismatch")
     rows = np.frombuffer(payload, dtype=layout)
+    if not np.isfinite(rows["data"]).all():
+        raise FileFormatError(f"{path}: a baseband sample is not finite")
     labels = rows[list(_LABELS)].tolist()
     rate = header["effective_rate"]
     records = [DatasetRecord(**dict(zip(_LABELS, values)),

@@ -40,19 +40,23 @@ def adam_step(params: dict, grads: dict, hyper: AdamHyper,
 
     Standard bias-corrected rule: moments are exponential averages of
     the gradient and its square; the step counter increments once per
-    call.
+    call. Every gradient's key and shape is checked before anything is
+    touched, so a mismatch raises ``ShapeMismatchError`` and leaves the
+    parameters, the moments and the step counter as they were.
     """
     if set(grads) != set(params):
         raise ShapeMismatchError("gradient keys do not match parameters")
+    for name, p in params.items():
+        shape = grads[name].shape
+        if shape != p.shape:
+            raise ShapeMismatchError(
+                f"gradient for {name} has shape {shape}, expected {p.shape}")
     state.step += 1
     t = state.step
     corr1 = 1.0 - BETA1 ** t
     corr2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeMismatchError(
-                f"gradient for {name} has shape {g.shape}, expected {p.shape}")
         m = state.m[name]
         v = state.v[name]
         m *= BETA1

@@ -43,7 +43,8 @@ class Checkpoint:
     runs in. ``params32`` is a read-only mapping of read-only float32
     copies of the given arrays, cast once here, so the caller's arrays
     stay theirs and writable; it is the one weight store, and what
-    files and pickles carry. ``params`` is its exact float64 upcast,
+    files and pickles carry. Unpickling takes over the arrays it reads
+    without a second copy. ``params`` is its exact float64 upcast,
     read-only and derived on each read. ``tap_spectra`` holds the
     blocked inference form's tap spectra of ``params32``, derived on
     first use; since nothing can write the weights, it cannot go stale.
@@ -59,11 +60,16 @@ class Checkpoint:
     def __init__(self, spec: NetworkSpec, params: Mapping,
                  metadata: dict | None = None):
         _check_params(spec, params)
-        params32 = {name: _read_only(np.array(params[name],
-                                              dtype=_WEIGHT_TYPES[VERSION]))
-                    for name in spec.param_shapes()}
+        self._hold(spec, {name: np.array(params[name],
+                                         dtype=_WEIGHT_TYPES[VERSION])
+                          for name in spec.param_shapes()}, metadata)
+
+    def _hold(self, spec, params32, metadata):
+        """Take over ``params32``, float32 arrays no caller holds."""
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "params32", MappingProxyType(params32))
+        object.__setattr__(self, "params32", MappingProxyType(
+            {name: _read_only(params32[name])
+             for name in spec.param_shapes()}))
         object.__setattr__(self, "metadata", dict(metadata or {}))
 
     @property
@@ -79,7 +85,23 @@ class Checkpoint:
 
     def __reduce__(self):
         # pickle the float32 weights only; unpickling re-derives the rest
-        return (Checkpoint, (self.spec, dict(self.params32), self.metadata))
+        return (_unpickle, (self.spec, dict(self.params32), self.metadata))
+
+
+def _unpickle(spec, params32, metadata):
+    """The ``Checkpoint`` a pickle carried, holding its arrays uncopied.
+
+    The unpickler made the arrays and nothing else can reach them, so
+    they are checked (names, shapes and the float32 type) and taken
+    over read-only, where the constructor would copy them again.
+    """
+    _check_params(spec, params32)
+    for name, p in params32.items():
+        if not isinstance(p, np.ndarray) or p.dtype != _WEIGHT_TYPES[VERSION]:
+            raise TypeError(f"{name} must be a {_WEIGHT_TYPES[VERSION]} array")
+    checkpoint = Checkpoint.__new__(Checkpoint)
+    checkpoint._hold(spec, params32, metadata)
+    return checkpoint
 
 
 def _read_only(array):

@@ -10,15 +10,25 @@ Internally activations live in (rows, batch, time, maps) layout so the
 row-sliced GEMMs of the convolutions operate on contiguous memory.
 Pooling works on strided views of that layout and copies nothing; it
 records the int8 window index of each maximum only for the training
-pass. Bias-add and ReLU run in place on the convolution output.
+pass. The training pass adds the bias and applies ReLU in place on the
+convolution output before pooling, so that index follows the tie rule
+on the ReLU output. A pass that keeps no cache (``forward``,
+``predict_doa``, the held-out loss of training) pools the raw
+convolution output first, then adds the bias and applies ReLU to the
+pooled array, 2-4x smaller. The bytes are the same: adding a fixed
+bias in floating point and ReLU never reorder two values, so both
+commute with max, a NaN survives either order, and ReLU leaves no
+-0.0.
 
 Each convolution runs in one of two forms, picked by ``_conv_form``
 from the shape alone:
 
 - folded (``_conv_folded``): the column buffer holds every input row's
-  16-tap time windows side by side, so each output row is one GEMM
-  whose inner dimension spans all the input rows it reads (16-64 taps
-  deep per input map), written straight into the output. It takes
+  16-tap time windows side by side, copied at once from one strided
+  (B, T, R, kt, C) view of the input zero-padded in time, so each
+  output row is one GEMM whose inner dimension spans all the input
+  rows it reads (16-64 taps deep per input map), written straight
+  into the output. It takes
   every stage with fewer than 32 input maps, so every first stage and
   every stage of a narrower network, and every stage whose rows times
   batch is below 32, so every stage of a batch-1 ``forward``. The
@@ -45,6 +55,8 @@ picks: ``predict_doa`` passes the checkpoint's cached tap spectra, and
 then stages 2-5 run ``_conv_blocked``, an overlap-save convolution
 over blocks of ``_BLOCK_TIME`` (48) samples that step by 33, with one
 complex GEMM per frequency and row band against a stored tap spectrum.
+The ``rfft`` reads the overlapping blocks through one strided view of
+the zero-padded input.
 ``_blocked_taps`` derives those spectra once per checkpoint
 (``Checkpoint.tap_spectra``, read-only, about 4.9 MB for the default
 spec; pickles carry only the float32 weights). At batch 1 stage 2 it
@@ -121,7 +133,7 @@ from typing import ClassVar
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import InputError, ShapeMismatchError
 
@@ -231,12 +243,19 @@ def _out_rows(kr, r_dim, pad_r):
 
 
 def _folded_cols(x, kt, pad_t):
-    """(B * T, R * kt * C) columns of ``_conv_folded``."""
+    """(B * T, R * kt * C) columns of ``_conv_folded``.
+
+    One zero-filled buffer holds ``x`` padded in time; a strided
+    (B, T, R, kt, C) view of its windows is copied once into the
+    columns.
+    """
     r_dim, b_dim, t_dim, c_in = x.shape
-    xpt = np.pad(x, ((0, 0), (0, 0), pad_t, (0, 0)))
-    win = sliding_window_view(xpt, kt, axis=2)               # (R,B,T,C,kt)
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 4, 3))
-    return cols.reshape(b_dim * t_dim, r_dim * kt * c_in)
+    xp = np.zeros((r_dim, b_dim, t_dim + kt - 1, c_in), x.dtype)
+    xp[:, :, pad_t[0]:pad_t[0] + t_dim] = x
+    s_r, s_b, s_t, s_c = xp.strides
+    win = as_strided(xp, (b_dim, t_dim, r_dim, kt, c_in),
+                     (s_b, s_t, s_r, s_t, s_c), writeable=False)
+    return np.ascontiguousarray(win).reshape(b_dim * t_dim, r_dim * kt * c_in)
 
 
 def _conv_folded(x, w, pad_r, pad_t):
@@ -498,8 +517,10 @@ def _conv_blocked(x, w, taps, pad_r, pad_t):
     xp = np.zeros((r_dim, b_dim, blocks * step + kt - 1, c_in), x.dtype)
     xp[:, :, pad_t[0]:pad_t[0] + t_dim] = x
     # (R, B, blocks, _BLOCK_TIME, C) view of the overlapping blocks
-    win = sliding_window_view(xp, _BLOCK_TIME, axis=2)[:, :, ::step]
-    xf = scipy.fft.rfft(win.swapaxes(3, 4), axis=3)
+    s_r, s_b, s_t, s_c = xp.strides
+    win = as_strided(xp, (r_dim, b_dim, blocks, _BLOCK_TIME, c_in),
+                     (s_r, s_b, step * s_t, s_t, s_c), writeable=False)
+    xf = scipy.fft.rfft(win, axis=3)
     xf = xf.reshape(r_dim, b_dim * blocks, -1, c_in)
     yf = _spectral_product(xf, taps.__getitem__, kr, pad_r)
     z = scipy.fft.irfft(yf, n=_BLOCK_TIME, axis=2)[:, :, kt - 1:]
@@ -623,10 +644,22 @@ def _maxpool_grad(dy, arg, in_shape, pr, pt):
 
 
 def _bias_relu_pool(conv, b, pr, pt, keep):
-    """Bias, ReLU (both in place on ``conv``) and ``_maxpool``."""
-    conv += b
-    np.maximum(conv, 0.0, out=conv)
-    return _maxpool(conv, pr, pt, keep)
+    """Bias, ReLU and ``_maxpool`` of a convolution output.
+
+    With ``keep`` the bias and ReLU run in place on ``conv`` before
+    pooling, so the window index follows the tie rule on the ReLU
+    output. Without, ``conv`` is pooled first and the bias and ReLU run
+    on the pooled array, with the same bytes (see the module
+    docstring).
+    """
+    if keep:
+        conv += b
+        np.maximum(conv, 0.0, out=conv)
+        return _maxpool(conv, pr, pt, keep)
+    out, _ = _maxpool(conv, pr, pt, keep)
+    out += b
+    np.maximum(out, 0.0, out=out)
+    return out, None
 
 
 def _folded_stage(x, w, b, pad_r, pad_t, pr, pt, keep):

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import signal as sps
 
 from .errors import (
     EchoNotFoundError,
@@ -350,11 +349,15 @@ def _demodulation_plan(samples: int, carrier_freq: float, sample_rate: float):
     """Oscillator, FFT length and low-pass spectrum for one record shape.
 
     These are exactly the values ``fftconvolve(mixed, taps, mode="same")``
-    would rebuild on every call; the arrays are read-only.
+    would rebuild on every call; the arrays are read-only. ``firwin`` is
+    imported here, its only use: ``scipy.signal`` pulls in
+    ``scipy.stats`` and would roughly double the import cost of the
+    package.
     """
+    from scipy.signal import firwin
     t = np.arange(samples) / sample_rate
     oscillator = np.exp(-2j * np.pi * carrier_freq * t)
-    taps = sps.firwin(_LOWPASS_TAPS, cutoff=carrier_freq / 2.0, fs=sample_rate)
+    taps = firwin(_LOWPASS_TAPS, cutoff=carrier_freq / 2.0, fs=sample_rate)
     nfft = sp_fft.next_fast_len(samples + _LOWPASS_TAPS - 1, False)
     spectrum = sp_fft.fftn(taps[None, :], [nfft], axes=[1])
     oscillator.flags.writeable = False

@@ -969,3 +969,24 @@ class TestWorkersFlag:
                    "--out", str(tmp_path / "b.edds"))[0] == 0
         assert (tmp_path / "a.edds").read_bytes() \
             == (tmp_path / "b.edds").read_bytes()
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_scipy_signal(self):
+        # scipy.signal pulls in scipy.stats; only the baseband plan needs
+        # it, and it imports it when first built
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import echodoa
+        src = str(Path(echodoa.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        code = ("import sys, echodoa.cli; "
+                "sys.exit('scipy.signal' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60)
+        assert done.returncode == 0

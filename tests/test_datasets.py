@@ -517,6 +517,36 @@ class TestStreamedSave:
             save_dataset(Dataset(CFG, GEO, records), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       complex(0.0, math.inf)])
+    def test_non_finite_sample_writes_nothing(self, dataset_27, value,
+                                              tmp_path):
+        records = list(dataset_27.records[:3])
+        data = records[2].baseband.data.copy()
+        data[1, data.shape[1] // 2] = value
+        records[2] = DatasetRecord(0.0, 0.0, 1.0, 0,
+                                   ComplexBaseband(data, CFG.effective_rate))
+        path = tmp_path / "inf.edds"
+        with pytest.raises(InputError, match="record 2: .* not finite"):
+            save_dataset(Dataset(CFG, GEO, records), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       complex(0.0, -math.inf)])
+    def test_non_finite_sample_fails_to_load(self, dataset_27, value,
+                                             tmp_path):
+        # framed without save_dataset, which would refuse the record;
+        # the checksum holds, so only the sample is at fault
+        records = list(dataset_27.records)
+        data = records[-1].baseband.data.copy()
+        data[0, -1] = value
+        records[-1] = DatasetRecord(0.0, 0.0, 1.0, 0,
+                                    ComplexBaseband(data, CFG.effective_rate))
+        path = tmp_path / "inf.edds"
+        path.write_bytes(framed_in_memory(Dataset(CFG, GEO, records)))
+        with pytest.raises(FileFormatError, match="not finite"):
+            load_dataset(path)
+
     def test_peak_memory_is_about_one_record(self, tmp_path):
         import tracemalloc
 

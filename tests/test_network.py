@@ -235,6 +235,19 @@ class TestAdam:
         with pytest.raises(ShapeMismatchError):
             adam_step(params, {"v": np.zeros(3)}, AdamHyper(), state)
 
+    def test_mismatch_leaves_everything_untouched(self):
+        # the bad gradient comes last, after one the step could apply
+        params = {"a": np.zeros(3), "b": np.zeros(2)}
+        state = AdamState(params)
+        grads = {"a": np.full(3, 0.5), "b": np.zeros(5)}
+        with pytest.raises(ShapeMismatchError):
+            adam_step(params, grads, AdamHyper(), state)
+        assert state.step == 0
+        for name in params:
+            assert (params[name] == 0.0).all()
+            assert (state.m[name] == 0.0).all()
+            assert (state.v[name] == 0.0).all()
+
     def test_hyper_validation(self):
         with pytest.raises(InputError):
             AdamHyper(learning_rate=0.0)
@@ -1216,6 +1229,157 @@ class TestInferenceDispatch:
         x, _ = random_batch(spec, 1, np.float32)
         calls = forms_called(monkeypatch, lambda: forward(spec, params, x))
         assert calls == {"folded": 5, "blocked": 0}
+
+
+# --- strided windows, and pooling ahead of bias and ReLU --------------------
+
+def sliding_folded_cols(x, kt, pad_t):
+    """The columns of ``_folded_cols`` as they were built before the
+    strided view: ``np.pad``, ``sliding_window_view`` and a transpose."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    r_dim, b_dim, t_dim, c_in = x.shape
+    xpt = np.pad(x, ((0, 0), (0, 0), pad_t, (0, 0)))
+    win = sliding_window_view(xpt, kt, axis=2)               # (R,B,T,C,kt)
+    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 4, 3))
+    return cols.reshape(b_dim * t_dim, r_dim * kt * c_in)
+
+
+def sliding_conv_blocked(x, w, taps, pad_r, pad_t):
+    """``_conv_blocked`` with its blocks taken as they were before the
+    strided view: every window of ``sliding_window_view``, stepped and
+    swapped into place."""
+    import scipy.fft
+    from numpy.lib.stride_tricks import sliding_window_view
+    from echodoa.neural.network import _BLOCK_TIME, _spectral_product
+    kr, kt = w.shape[:2]
+    r_dim, b_dim, t_dim, c_in = x.shape
+    step = _BLOCK_TIME - kt + 1
+    blocks = -(-t_dim // step)
+    xp = np.zeros((r_dim, b_dim, blocks * step + kt - 1, c_in), x.dtype)
+    xp[:, :, pad_t[0]:pad_t[0] + t_dim] = x
+    win = sliding_window_view(xp, _BLOCK_TIME, axis=2)[:, :, ::step]
+    xf = scipy.fft.rfft(win.swapaxes(3, 4), axis=3)
+    xf = xf.reshape(r_dim, b_dim * blocks, -1, c_in)
+    yf = _spectral_product(xf, taps.__getitem__, kr, pad_r)
+    z = scipy.fft.irfft(yf, n=_BLOCK_TIME, axis=2)[:, :, kt - 1:]
+    return z.reshape(r_dim, b_dim, blocks * step, -1)[:, :, :t_dim]
+
+
+def bias_relu_then_pool(conv, b, pr, pt, keep):
+    """Bias and ReLU on the whole convolution output, then pooling."""
+    from echodoa.neural.network import _maxpool
+    conv += b
+    np.maximum(conv, 0.0, out=conv)
+    return _maxpool(conv, pr, pt, keep)
+
+
+def earlier_constructions(monkeypatch):
+    """Run the network on the three constructions above."""
+    from echodoa.neural import network
+    monkeypatch.setattr(network, "_folded_cols", sliding_folded_cols)
+    monkeypatch.setattr(network, "_conv_blocked", sliding_conv_blocked)
+    monkeypatch.setattr(network, "_bias_relu_pool", bias_relu_then_pool)
+
+
+def awkward_conv(shape, dtype, seed):
+    """Convolution output with every case pooling must order alike.
+
+    Small integers give exact ties and all-negative windows; signed
+    zeros, NaN and infinities are scattered over every map.
+    """
+    rng = np.random.default_rng(seed)
+    conv = rng.integers(-3, 3, size=shape).astype(dtype)
+    conv[..., 1::2] += rng.normal(size=conv[..., 1::2].shape).astype(dtype)
+    flat = conv.reshape(-1)
+    for value in (0.0, -0.0, np.nan, np.inf, -np.inf):
+        flat[rng.choice(flat.size, 6, replace=False)] = value
+    return conv
+
+
+class TestDataMovement:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pr, pt", [(2, 2), (1, 2)])
+    def test_pool_first_equals_bias_and_relu_first(self, pr, pt, dtype):
+        from echodoa.neural.network import _bias_relu_pool
+        # zero and signed-zero biases, ones that make new ties, a bias
+        # that rounds away against large values, and ones that flip signs
+        b = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-30, 0.125],
+                     dtype=dtype)
+        for seed in range(4):
+            conv = awkward_conv((2 * pr, 3, 16, b.size), dtype, seed)
+            conv[0, 0, :2 * pt] = 1e20        # + 1e-30 rounds to a tie
+            want, arg = bias_relu_then_pool(conv.copy(), b, pr, pt, True)
+            assert arg is not None and np.isnan(want).any()
+            kept, kept_arg = _bias_relu_pool(conv.copy(), b, pr, pt, True)
+            assert kept.tobytes() == want.tobytes()
+            assert kept_arg.tobytes() == arg.tobytes()
+            got, none = _bias_relu_pool(conv.copy(), b, pr, pt, False)
+            assert none is None and got.dtype == dtype
+            assert got.tobytes() == want.tobytes(), seed
+            assert not np.signbit(got[got == 0]).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, pad_t", [
+        ((4, 3, 64, 1), (7, 8)), ((1, 1, 32, 64), (7, 8)),
+        ((2, 1, 40, 3), (8, 7)), ((1, 2, 17, 5), (8, 7)),
+        ((5, 2, 16, 1), (7, 8))])
+    def test_folded_cols_equal_the_sliding_windows(self, shape, pad_t, dtype):
+        # one row of one record is the shape a reshape could leave a view
+        from echodoa.neural.network import _folded_cols
+        x = np.random.default_rng(shape[2]).normal(size=shape).astype(dtype)
+        want = sliding_folded_cols(x, 16, pad_t)
+        got = _folded_cols(x, 16, pad_t)
+        assert got.shape == want.shape and got.dtype == dtype
+        assert got.flags.c_contiguous
+        assert not np.shares_memory(got, x)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("time", BLOCKED_TIMES)
+    @pytest.mark.parametrize("rows, batch", [(1, 1), (2, 1), (2, 3)])
+    def test_blocked_equals_the_sliding_windows(self, rows, batch, time,
+                                                dtype):
+        from echodoa.neural.network import (
+            _BLOCK_TIME, _conv_blocked, _row_bands, _same_pads,
+            _tap_spectrum)
+        x, w, _ = conv_case((rows, batch, time, 8), 8, seed=time + rows,
+                            dtype=dtype)
+        pad_r, pad_t = _same_pads(4), _same_pads(16)
+        ctype = np.result_type(dtype, np.complex64)
+        taps = {dr: _tap_spectrum(w[dr], _BLOCK_TIME, ctype)
+                for dr, *_ in _row_bands(4, rows, pad_r)}
+        want = sliding_conv_blocked(x, w, taps, pad_r, pad_t)
+        got = _conv_blocked(x, w, taps, pad_r, pad_t)
+        assert got.shape == want.shape and got.dtype == dtype
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_bytes_equal_earlier_order(self, dtype,
+                                                            monkeypatch):
+        spec = NetworkSpec()
+        params = init_params(spec, 12, dtype=dtype)
+        cases = []
+        for batch in (1, 16, 17, 64):
+            x, y = random_batch(spec, batch, dtype)
+            cases.append((x, y, forward(spec, params, x),
+                          backward(spec, params, x, y)))
+        earlier_constructions(monkeypatch)
+        for x, y, pred, got in cases:
+            assert forward(spec, params, x).tobytes() == pred.tobytes()
+            want_loss, want_grads = backward(spec, params, x, y)
+            assert_same_bytes(got, (want_loss, want_grads, None))
+
+    def test_predict_doa_bytes_equal_earlier_order(self, monkeypatch):
+        from echodoa.neural import Checkpoint, predict_doa
+        spec = NetworkSpec()
+        checkpoint = Checkpoint(
+            spec=spec, params=init_params(spec, 13, dtype=np.float64))
+        bases = [rec.baseband for rec in echo_records().records]
+        got = [predict_doa(checkpoint, base).angle_deg for base in bases]
+        earlier_constructions(monkeypatch)
+        want = [predict_doa(checkpoint, base).angle_deg for base in bases]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # --- the float contract of inference ----------------------------------------

@@ -12,6 +12,7 @@ from echodoa.errors import (
     FileFormatError,
     IncompatibleCheckpointError,
     InputError,
+    ShapeMismatchError,
     TrainingDivergedError,
 )
 from echodoa.doa_music import CONVERGED, FALLBACK
@@ -349,6 +350,23 @@ class TestWeightCache:
             assert (copy.params32[name].tobytes()
                     == checkpoint.params32[name].tobytes())
 
+    def test_unpickle_checks_what_it_takes_over(self):
+        from echodoa.neural.checkpoint import _unpickle
+        params32 = {k: v.astype(np.float32)
+                    for k, v in init_params(TINY, 1, np.float64).items()}
+        taken = _unpickle(TINY, dict(params32), {})
+        for name, array in params32.items():
+            assert taken.params32[name] is array
+            assert not array.flags.writeable
+        wide = {**params32, "output_b": np.zeros(1)}
+        with pytest.raises(TypeError):
+            _unpickle(TINY, wide, {})
+        short = {**params32, "output_b": np.zeros(2, np.float32)}
+        with pytest.raises(ShapeMismatchError):
+            _unpickle(TINY, short, {})
+        with pytest.raises(ShapeMismatchError):
+            _unpickle(TINY, {k: params32[k] for k in list(params32)[1:]}, {})
+
 
 def two_pass_predict(checkpoint, base):
     """predict_doa composed of two separate detections: gate, then crop."""
@@ -554,7 +572,6 @@ class TestCheckpointIO:
             load_checkpoint(path)
 
     def test_wrong_shapes_rejected(self):
-        from echodoa.errors import ShapeMismatchError
         params = init_params(TINY, seed=0)
         params["dense1_w"] = params["dense1_w"][:, :4]
         with pytest.raises(ShapeMismatchError):
@@ -650,8 +667,8 @@ class TestCheckpointBytes:
         take twice their float32 size. Building casts the caller's
         arrays once; saving copies no weights; loading holds the file
         and the float32 weights (a version-1 file is twice as large);
-        pickling holds the pickle while it is built, and unpickling the
-        weights it reads and their copy."""
+        pickling holds the pickle while it is built, and unpickling only
+        the weights it reads, which the checkpoint takes over."""
         import pickle
         import tracemalloc
 
@@ -668,7 +685,7 @@ class TestCheckpointBytes:
             ("load", lambda: load_checkpoint(path), 2.5),
             ("load version 1", lambda: load_checkpoint(v1), 3.5),
             ("pickle", lambda: built.append(pickle.dumps(built[0])), 3.0),
-            ("unpickle", lambda: pickle.loads(built[1]), 2.5),
+            ("unpickle", lambda: pickle.loads(built[1]), 1.5),
         ]
         for name, step, bound in steps:
             tracemalloc.start()
