@@ -2,8 +2,12 @@
 
 Binary files (EDDS datasets, EDCK checkpoints, EDCF captures) are the
 magic (4 bytes), a version byte, a little-endian u32 header length, the
-UTF-8 JSON header with sorted keys, the payload laid out by the format,
-and, except in EDCF, a SHA-256 of all those bytes.
+UTF-8 JSON header with sorted keys, the payload, and, except in EDCF, a
+SHA-256 of all those bytes. The payload is a whole number of items of
+one NumPy type; each format's header decoder names the type and the
+item count, and ``read`` checks the payload against them once for
+every format. ``field``, ``count`` and ``list_field`` are the one way
+a decoder reads a typed header value.
 
 Text tables are a header line, then one line of separated values per
 row, each float written ``.17g`` so that ``float`` reads it back
@@ -22,6 +26,8 @@ import os
 import struct
 import uuid
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ChecksumError, FileFormatError, UnsupportedVersionError
 
@@ -60,17 +66,23 @@ def write(path, magic: bytes, version: int, header: dict, chunks,
 
 
 def read(path, magic: bytes, decoders: dict, checksum: bool = True):
-    """The header decoded for its version, and the payload as a memoryview.
+    """The header decoded for its version, and the payload as an array.
 
-    ``decoders`` maps each readable version to its header decoder.
+    ``decoders`` maps each readable version to its header decoder,
+    which returns ``(decoded, item, count)``: the decoded header, the
+    NumPy type of one payload item and the number of items the header
+    implies. The result is ``(decoded, payload)``, the payload a
+    read-only one-dimensional array of ``count`` items over the bytes
+    read from ``path``.
+
     Raises ``UnsupportedVersionError`` on a version it does not map,
     ``ChecksumError`` on a digest that does not match, and
     ``FileFormatError`` on any other defect: a file too short for the
     prefix and digest, another magic, a header running past the payload,
     header bytes that are not UTF-8 JSON or nest too deeply, a value
-    that is not an object, and any KeyError, TypeError or ValueError
+    that is not an object, any KeyError, TypeError or ValueError
     (InputError included) that the decoder raises on a missing or
-    mistyped key. The payload length is left to the caller.
+    mistyped key, and a payload that is not ``count`` items long.
     """
     raw = memoryview(Path(path).read_bytes())
     trailer = _DIGEST_SIZE if checksum else 0
@@ -96,10 +108,43 @@ def read(path, magic: bytes, decoders: dict, checksum: bool = True):
     try:
         if type(header) is not dict:
             raise TypeError("header must be a JSON object")
-        return decoders[file_version](header), body[header_end:]
+        decoded, item, items = decoders[file_version](header)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(
             f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+    item, payload = np.dtype(item), body[header_end:]
+    if len(payload) != items * item.itemsize:
+        raise FileFormatError(
+            f"{path}: payload of {len(payload)} bytes, the header implies "
+            f"{items} items of {item.itemsize} bytes")
+    return decoded, np.frombuffer(payload, item, items)
+
+
+def field(header: dict, key: str, *types):
+    """``header[key]``; TypeError unless its type is one of ``types``."""
+    return _typed(key, header[key], types)
+
+
+def count(header: dict, key: str) -> int:
+    """``header[key]``, an int; TypeError or ValueError unless >= 0."""
+    value = field(header, key, int)
+    if value < 0:
+        raise ValueError(f"{key} must not be negative, got {value}")
+    return value
+
+
+def list_field(header: dict, key: str, *types) -> list:
+    """``header[key]``, a list; TypeError unless every value's type is
+    one of ``types``."""
+    return [_typed(f"{key} values", value, types)
+            for value in field(header, key, list)]
+
+
+def _typed(key, value, types):
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be {names}, got {value!r}")
+    return value
 
 
 def write_table(path, columns, rows, sep: str = " ",

@@ -10,7 +10,8 @@ Two file formats live here: ``EDDS`` dataset files, whose payload is
 fixed-size records (``_record_layout``: the five ``_LABELS``, then the
 baseband samples), and ``EDCF`` capture files, whose payload is an
 externally recorded raw waveform. Their shared framing (magic, version, JSON
-header, SHA-256 trailer on EDDS only) is defined in ``container.py``.
+header, SHA-256 trailer on EDDS only), the typed header fields and the
+payload length check are defined in ``container.py``.
 """
 
 from __future__ import annotations
@@ -274,89 +275,68 @@ def save_dataset(dataset: Dataset, path) -> None:
 _NUMBER = (int, float)
 
 
-def _field(header: dict, key: str, *types):
-    """``header[key]``; TypeError unless its type is one of ``types``."""
-    value = header[key]
-    if type(value) not in types:
-        names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"{key} must be {names}, got {value!r}")
-    return value
-
-
-def _count(header: dict, key: str) -> int:
-    value = _field(header, key, int)
-    if value < 0:
-        raise ValueError(f"{key} must not be negative, got {value}")
-    return value
-
-
 def _sim_config(header: dict) -> SimConfig:
-    config = dict(_field(header, "config", dict))
+    config = dict(container.field(header, "config", dict))
     # earlier writers stored rng_seed, a setting that drove nothing;
     # it is checked as they wrote it and dropped
     if "rng_seed" in config:
-        if not 0 <= _field(config, "rng_seed", int) < 2**64:
+        if not 0 <= container.field(config, "rng_seed", int) < 2**64:
             raise ValueError(f"rng_seed must fit in 64 bits, got "
                              f"{config['rng_seed']}")
         del config["rng_seed"]
     for key in config:
         kind = SimConfig.kind(key)
-        _field(config, key, *(_NUMBER if kind is float else (kind,)))
+        container.field(config, key, *(_NUMBER if kind is float else (kind,)))
     return SimConfig(**config)
 
 
 def _geometry(header: dict) -> ArrayGeometry:
-    xs = _field(header, "element_x", list)
-    if any(type(x) not in _NUMBER for x in xs):
-        raise TypeError(f"element_x must hold numbers, got {xs!r}")
-    return ArrayGeometry(element_x=tuple(xs))
+    return ArrayGeometry(
+        element_x=tuple(container.list_field(header, "element_x", *_NUMBER)))
 
 
 def _channels(header: dict) -> int:
-    channels = _count(header, "channels")
+    channels = container.count(header, "channels")
     if channels != 2:
         raise ValueError(f"channels must be 2 (a pair), got {channels}")
     return channels
 
 
-def _dataset_header(header: dict) -> dict:
-    decoded = {key: _count(header, key)
-               for key in ("master_seed", "record_count",
-                           "samples_per_channel")}
-    decoded["channels"] = _channels(header)
-    decoded["effective_rate"] = _field(header, "effective_rate", *_NUMBER)
-    decoded["config"] = _sim_config(header)
-    decoded["geometry"] = _geometry(header)
-    # built here so that a record too large for a NumPy dtype (a
-    # ValueError) reads as a malformed header
-    decoded["layout"] = _record_layout(decoded["channels"],
-                                       decoded["samples_per_channel"])
-    return decoded
+def _dataset_header(header: dict) -> tuple:
+    """The dataset a header describes, without its records; its record
+    layout and record count."""
+    config = _sim_config(header)
+    rate = container.field(header, "effective_rate", *_NUMBER)
+    if rate != config.effective_rate:
+        raise ValueError(f"effective_rate {rate} is not the config's "
+                         f"{config.effective_rate}")
+    dataset = Dataset(config=config, geometry=_geometry(header), records=[],
+                      master_seed=container.count(header, "master_seed"))
+    # a record too large for a NumPy dtype raises ValueError here
+    layout = _record_layout(_channels(header),
+                            container.count(header, "samples_per_channel"))
+    return dataset, layout, container.count(header, "record_count")
 
 
 def load_dataset(path) -> Dataset:
     """Read an EDDS file written by ``save_dataset``.
 
     A defect in the framing, the checksum, the header or the payload
-    length, or a baseband sample that is not finite, raises
-    ``FileFormatError`` (or a subclass of it).
+    length, an ``effective_rate`` other than its config's, or a
+    baseband sample that is not finite, raises ``FileFormatError`` (or
+    a subclass of it).
     """
-    header, payload = container.read(path, DATASET_MAGIC,
-                                     {FORMAT_VERSION: _dataset_header})
-    layout = header["layout"]
-    if len(payload) != header["record_count"] * layout.itemsize:
-        raise FileFormatError(f"{path}: payload length mismatch")
-    rows = np.frombuffer(payload, dtype=layout)
+    dataset, rows = container.read(path, DATASET_MAGIC,
+                                   {FORMAT_VERSION: _dataset_header})
     if not np.isfinite(rows["data"]).all():
         raise FileFormatError(f"{path}: a baseband sample is not finite")
-    labels = rows[list(_LABELS)].tolist()
-    rate = header["effective_rate"]
-    records = [DatasetRecord(**dict(zip(_LABELS, values)),
-                             baseband=ComplexBaseband(data=data.copy(),
-                                                      sample_rate=rate))
-               for values, data in zip(labels, rows["data"])]
-    return Dataset(config=header["config"], geometry=header["geometry"],
-                   records=records, master_seed=header["master_seed"])
+    rate = dataset.config.effective_rate
+    dataset.records = [
+        DatasetRecord(**dict(zip(_LABELS, values)),
+                      baseband=ComplexBaseband(data=data.copy(),
+                                               sample_rate=rate))
+        for values, data in zip(rows[list(_LABELS)].tolist(), rows["data"])]
+    return dataset
 
 
 def write_index_text(dataset: Dataset, path) -> None:
@@ -445,27 +425,21 @@ def read_capture(path):
     sample that is not finite, raises ``FileFormatError`` (or a
     subclass of it).
     """
-    header, payload = container.read(
+    (rate, geometry, annotation), samples = container.read(
         path, CAPTURE_MAGIC, {FORMAT_VERSION: _capture_header}, checksum=False)
-    channels = header["channels"]
-    frames = header["frame_count"]
-    if len(payload) != channels * frames * 8:
-        raise FileFormatError(
-            f"{path}: declared {frames} frames x {channels} channels does "
-            f"not match payload size")
-    data = np.frombuffer(payload, dtype="<f8").reshape(channels, frames).copy()
+    data = samples.reshape(geometry.num_elements, -1).copy()
     if not np.isfinite(data).all():
         raise FileFormatError(f"{path}: a sample is not finite")
-    wave = RealWaveform(data=data, sample_rate=header["sample_rate"])
-    return wave, header["geometry"], header["annotation"]
+    return RealWaveform(data=data, sample_rate=rate), geometry, annotation
 
 
-def _capture_header(header: dict) -> dict:
-    return {"channels": _channels(header),
-            "frame_count": _count(header, "frame_count"),
-            "sample_rate": _field(header, "sample_rate", *_NUMBER),
-            "annotation": _field(header, "annotation", str),
-            "geometry": _geometry(header)}
+def _capture_header(header: dict) -> tuple:
+    """Sample rate, geometry and annotation; the samples, ``channels *
+    frame_count`` little-endian doubles."""
+    decoded = (container.field(header, "sample_rate", *_NUMBER),
+               _geometry(header), container.field(header, "annotation", str))
+    frames = container.count(header, "frame_count")
+    return decoded, "<f8", _channels(header) * frames
 
 
 def _parse_annotation(text: str) -> dict:

@@ -21,7 +21,6 @@ from .signal_sim import (
     ComplexBaseband,
     SimConfig,
     detect_echo_window,
-    steering_vector,
     wavelength,
 )
 

@@ -9,6 +9,7 @@ curves, and writes plot-ready tables that re-parse losslessly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -175,13 +176,16 @@ def snr_crossover(table: MetricsTable, estimator_a: str,
     interpolation of ``estimator_b``'s curve gives the SNR where b
     reaches the same error; the returned value is the median of those
     SNR differences. Positive means a needs that many dB less than b.
+    Only finite SNR levels take part: a noiseless (``inf``) level has no
+    finite dB distance to any other. Fewer than 4 finite levels common
+    to both curves raise ``InputError``.
     """
-    rows_a = table.select(estimator_a)
-    rows_b = table.select(estimator_b)
-    common = sorted({r.snr_db for r in rows_a} & {r.snr_db for r in rows_b})
+    rows_a = [r for r in table.select(estimator_a) if math.isfinite(r.snr_db)]
+    rows_b = [r for r in table.select(estimator_b) if math.isfinite(r.snr_db)]
+    common = {r.snr_db for r in rows_a} & {r.snr_db for r in rows_b}
     if len(common) < 4:
         raise InputError(
-            f"need >= 4 common SNR levels, have {len(common)}")
+            f"need >= 4 common finite SNR levels, have {len(common)}")
 
     def curve(rows):
         snr = np.array([r.snr_db for r in rows])

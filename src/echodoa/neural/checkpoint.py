@@ -22,7 +22,6 @@ from typing import ClassVar
 import numpy as np
 
 from .. import container
-from ..errors import FileFormatError
 from .network import NetworkSpec, _blocked_taps, _check_params
 
 MAGIC = b"EDCK"
@@ -129,52 +128,42 @@ def load_checkpoint(path) -> Checkpoint:
     A defect in the framing, the checksum, the header or the payload
     raises ``FileFormatError`` (or a subclass of it).
     """
-    (spec, metadata, layout), payload = container.read(
+    (spec, metadata), weights = container.read(
         path, MAGIC, {version: partial(_checkpoint_header, weight_type=kind)
                       for version, kind in _WEIGHT_TYPES.items()})
-    if len(payload) != layout.itemsize:
-        raise FileFormatError(f"{path}: {len(payload)} bytes of weights, "
-                              f"the spec needs {layout.itemsize}")
-    weights = np.frombuffer(payload, dtype=layout)[0]
     return Checkpoint(spec=spec,
-                      params={name: weights[name] for name in layout.names},
+                      params={name: weights[0][name]
+                              for name in weights.dtype.names},
                       metadata=metadata)
 
 
 def _checkpoint_header(header, weight_type):
-    """Spec, metadata and payload layout of a header.
+    """Spec and metadata of a header; the payload layout, one item.
 
     Raises KeyError, TypeError or ValueError (the spec's own InputError
     included) on anything that ``save_checkpoint`` would not write: a
     fixed spec key or a normalization rule other than the network's
     included.
     """
-    varying = [f.name for f in fields(NetworkSpec)]
-    names = [*_FIXED_SPEC_KEYS, *varying]
-    spec_dict = header["spec"]
-    if not isinstance(spec_dict, dict) or sorted(spec_dict) != sorted(names):
+    spec_dict = container.field(header, "spec", dict)
+    names = [*_FIXED_SPEC_KEYS, *(f.name for f in fields(NetworkSpec))]
+    if sorted(spec_dict) != sorted(names):
         raise ValueError(f"spec must have exactly the keys {names}")
-    widths = spec_dict["dense_widths"]
-    sizes = [spec_dict[n] for n in names if n != "dense_widths"]
-    if not isinstance(widths, list) or any(
-            type(v) is not int for v in sizes + widths):
-        raise TypeError("spec values must be integers")
+    sizes = {key: container.count(spec_dict, key)
+             for key in names if key != "dense_widths"}
     for key in _FIXED_SPEC_KEYS:
-        if spec_dict[key] != getattr(NetworkSpec, key):
+        if sizes.pop(key) != getattr(NetworkSpec, key):
             raise ValueError(f"spec {key} must be {getattr(NetworkSpec, key)}, "
                              f"got {spec_dict[key]}")
-    spec = NetworkSpec(**{**{n: spec_dict[n] for n in varying},
-                          "dense_widths": tuple(widths)})
+    spec = NetworkSpec(**sizes, dense_widths=tuple(
+        container.list_field(spec_dict, "dense_widths", int)))
     manifest = [(entry["name"], entry["shape"]) for entry in header["params"]]
     if manifest != [(n, list(s)) for n, s in spec.param_shapes().items()]:
         raise ValueError("parameter manifest does not match the spec")
     if header["normalization"] != Checkpoint.normalization:
         raise ValueError(f"normalization must be {Checkpoint.normalization!r}")
-    metadata = header["metadata"]
-    if not isinstance(metadata, dict):
-        raise TypeError("metadata must be an object")
     # the payload: every parameter as ``weight_type``, in declaration
     # order; a spec too large for a NumPy dtype raises ValueError here
     layout = np.dtype([(name, weight_type, shape)
                        for name, shape in spec.param_shapes().items()])
-    return spec, metadata, layout
+    return (spec, container.field(header, "metadata", dict)), layout, 1

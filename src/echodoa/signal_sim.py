@@ -15,7 +15,7 @@ constants derived from its key, so it never changes a result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -72,6 +72,9 @@ class SimConfig:
                 raise InputError(f"{name} must be finite")
             if value <= 0:
                 raise InputError(f"{name} must be positive")
+        if not math.isfinite(self.listen_window * self.sample_rate):
+            raise InputError("listen_window * sample_rate (the sample "
+                             "count) must be finite")
         if self.sample_rate <= 2 * self.carrier_freq:
             raise InputError("sample_rate must exceed twice the carrier frequency")
         if self.echo_duration >= self.listen_window:

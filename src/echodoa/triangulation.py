@@ -34,6 +34,11 @@ class SensorPose:
     x: float
     y: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise InputError(f"sensor position must be finite, got "
+                             f"({self.x}, {self.y})")
+
 
 @dataclass(frozen=True)
 class RangeMeasurement:

@@ -375,6 +375,23 @@ class TestDatasetCommand:
         assert len(lines) == 1
         assert lines[0].startswith("error: FileFormatError: ")
 
+    def test_rate_other_than_the_config_fails_at_load(self, tmp_path,
+                                                       capsys):
+        # each record's sample rate is the header's effective_rate: one
+        # that its own config does not give would misplace every echo
+        path = tmp_path / "rate.edds"
+        code, _, _ = run(capsys, "dataset", "--angles", "10", "--snrs", "inf",
+                         "--records-per-cell", "1", "--out", str(path))
+        assert code == 0
+        path.write_bytes(_edds_with_header(path.read_bytes(),
+                                           effective_rate=1.0))
+        code, out, err = run(capsys, "music", "--dataset", str(path))
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: FileFormatError: ")
+        assert "effective_rate 1.0 is not the config's 125000.0" in lines[0]
+
     def test_generates_expected_cardinality(self, tmp_path, capsys):
         out_path = tmp_path / "grid.edds"
         code, out, _ = run(capsys, "dataset", "--angles=-20:20:20",
@@ -753,7 +770,14 @@ class TestNonFiniteInputs:
           "--aperture", "nan", "--out", "d.edds"), "aperture_deg", "d.edds"),
         (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
           "--aperture", "120", "--out", "d.edds"), "aperture_deg",
-         "d.edds")])
+         "d.edds"),
+        (("triangulate", "--r1", "1", "--r2", "1", "--sensor1", "nan,0"),
+         "sensor position", None),
+        (("triangulate", "--r1", "1", "--r2", "1", "--sensor2", "0.25,inf"),
+         "sensor position", None),
+        (("simulate", "--doa", "30", "--range", "1", "--sim",
+          "sample_rate=1e308", "--sim", "listen_window=10", "--out",
+          "a.edcf"), "listen_window", "a.edcf")])
     def test_one_line_input_error(self, argv, field, written, tmp_path,
                                   capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -5,13 +5,15 @@ Each file, and an EDCK image of the version that ``load_checkpoint``
 still reads, is cut, or has one byte flipped, at the start, the middle
 and the end of every region: the 9-byte prefix (magic, version, header
 length), the JSON header, the payload and, for the checksummed EDDS and
-EDCK, the SHA-256 trailer. Only ``FileFormatError`` and its subclasses
-may come out of the readers.
+EDCK, the SHA-256 trailer. A seeded sweep then flips every prefix and
+header byte, and cuts each image at every offset up to its payload.
+Only ``FileFormatError`` and its subclasses may come out of the readers.
 """
 
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -61,15 +63,23 @@ def test_codec_frames_and_reads_back(checksum, tmp_path):
             + samples.tobytes())
     digest = hashlib.sha256(body).digest() if checksum else b""
     assert path.read_bytes() == body + digest
-    # each version is read by its own decoder
-    header, payload = container.read(path, b"TEST", {2: list, 3: dict},
-                                     checksum=checksum)
+    # each version is read by its own decoder, which names the payload's
+    # item type and count
+    header, payload = container.read(
+        path, b"TEST", {2: list, 3: lambda h: (h, "<u2", 13)},
+        checksum=checksum)
     assert header == {"a": [2], "b": 1}
-    assert isinstance(payload, memoryview)
+    assert payload.dtype == "<u2" and payload.shape == (13,)
+    assert not payload.flags.writeable
     assert payload.tobytes() == b"xy" + samples.tobytes()
     with pytest.raises(UnsupportedVersionError,
                        match=r"version 3, expected \[1, 2\]"):
         container.read(path, b"TEST", {1: dict, 2: dict}, checksum=checksum)
+    # a payload that is not the items the header implies
+    for item, count in (("<u2", 12), ("<u2", 14), ("<f8", 3)):
+        with pytest.raises(FileFormatError, match="payload of 26 bytes"):
+            container.read(path, b"TEST", {3: lambda h: (h, item, count)},
+                           checksum=checksum)
 
 
 @pytest.mark.parametrize("checksum", [True, False])
@@ -125,7 +135,8 @@ def test_failed_write_leaves_the_old_file_or_none(old, tmp_path):
         assert path.read_bytes() == old
     container.write(path, b"TEST", 3, {}, [b"xy"])
     assert list(tmp_path.iterdir()) == [path]
-    assert container.read(path, b"TEST", {3: dict})[1].tobytes() == b"xy"
+    assert container.read(path, b"TEST", {3: lambda h: (h, "u1", 2)}
+                          )[1].tobytes() == b"xy"
 
 
 def _write_edds(path):
@@ -260,3 +271,38 @@ def test_payload_length_must_match_the_header(fmt, change, saved, tmp_path):
     with pytest.raises(FileFormatError) as info:
         _read(fmt, _with_payload(raw, checksum, payload), tmp_path)
     assert type(info.value) is FileFormatError
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_every_prefix_and_header_byte(fmt, saved, tmp_path):
+    """Each prefix and header byte XORed with a seeded non-zero mask, and
+    the image cut at every offset up to the payload: each read raises
+    ``FileFormatError`` (or a subclass) or loads, and no NumPy warning
+    appears. No cut image loads, and a flipped one loads only where no
+    digest covers it: in EDCF, or re-hashed, which takes the flip past
+    the checksum to the header decoder."""
+    _, reader, checksum = FORMATS[fmt]
+    raw = saved[fmt]
+    end = regions(raw, checksum)["header"][1]
+    path = tmp_path / f"bad.{fmt}"
+
+    def loads(image):
+        path.write_bytes(image)
+        try:
+            reader(path)
+        except FileFormatError:
+            return False
+        return True
+
+    masks = np.random.default_rng(2022).integers(1, 256, end)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not any(loads(raw[:cut]) for cut in range(end + 1))
+        for offset, mask in enumerate(masks):
+            image = bytearray(raw)
+            image[offset] ^= mask
+            if checksum:
+                assert not loads(image), offset
+                loads(image[:-32] + hashlib.sha256(image[:-32]).digest())
+            else:
+                loads(image)

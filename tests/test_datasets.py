@@ -606,7 +606,11 @@ class TestMalformedDatasetHeader:
         ("config", {"decimation_factor": 8.0}),
         ("config", {"sample_rate": -1.0}),
         ("element_x", [0.0, 0.003, 0.006]), ("channels", 3),
-        ("element_x", [0.0, math.nan]), ("element_x", [-math.inf, 0.0])])
+        ("element_x", [0.0, math.nan]), ("element_x", [-math.inf, 0.0]),
+        # a rate the header's own config does not give
+        ("effective_rate", 1.0),
+        # finite values whose sample count is not
+        ("config", {"sample_rate": 1e308, "listen_window": 10.0})])
     def test_missing_or_mistyped_key(self, saved, tmp_path, key, value):
         header = _mutated(header_of(saved), key, value)
         raw = reframe(saved, json.dumps(header).encode())

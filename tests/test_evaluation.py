@@ -231,6 +231,24 @@ class TestCrossover:
         with pytest.raises(InputError):
             snr_crossover(table, "a", "b")
 
+    def test_noiseless_level_takes_no_part(self, recwarn):
+        pts_a = [(s, 40.0 * 2.0 ** (-(s + 30) / 10.0))
+                 for s in range(-30, 25, 5)]
+        pts_b = [(s + 10.0, m) for s, m in pts_a]
+        # each noiseless MAE lies inside the other curve's range
+        table = MetricsTable(rows=table_from(pts_a + [(math.inf, 1.0)], "a")
+                             + table_from(pts_b + [(math.inf, 0.5)], "b"))
+        assert snr_crossover(table, "a", "b") == pytest.approx(10.0,
+                                                               abs=1e-9)
+        assert not recwarn.list
+
+    def test_needs_four_common_finite_levels(self):
+        pts = [(0.0, 10.0), (10.0, 5.0), (20.0, 2.0), (math.inf, 1.0)]
+        table = MetricsTable(rows=table_from(pts, "a")
+                             + table_from(pts, "b"))
+        with pytest.raises(InputError, match="have 3"):
+            snr_crossover(table, "a", "b")
+
     @pytest.mark.parametrize("domain", [DOMAIN_INSIDE_30, DOMAIN_OUTSIDE_30])
     def test_filtered_table(self, domain):
         # a table from evaluate(..., domain) holds only that domain's rows

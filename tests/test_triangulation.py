@@ -36,6 +36,14 @@ class TestRangeMeasurement:
             meas(0.0, 0.0, r, sigma)
 
 
+class TestSensorPose:
+    @pytest.mark.parametrize("x, y", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), (0.0, math.nan)])
+    def test_rejects_non_finite_position(self, x, y):
+        with pytest.raises(InputError, match="sensor position must be finite"):
+            SensorPose(x, y)
+
+
 class TestIntersectTwoCircles:
     def test_symmetric_forward_point(self):
         r = math.hypot(0.25, 2.0)
