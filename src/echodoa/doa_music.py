@@ -20,6 +20,7 @@ from .signal_sim import (
     ArrayGeometry,
     ComplexBaseband,
     SimConfig,
+    _median,
     detect_echo_window,
     wavelength,
 )
@@ -305,7 +306,7 @@ def music_with_spectrum(base: ComplexBaseband, geometry: ArrayGeometry,
     spectrum = pseudospectrum(subspace, geometry, lam, options.grid_step_deg)
     k, prominence = _top_peak(spectrum.power)
     if (subspace.degenerate or prominence
-            < _PROMINENCE_FACTOR * float(np.median(spectrum.power))):
+            < _PROMINENCE_FACTOR * _median(spectrum.power)):
         return DoaEstimate.fallback(), spectrum
     angle = float(spectrum.angles_deg[k])
     return DoaEstimate(angle_deg=angle, status=CONVERGED,

@@ -51,6 +51,11 @@ DETECTION_THRESHOLD = 5.0
 # Leading share of the record taken as noise only.
 _LEAD_FRACTION = 0.125
 
+# Most samples per channel a two-channel complex128 array can hold: the
+# largest array of a record is to_baseband's padded FFT buffer, and
+# NumPy refuses any array of more than intp-max bytes.
+_MAX_RECORD_SAMPLES = np.iinfo(np.intp).max // (2 * 16)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -72,9 +77,16 @@ class SimConfig:
                 raise InputError(f"{name} must be finite")
             if value <= 0:
                 raise InputError(f"{name} must be positive")
-        if not math.isfinite(self.listen_window * self.sample_rate):
+        count = self.listen_window * self.sample_rate
+        if not math.isfinite(count):
             raise InputError("listen_window * sample_rate (the sample "
                              "count) must be finite")
+        if (count > _MAX_RECORD_SAMPLES
+                or _fft_length(self.n_samples) > _MAX_RECORD_SAMPLES):
+            raise InputError(
+                f"listen_window * sample_rate ({count:.6g} samples) leaves "
+                f"a record larger than NumPy can hold (at most "
+                f"{_MAX_RECORD_SAMPLES} padded samples a channel)")
         if self.sample_rate <= 2 * self.carrier_freq:
             raise InputError("sample_rate must exceed twice the carrier frequency")
         if self.echo_duration >= self.listen_window:
@@ -347,6 +359,11 @@ def add_awgn(wave: RealWaveform, snr_db: float, seed: int) -> RealWaveform:
     return replace(wave, data=out)
 
 
+def _fft_length(samples: int) -> int:
+    """Padded length of the demodulation FFT for a record of ``samples``."""
+    return sp_fft.next_fast_len(samples + _LOWPASS_TAPS - 1, False)
+
+
 @lru_cache(maxsize=8)
 def _demodulation_plan(samples: int, carrier_freq: float, sample_rate: float):
     """Oscillator, FFT length and low-pass spectrum for one record shape.
@@ -361,7 +378,7 @@ def _demodulation_plan(samples: int, carrier_freq: float, sample_rate: float):
     t = np.arange(samples) / sample_rate
     oscillator = np.exp(-2j * np.pi * carrier_freq * t)
     taps = firwin(_LOWPASS_TAPS, cutoff=carrier_freq / 2.0, fs=sample_rate)
-    nfft = sp_fft.next_fast_len(samples + _LOWPASS_TAPS - 1, False)
+    nfft = _fft_length(samples)
     spectrum = sp_fft.fftn(taps[None, :], [nfft], axes=[1])
     oscillator.flags.writeable = False
     spectrum.flags.writeable = False
@@ -388,12 +405,17 @@ def to_baseband(wave: RealWaveform, config: SimConfig) -> ComplexBaseband:
     n = wave.samples_per_channel
     oscillator, nfft, spectrum = _demodulation_plan(
         n, config.carrier_freq, config.sample_rate)
-    product = sp_fft.fft(wave.data * oscillator, nfft, axis=1)
-    product *= spectrum
-    filtered = sp_fft.ifft(product, overwrite_x=True)
+    # the mixed record and its zero padding in one buffer, which both
+    # FFTs and the filter product then overwrite in place
+    buf = np.empty((wave.channels, nfft), dtype=complex)
+    np.multiply(wave.data, oscillator, out=buf[:, :n])
+    buf[:, n:] = 0.0
+    buf = sp_fft.fft(buf, axis=1, overwrite_x=True)
+    buf *= spectrum
+    buf = sp_fft.ifft(buf, axis=1, overwrite_x=True)
     delay = (_LOWPASS_TAPS - 1) // 2
     return ComplexBaseband(
-        data=filtered[:, delay:delay + n:config.decimation_factor].copy(),
+        data=buf[:, delay:delay + n:config.decimation_factor].copy(),
         sample_rate=config.effective_rate)
 
 
@@ -426,7 +448,7 @@ def _echo_windows(base: ComplexBaseband, threshold_factors,
     if n < min_len:
         raise InputError(f"record has {n} samples, need at least {min_len}")
     lead = max(8, int(n * _LEAD_FRACTION))
-    noise_median = float(np.median(mag[:lead]))
+    noise_median = _median(mag[:lead])
     floor = _PEAK_FLOOR * float(mag.max())
     windows = []
     for factor in threshold_factors:
@@ -444,3 +466,21 @@ def _echo_windows(base: ComplexBaseband, threshold_factors,
         windows.append(EchoWindow(start=start, stop=stop,
                                   tof_s=start / base.sample_rate))
     return windows
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a non-empty 1-D float array, bit
+    for bit, without NumPy's generic axis handling.
+
+    The same partition as ``np.median`` (the middle index or indices
+    plus the last), the middle values summed from +0.0 as NumPy's mean
+    sums them, and the partition's last value when that is NaN.
+    """
+    n = values.size
+    middle = [(n - 1) // 2] if n % 2 else [n // 2 - 1, n // 2]
+    part = np.partition(values, middle + [-1])
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    if n % 2:
+        return 0.0 + float(part[middle[0]])
+    return (0.0 + float(part[middle[0]]) + float(part[middle[1]])) / 2.0

@@ -80,9 +80,11 @@ def intersect_two_circles(m1: RangeMeasurement,
     forward half-plane comes first. Raises when the circles are
     disjoint, nested, or the sensors coincide.
     """
-    p1 = np.array([m1.sensor.x, m1.sensor.y])
-    p2 = np.array([m2.sensor.x, m2.sensor.y])
-    d = float(np.linalg.norm(p2 - p1))
+    # plain scalar arithmetic: each step rounds as the same step on
+    # 2-vectors does, without the cost of building them
+    x1, y1 = m1.sensor.x, m1.sensor.y
+    dx, dy = m2.sensor.x - x1, m2.sensor.y - y1
+    d = float(np.linalg.norm(np.array([dx, dy])))
     scale = max(m1.range_m, m2.range_m, d)
     if d < _REL_TOL * scale or d == 0.0:
         raise CoincidentSensorsError("sensors coincide")
@@ -95,16 +97,16 @@ def intersect_two_circles(m1: RangeMeasurement,
             f"one circle contains the other: separation {d:.6g} below "
             f"|r1-r2| {abs(r1 - r2):.6g}")
 
-    ex = (p2 - p1) / d
-    ey = np.array([-ex[1], ex[0]])
+    ux, uy = dx / d, dy / d                    # unit baseline
     a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
     h_sq = r1 * r1 - a * a
     h = math.sqrt(max(h_sq, 0.0))
-    foot = p1 + a * ex
+    fx, fy = x1 + a * ux, y1 + a * uy
     if h <= _REL_TOL * scale:
-        points = [tuple(foot)]
+        points = [(fx, fy)]
     else:
-        points = [tuple(foot + h * ey), tuple(foot - h * ey)]
+        # either side of the foot along the baseline normal (-uy, ux)
+        points = [(fx - h * uy, fy + h * ux), (fx + h * uy, fy - h * ux)]
     points.sort(key=lambda p: (-p[1], p[0]))
     return [(float(x), float(y)) for x, y in points]
 
@@ -185,9 +187,8 @@ def fuse_doa_with_ranges(doa: DoaEstimate, m1: RangeMeasurement,
             raise UnusableFallbackError(
                 "fallback DoA and no circle intersection to fall back on")
 
-    mid = (float(np.mean([m1.sensor.x, m2.sensor.x])),
-           float(np.mean([m1.sensor.y, m2.sensor.y])))
-    mean_range = float(np.mean([m1.range_m, m2.range_m]))
+    mid = (_mean(m1.sensor.x, m2.sensor.x), _mean(m1.sensor.y, m2.sensor.y))
+    mean_range = _mean(m1.range_m, m2.range_m)
 
     angle = doa.angle_deg
     if len(doa.ambiguity_deg) > 1:
@@ -202,7 +203,7 @@ def fuse_doa_with_ranges(doa: DoaEstimate, m1: RangeMeasurement,
 
     x, y = _ray_fix(mid, angle, mean_range)
     transverse = mean_range * math.tan(math.radians(sigma_theta_deg))
-    sigma_r = float(np.mean([m1.sigma_r, m2.sigma_r]))
+    sigma_r = _mean(m1.sigma_r, m2.sigma_r)
     radial = sigma_r / math.sqrt(2)
 
     # radial axis points along the ray; transverse is perpendicular
@@ -218,3 +219,10 @@ def fuse_doa_with_ranges(doa: DoaEstimate, m1: RangeMeasurement,
 
 def _dist(p, q):
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def _mean(a, b):
+    """``float(np.mean([a, b]))`` for two float64 values or integers,
+    without building an array; like NumPy's, the sum starts from +0.0,
+    so two -0.0 give +0.0."""
+    return (0.0 + float(a) + float(b)) / 2.0

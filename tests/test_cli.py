@@ -777,7 +777,12 @@ class TestNonFiniteInputs:
          "sensor position", None),
         (("simulate", "--doa", "30", "--range", "1", "--sim",
           "sample_rate=1e308", "--sim", "listen_window=10", "--out",
-          "a.edcf"), "listen_window", "a.edcf")])
+          "a.edcf"), "listen_window", "a.edcf"),
+        # sample counts no NumPy array can hold, not only this host
+        (("music", "--sim", "sample_rate=1e20"), "listen_window", None),
+        (("simulate", "--doa", "30", "--range", "1", "--sim",
+          "listen_window=1e15", "--out", "a.edcf"), "listen_window",
+         "a.edcf")])
     def test_one_line_input_error(self, argv, field, written, tmp_path,
                                   capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

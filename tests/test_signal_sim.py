@@ -19,6 +19,7 @@ from echodoa.signal_sim import (
     SimConfig,
     SourceScenario,
     _envelope,
+    _median,
     add_awgn,
     detect_echo_window,
     steering_vector,
@@ -70,6 +71,19 @@ class TestSimConfig:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(InputError, match=f"{name} must be finite"):
             SimConfig(**{name: value})
+
+    @pytest.mark.parametrize("overrides", [{"sample_rate": 1e20},
+                                           {"listen_window": 1e15}])
+    def test_rejects_counts_numpy_cannot_hold(self, overrides):
+        # the padded two-channel complex128 record would exceed NumPy's
+        # largest array (8e17 and 1e21 samples a channel)
+        with pytest.raises(InputError, match="larger than NumPy can hold"):
+            SimConfig(**overrides)
+
+    def test_leaves_host_sized_counts_to_allocation(self):
+        # 8e16 samples a channel: NumPy can describe the record, only a
+        # host cannot hold it
+        assert SimConfig(sample_rate=1e19).n_samples == 8 * 10**16
 
     def test_parse_field_types(self):
         assert SimConfig.parse_field("decimation_factor", " 4 ") == 4
@@ -492,8 +506,16 @@ class TestBasebandPlan:
         for seed, snr in enumerate((-30.0, -10.0, 0.0, 10.0, 20.0,
                                     math.inf)):
             wave = add_awgn(clean, snr, seed=seed)
-            assert_same_bytes(to_baseband(wave, cfg),
-                              reference_baseband(wave, cfg))
+            before, flags = wave.data.tobytes(), str(wave.data.flags)
+            base = to_baseband(wave, cfg)
+            assert_same_bytes(base, reference_baseband(wave, cfg))
+            # the input is read, never written, and may be read-only
+            assert wave.data.tobytes() == before
+            assert str(wave.data.flags) == flags
+            wave.data.flags.writeable = False
+            again = to_baseband(wave, cfg)
+            assert again.data.tobytes() == base.data.tobytes()
+            assert not np.shares_memory(again.data, base.data)
 
     def test_other_carrier_and_rate(self):
         for cfg in (SimConfig(carrier_freq=40_000.0),
@@ -601,3 +623,39 @@ class TestDeterminism:
             return to_baseband(noisy, CFG).data
         a, b = run(), run()
         assert (a == b).all()
+
+
+def _nan_at(position):
+    def build(values):
+        values[{"first": 0, "middle": values.size // 2,
+                "last": -1}[position]] = np.nan
+        return values
+    return build
+
+
+def _read_only_view(values):
+    view = np.repeat(values, 2)[::2]            # strided, not a copy
+    view.flags.writeable = False
+    return view
+
+
+MEDIAN_INPUTS = {
+    "random": lambda v: v,
+    "ties": lambda v: np.floor(4.0 * v),
+    "signed_zeros": lambda v: np.where(v < 0.5, -0.0, 0.0),
+    "nan_first": _nan_at("first"),
+    "nan_middle": _nan_at("middle"),
+    "nan_last": _nan_at("last"),
+    "read_only_view": _read_only_view,
+}
+
+
+@pytest.mark.parametrize("kind", MEDIAN_INPUTS)
+@pytest.mark.parametrize("n", [1, 2, 125, 721, 722])
+def test_median_helper_is_np_median_bit_for_bit(n, kind):
+    values = MEDIAN_INPUTS[kind](np.random.default_rng(n).random(n))
+    before = values.tobytes()
+    got = _median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.median(values).tobytes()
+    assert values.tobytes() == before

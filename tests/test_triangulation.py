@@ -14,6 +14,8 @@ from echodoa.errors import (
 from echodoa.triangulation import (
     FUSED,
     TRIANGULATION,
+    ErrorEllipse,
+    PositionFix,
     RangeMeasurement,
     SensorPose,
     dilution_ellipse,
@@ -254,3 +256,91 @@ class TestFuseDoaWithRanges:
                                    meas(0.25, 0, 2.0), sigma_theta_deg=0.0)
         assert fix.y == pytest.approx(0.0, abs=1e-12)
         assert fix.ellipse.semi_minor == 0.0
+
+
+def vector_intersections(m1, m2):
+    """Both circle intersections written with numpy 2-vectors, forward first."""
+    p1 = np.array([m1.sensor.x, m1.sensor.y])
+    p2 = np.array([m2.sensor.x, m2.sensor.y])
+    d = float(np.linalg.norm(p2 - p1))
+    ex = (p2 - p1) / d
+    ey = np.array([-ex[1], ex[0]])
+    r1, r2 = m1.range_m, m2.range_m
+    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    foot = p1 + a * ex
+    points = [tuple(map(float, foot + h * ey)),
+              tuple(map(float, foot - h * ey))]
+    return sorted(points, key=lambda p: (-p[1], p[0]))
+
+
+def mean_reference_fix(doa, m1, m2, sigma_theta_deg=1.0):
+    """``fuse_doa_with_ranges`` written out with ``np.mean`` and the
+    vector intersection."""
+    if doa.status == FALLBACK:
+        x, y = vector_intersections(m1, m2)[0]
+        return PositionFix(x, y, dilution_ellipse(m1, m2, (x, y)),
+                           TRIANGULATION)
+    mid = (float(np.mean([m1.sensor.x, m2.sensor.x])),
+           float(np.mean([m1.sensor.y, m2.sensor.y])))
+    mean_range = float(np.mean([m1.range_m, m2.range_m]))
+
+    def along(angle):
+        theta = math.radians(angle)
+        return (mid[0] + mean_range * math.sin(theta),
+                mid[1] + mean_range * math.cos(theta))
+
+    angle = doa.angle_deg
+    if len(doa.ambiguity_deg) > 1:
+        ix, iy = vector_intersections(m1, m2)[0]
+        angle = min(doa.ambiguity_deg, key=lambda a: math.hypot(
+            along(a)[0] - ix, along(a)[1] - iy))
+    x, y = along(angle)
+    transverse = mean_range * math.tan(math.radians(sigma_theta_deg))
+    radial = float(np.mean([m1.sigma_r, m2.sigma_r])) / math.sqrt(2)
+    bearing = 90.0 - angle
+    if transverse >= radial:
+        ellipse = ErrorEllipse(transverse, radial, bearing + 90.0)
+    else:
+        ellipse = ErrorEllipse(radial, transverse, bearing)
+    return PositionFix(x, y, ellipse, FUSED)
+
+
+def fix_bits(fix):
+    """Every float of a fix as its exact bits, and its source."""
+    e = fix.ellipse
+    return ([float(v).hex() for v in (fix.x, fix.y, e.semi_major,
+                                      e.semi_minor, e.orientation_deg)],
+            fix.source)
+
+
+# sensor pairs with ranges that intersect: float, integer and
+# signed-zero coordinates (np.mean of two -0.0 is +0.0)
+SENSOR_PAIRS = {
+    "float": (meas(-0.2, 0.0, 0.83, 0.003), meas(0.2, 0.0, 0.71, 0.004)),
+    "int": (meas(-1, 0, 2, 0), meas(1, 0, 3, 1)),
+    "signed_zero": (meas(-0.0, -0.0, 0.8, 0.003), meas(-0.0, 1.0, 0.9, 0.003)),
+}
+ESTIMATES = {
+    "fused": DoaEstimate(30.0, CONVERGED, (30.0,)),
+    "fused_broadside": DoaEstimate(-0.0, CONVERGED, (-0.0,)),
+    "aliased": DoaEstimate(-41.81, CONVERGED, (-41.81, 0.0, 41.81)),
+    "fallback": DoaEstimate.fallback(),
+}
+
+
+class TestSameBitsAsVectorArithmetic:
+    @pytest.mark.parametrize("pair", SENSOR_PAIRS)
+    @pytest.mark.parametrize("case", ESTIMATES)
+    def test_fix_equals_the_np_mean_reference(self, case, pair):
+        est, (m1, m2) = ESTIMATES[case], SENSOR_PAIRS[pair]
+        assert fix_bits(fuse_doa_with_ranges(est, m1, m2)) == \
+            fix_bits(mean_reference_fix(est, m1, m2))
+
+    @pytest.mark.parametrize("pair", SENSOR_PAIRS)
+    def test_intersections_equal_the_vector_reference(self, pair):
+        m1, m2 = SENSOR_PAIRS[pair]
+        got = intersect_two_circles(m1, m2)
+        want = vector_intersections(m1, m2)
+        assert [tuple(map(float.hex, p)) for p in got] == \
+            [tuple(map(float.hex, p)) for p in want]
