@@ -12,8 +12,11 @@ read them:
   ``--dataset`` (a dataset carries its own config);
 * ``--workers``: dataset, eval and sweep.
 
-``--sim`` overrides win over the config file. Exit codes: 0 success,
-1 runtime failure, 2 usage error, 3 validation error, each failure
+``--sim`` overrides win over the config file. ``music``, ``triangulate``
+and ``simulate`` print their library record (``DoaEstimate``,
+``PositionFix``, ``SourceScenario``) field for field, and a flag that
+sets a library dataclass field defaults to that field. Exit codes: 0
+success, 1 runtime failure, 2 usage error, 3 validation error, each failure
 printing one ``error: <Kind>: <message>`` line on stderr.
 """
 
@@ -23,7 +26,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 from . import container, datasets, evaluation, neural
@@ -107,14 +110,12 @@ def _geometry(args, config: SimConfig) -> ArrayGeometry:
     return ArrayGeometry.pair(args.spacing_wl * wavelength(config))
 
 
+def _scenario(args) -> SourceScenario:
+    return SourceScenario(args.doa, args.range, args.snr)
+
+
 def _print_json(payload) -> None:
     print(container.json_text(payload), end="")
-
-
-def _estimate_json(est: DoaEstimate) -> dict:
-    return {"angle_deg": est.angle_deg, "status": est.status,
-            "ambiguity_deg": list(est.ambiguity_deg),
-            "prominence": est.prominence}
 
 
 def _write_spectrum(spectrum, path) -> None:
@@ -129,8 +130,7 @@ def _write_spectrum(spectrum, path) -> None:
 def _cmd_simulate(args) -> int:
     config = args.sim_config
     geometry = _geometry(args, config)
-    scenario = SourceScenario(doa_deg=args.doa, range_m=args.range,
-                              snr_db=args.snr)
+    scenario = _scenario(args)
     noisy, record = datasets.simulate_record(scenario, geometry, config,
                                              args.seed)
     outputs = {}
@@ -152,9 +152,7 @@ def _cmd_simulate(args) -> int:
     if not outputs:
         raise InputError("nothing to do: pass --out, --baseband-out, "
                          "or --spectrum-out")
-    _print_json({"scenario": {"doa_deg": args.doa, "range_m": args.range,
-                              "snr_db": args.snr},
-                 "outputs": outputs})
+    _print_json({"scenario": asdict(scenario), "outputs": outputs})
     return 0
 
 
@@ -249,15 +247,13 @@ def _cmd_music(args) -> int:
     else:
         # demo: the noiseless half-wavelength scenario
         geometry = _geometry(args, config)
-        scenario = SourceScenario(doa_deg=args.doa, range_m=args.range,
-                                  snr_db=args.snr)
-        base = datasets.simulate_record(scenario, geometry, config,
+        base = datasets.simulate_record(_scenario(args), geometry, config,
                                         args.seed)[1].baseband
     estimate, spectrum = music_with_spectrum(base, geometry, config,
                                              args.music_options)
     if args.spectrum_out:
         _write_spectrum(spectrum, args.spectrum_out)
-    _print_json(_estimate_json(estimate))
+    _print_json(asdict(estimate))
     return 0
 
 
@@ -277,13 +273,10 @@ def _cmd_triangulate(args) -> int:
                                    sigma_theta_deg=args.sigma_theta)
     else:
         fix = triangulate(m1, m2)
-    payload = {"x": fix.x, "y": fix.y, "source": fix.source,
-               "ellipse": {"semi_major": fix.ellipse.semi_major,
-                           "semi_minor": fix.ellipse.semi_minor,
-                           "orientation_deg": fix.ellipse.orientation_deg}}
+    text = container.json_text(asdict(fix))
     if args.out:
-        Path(args.out).write_text(container.json_text(payload))
-    _print_json(payload)
+        Path(args.out).write_text(text)
+    print(text, end="")
     return 0
 
 
@@ -351,40 +344,50 @@ def _cmd_gradcheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
-                        help="master seed (default 0)")
+                        help="master seed (default %(default)s)")
     common.add_argument("--config", default=None,
                         help=f"simulation config file (or ${CONFIG_ENV})")
     common.add_argument("--sim", action="append", metavar="KEY=VALUE",
                         help="override one simulation key; wins over --config")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for generation and evaluation, "
-                             "at least 1; capped at the CPUs (default 1)")
+                        help="dataset and evaluation processes, at least 1; "
+                             "capped at the CPUs (default %(default)s)")
 
     spacing = argparse.ArgumentParser(add_help=False)
     spacing.add_argument("--spacing-wl", type=float, default=0.5,
-                         help="element spacing in wavelengths (default 0.5)")
+                         help="element spacing in wavelengths "
+                              "(default %(default)s)")
 
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-step", type=float, default=0.25,
-                      help="pseudospectrum grid step in degrees")
+    grid.add_argument("--grid-step", type=float,
+                      default=MusicOptions.grid_step_deg,
+                      help="MUSIC grid step in degrees (default %(default)s)")
 
     sweep_opts = argparse.ArgumentParser(add_help=False)
     sweep_opts.add_argument("--angles", default="-60:60:10",
                             help="angle grid, lo:hi:step or list (degrees)")
     sweep_opts.add_argument("--snrs", default="-30:20:5",
                             help="SNR grid, lo:hi:step or list (dB)")
-    sweep_opts.add_argument("--records-per-cell", type=int, default=40)
-    sweep_opts.add_argument("--range-m", default="0.5:0.95",
+    sweep_opts.add_argument("--records-per-cell", type=int,
+                            default=datasets.SweepSpec.records_per_cell)
+    range_m = ":".join(map(str, datasets.SweepSpec.range_interval_m))
+    sweep_opts.add_argument("--range-m", default=range_m,
                             help="obstacle range interval lo:hi (meters)")
-    sweep_opts.add_argument("--aperture", type=float, default=60.0,
+    sweep_opts.add_argument("--aperture", type=float,
+                            default=datasets.SweepSpec.aperture_deg,
                             help="half aperture in degrees")
 
     train_opts = argparse.ArgumentParser(add_help=False)
-    train_opts.add_argument("--epochs", type=int, default=12)
-    train_opts.add_argument("--batch-size", type=int, default=64)
-    train_opts.add_argument("--learning-rate", type=float, default=1e-3)
-    train_opts.add_argument("--train-fraction", type=float, default=0.8)
-    train_opts.add_argument("--patience", type=int, default=None)
+    train_opts.add_argument("--epochs", type=int,
+                            default=neural.TrainConfig.epochs)
+    train_opts.add_argument("--batch-size", type=int,
+                            default=neural.TrainConfig.batch_size)
+    train_opts.add_argument("--learning-rate", type=float,
+                            default=neural.AdamHyper.learning_rate)
+    train_opts.add_argument("--train-fraction", type=float,
+                            default=neural.TrainConfig.train_fraction)
+    train_opts.add_argument("--patience", type=int,
+                            default=neural.TrainConfig.patience)
     train_opts.add_argument("--mirror-augment", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthesize one scenario and dump waveforms")
     p.add_argument("--doa", type=float, required=True)
     p.add_argument("--range", type=float, required=True)
-    p.add_argument("--snr", type=float, default=math.inf,
+    p.add_argument("--snr", type=float, default=SourceScenario.snr_db,
                    help="SNR in dB (default noiseless)")
     p.add_argument("--out", help="capture file (EDCF) to write")
     p.add_argument("--baseband-out", help="single-record dataset (EDDS)")
@@ -438,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doa", type=float, default=30.0,
                    help="demo scenario angle (no input file)")
     p.add_argument("--range", type=float, default=1.0)
-    p.add_argument("--snr", type=float, default=math.inf)
+    p.add_argument("--snr", type=float, default=SourceScenario.snr_db)
     p.add_argument("--spectrum-out")
     p.set_defaults(func=_cmd_music)
 

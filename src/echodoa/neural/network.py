@@ -282,7 +282,7 @@ def _conv_folded(x, w, pad_r, pad_t):
     return y, cols
 
 
-def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx):
+def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx=True):
     """Gradients of ``_conv_folded``; ``cols`` is its column buffer.
 
     The weight gradient sums, output row by output row, that row's band
@@ -291,6 +291,8 @@ def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx):
     its channel axes swapped, under mirrored padding. ``cols`` is
     dropped before that convolution builds its own columns, so a caller
     that passes its last reference holds one column buffer at a time.
+    The first stage, whose input needs no gradient, passes ``need_dx``
+    false and gets None in its place.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = dy.shape
@@ -419,7 +421,7 @@ def _conv_spectral(x, w, pad_r, pad_t):
     return _spectral_output(yf, n, kt, pad_t, t_dim), xf
 
 
-def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
+def _conv_spectral_grads(dy, w, xf, pad_r, pad_t):
     """Gradients of ``_conv_spectral``; ``xf`` is its input spectrum.
 
     The input gradient is the spectral convolution of ``dy``'s spectrum
@@ -465,8 +467,6 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t, need_dx):
             dw_row[part] = (lags @ cross[part].astype(np.complex128)).real
         del cross
     del xf, xv
-    if not need_dx:
-        return dw, db, None
     np.conjugate(dyf, out=dyf)                     # back to dy's spectrum
     wflip = w[::-1, ::-1].transpose(0, 1, 3, 2)
     dxf = _spectral_product(
@@ -852,7 +852,7 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
                                   stage["pre_pool_shape"], pr, pt)]
             del dact
             dw, db, dact = _FORMS[stage["form"]][1](
-                held.pop(), w, stage.pop("saved"), pad_r, pad_t, need_dx=True)
+                held.pop(), w, stage.pop("saved"), pad_r, pad_t)
         grads[f"conv{s}_w"] = dw
         grads[f"conv{s}_b"] = db
     return loss, grads

@@ -1,21 +1,43 @@
 import hashlib
+import inspect
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from echodoa import datasets
-from echodoa.cli import _parse_grid, build_parser, main
+from echodoa import container, datasets
+from echodoa.cli import (
+    _parse_grid,
+    _parse_interval,
+    _sweep_spec,
+    _train_config,
+    build_parser,
+    main,
+)
 from echodoa.datasets import load_dataset
 from echodoa.doa_music import (
+    CONVERGED,
+    FALLBACK,
+    DoaEstimate,
+    MusicOptions,
     covariance,
+    music_with_spectrum,
     noise_subspace,
     pseudospectrum,
 )
 from echodoa.evaluation import load_results
-from echodoa.neural import Checkpoint, NetworkSpec, init_params, save_checkpoint
+from echodoa.neural import (
+    AdamHyper,
+    Checkpoint,
+    NetworkSpec,
+    TrainConfig,
+    grad_check,
+    init_params,
+    save_checkpoint,
+)
 from echodoa.signal_sim import (
     ArrayGeometry,
     SimConfig,
@@ -25,6 +47,12 @@ from echodoa.signal_sim import (
     synthesize_echo,
     to_baseband,
     wavelength,
+)
+from echodoa.triangulation import (
+    RangeMeasurement,
+    SensorPose,
+    fuse_doa_with_ranges,
+    triangulate,
 )
 
 SUBCOMMANDS = ("simulate", "dataset", "train", "eval", "music",
@@ -54,6 +82,132 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# the fewest flags each subcommand parses with
+REQUIRED = {"simulate": ("--doa", "0", "--range", "1"),
+            "dataset": ("--out", "d.edds"),
+            "train": ("--dataset", "d.edds", "--out", "m.edck"),
+            "eval": ("--dataset", "d.edds", "--out", "m.csv"),
+            "music": (), "triangulate": ("--r1", "1", "--r2", "1"),
+            "sweep": ("--out-dir", "run"), "gradcheck": ()}
+
+
+def defaults(name):
+    """The parsed flags of subcommand ``name`` left at their defaults."""
+    return build_parser().parse_args([name, *REQUIRED[name]])
+
+
+def default_of(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+class TestLibraryDefaults:
+    """A flag that sets a library value defaults to the library's value."""
+
+    def test_every_subcommand_is_covered(self):
+        assert set(REQUIRED) == set(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", ["train", "sweep"])
+    def test_training_flags(self, name):
+        args = defaults(name)
+        config = TrainConfig()
+        assert (args.epochs, args.batch_size, args.train_fraction,
+                args.patience) == (config.epochs, config.batch_size,
+                                   config.train_fraction, config.patience)
+        assert _train_config(args) == config
+        assert args.learning_rate == AdamHyper().learning_rate
+
+    @pytest.mark.parametrize("name", ["dataset", "sweep"])
+    def test_sweep_flags(self, name):
+        args = defaults(name)
+        spec = datasets.SweepSpec()
+        assert _parse_grid(args.angles, "--angles") == datasets.DEFAULT_ANGLES
+        assert _parse_grid(args.snrs, "--snrs") == datasets.DEFAULT_SNRS
+        assert args.records_per_cell == spec.records_per_cell
+        assert _parse_interval(args.range_m, "--range-m") == \
+            spec.range_interval_m
+        assert args.aperture == spec.aperture_deg
+        assert _sweep_spec(args, SimConfig()) == spec
+
+    @pytest.mark.parametrize("name", ["simulate", "eval", "music", "sweep"])
+    def test_grid_step(self, name):
+        assert defaults(name).grid_step == MusicOptions().grid_step_deg
+
+    @pytest.mark.parametrize("name", ["simulate", "music"])
+    def test_snr(self, name):
+        assert defaults(name).snr == SourceScenario(0.0, 1.0).snr_db
+
+    def test_sigma_theta(self):
+        assert defaults("triangulate").sigma_theta == default_of(
+            fuse_doa_with_ranges, "sigma_theta_deg")
+
+    def test_gradcheck_flags(self):
+        args = defaults("gradcheck")
+        for flag in ("eps", "tolerance", "samples"):
+            assert getattr(args, flag) == default_of(grad_check, flag), flag
+
+
+def demo_estimate(spacing_wl, doa, snr, seed):
+    """The library's MUSIC estimate of ``music``'s demo echo."""
+    config = SimConfig()
+    geometry = ArrayGeometry.pair(spacing_wl * wavelength(config))
+    record = datasets.simulate_record(SourceScenario(doa, 1.0, snr),
+                                      geometry, config, seed)[1]
+    return music_with_spectrum(record.baseband, geometry, config,
+                               MusicOptions())[0]
+
+
+def measurements(r1, r2):
+    """``triangulate``'s default sensors and ``--sigma-r`` at two ranges."""
+    return (RangeMeasurement(SensorPose(-0.25, 0.0), r1, 0.01),
+            RangeMeasurement(SensorPose(0.25, 0.0), r2, 0.01))
+
+
+class TestPrintedRecords:
+    """``music``, ``triangulate`` and ``simulate`` print the library's
+    record, field for field, through ``container.json_text``."""
+
+    @pytest.mark.parametrize("argv, echo, status", [
+        ((), (0.5, 30.0, math.inf, 0), CONVERGED),
+        (("--spacing-wl", "1.5", "--doa", "-47", "--snr", "-5", "--seed",
+          "4"), (1.5, -47.0, -5.0, 4), FALLBACK)])
+    def test_music_prints_the_estimate(self, argv, echo, status, capsys):
+        estimate = demo_estimate(*echo)
+        assert estimate.status == status
+        code, out, _ = run(capsys, "music", *argv)
+        assert code == 0
+        assert out == container.json_text(asdict(estimate))
+
+    def test_triangulate_prints_the_two_circle_fix(self, capsys):
+        fix = triangulate(*measurements(2.015564, 2.015564))
+        code, out, _ = run(capsys, "triangulate", "--r1", "2.015564",
+                           "--r2", "2.015564")
+        assert code == 0
+        assert out == container.json_text(asdict(fix))
+
+    def test_triangulate_prints_and_writes_the_fused_fix(self, tmp_path,
+                                                         capsys):
+        # the circles meet straight ahead, so the fix takes the -5 degree
+        # member of the ambiguity set, not the 40 degree estimate
+        estimate = DoaEstimate(40.0, CONVERGED, (-5.0, 40.0))
+        fix = fuse_doa_with_ranges(estimate, *measurements(2.0, 2.0))
+        assert fix.x < 0
+        path = tmp_path / "fix.json"
+        code, out, _ = run(capsys, "triangulate", "--r1", "2", "--r2", "2",
+                           "--doa", "40", "--ambiguity=-5", "--out",
+                           str(path))
+        assert code == 0
+        assert out == path.read_text() == container.json_text(asdict(fix))
+
+    def test_simulate_prints_the_scenario(self, tmp_path, capsys):
+        path = tmp_path / "echo.edcf"
+        code, out, _ = run(capsys, "simulate", "--doa", "30", "--range",
+                           "1.0", "--snr", "10", "--out", str(path))
+        assert code == 0
+        scenario = SourceScenario(30.0, 1.0, 10.0)
+        assert out == container.json_text(
+            {"scenario": asdict(scenario), "outputs": {"capture": str(path)}})
 
 
 class TestMusicCommand:
