@@ -44,6 +44,7 @@ from .evaluation import (
     emit_results,
     evaluate,
     load_results,
+    run_sweep,
     snr_crossover,
 )
 from .signal_sim import (

@@ -15,9 +15,10 @@ read them:
 ``--sim`` overrides win over the config file. ``music``, ``triangulate``
 and ``simulate`` print their library record (``DoaEstimate``,
 ``PositionFix``, ``SourceScenario``) field for field, and a flag that
-sets a library dataclass field defaults to that field. Exit codes: 0
-success, 1 runtime failure, 2 usage error, 3 validation error, each failure
-printing one ``error: <Kind>: <message>`` line on stderr.
+sets a library dataclass field defaults to that field. ``sweep`` is one
+call of ``evaluation.run_sweep``. Exit codes: 0 success, 1 runtime
+failure, 2 usage error, 3 validation error, each failure printing one
+``error: <Kind>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import container, datasets, evaluation, neural
@@ -187,11 +188,6 @@ def _train_config(args) -> neural.TrainConfig:
                               mirror_augment=args.mirror_augment)
 
 
-def _write_history(history, path) -> None:
-    container.write_table(path, [f.name for f in fields(neural.EpochStats)],
-                          map(astuple, history))
-
-
 def _cmd_train(args) -> int:
     train_config = _train_config(args)
     hyper = neural.AdamHyper(learning_rate=args.learning_rate)
@@ -200,7 +196,7 @@ def _cmd_train(args) -> int:
                                        hyper, seed=args.seed)
     neural.save_checkpoint(checkpoint, args.out)
     if args.history:
-        _write_history(history, args.history)
+        neural.training.write_history(history, args.history)
     _print_json({"checkpoint": str(args.out),
                  "best_epoch": checkpoint.metadata["best_epoch"],
                  "best_val_loss": checkpoint.metadata["best_val_loss"],
@@ -269,8 +265,13 @@ def _cmd_triangulate(args) -> int:
             ambiguity = tuple(sorted((*ambiguity, args.doa)))
         estimate = DoaEstimate(angle_deg=args.doa, status=CONVERGED,
                                ambiguity_deg=ambiguity)
-        fix = fuse_doa_with_ranges(estimate, m1, m2,
-                                   sigma_theta_deg=args.sigma_theta)
+        # without --sigma-theta, the library's own default
+        sigma = ({} if args.sigma_theta is None
+                 else {"sigma_theta_deg": args.sigma_theta})
+        fix = fuse_doa_with_ranges(estimate, m1, m2, **sigma)
+    elif args.ambiguity is not None or args.sigma_theta is not None:
+        flag = "--sigma-theta" if args.ambiguity is None else "--ambiguity"
+        raise InputError(f"{flag} fuses a DoA estimate and needs --doa")
     else:
         fix = triangulate(m1, m2)
     text = container.json_text(asdict(fix))
@@ -284,37 +285,9 @@ def _cmd_sweep(args) -> int:
     train_config = _train_config(args)
     hyper = neural.AdamHyper(learning_rate=args.learning_rate)
     spec = _sweep_spec(args, args.sim_config)
-    ds = datasets.generate_dataset(spec, workers=args.workers)
-    # the split train() selects on, checked before any file is written
-    _, held_out = neural.training_split(ds, train_config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_path = out_dir / "dataset.edds"
-    datasets.save_dataset(ds, dataset_path)
-
-    checkpoint, history = neural.train(ds, neural.NetworkSpec(),
-                                       train_config, hyper, seed=args.seed)
-    checkpoint_path = out_dir / "checkpoint.edck"
-    neural.save_checkpoint(checkpoint, checkpoint_path)
-    _write_history(history, out_dir / "history.txt")
-
-    estimators = [evaluation.MusicEstimator(args.music_options),
-                  evaluation.NeuralEstimator(checkpoint)]
-    table = evaluation.evaluate(held_out, estimators,
-                                workers=args.workers)
-    metrics_path = out_dir / "metrics.csv"
-    evaluation.emit_results(table, metrics_path, format="csv")
-    try:
-        crossover = evaluation.snr_crossover(table, "cnn", "music")
-    except EchoDoaError:
-        crossover = None
-    summary = {"dataset": str(dataset_path),
-               "checkpoint": str(checkpoint_path),
-               "metrics": str(metrics_path),
-               "held_out_records": len(held_out.records),
-               "crossover_db": crossover}
-    (out_dir / "summary.json").write_text(container.json_text(summary))
-    _print_json(summary)
+    _print_json(evaluation.run_sweep(spec, train_config, hyper,
+                                     args.music_options, args.out_dir,
+                                     workers=args.workers))
     return 0
 
 
@@ -456,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fuse with this DoA estimate (degrees)")
     p.add_argument("--ambiguity", default=None,
                    help="comma-separated ambiguity set for --doa")
-    p.add_argument("--sigma-theta", type=float, default=1.0)
+    p.add_argument("--sigma-theta", type=float, default=None,
+                   help="DoA standard deviation in degrees; needs --doa")
     p.add_argument("--out", help="write the fix as JSON")
     p.set_defaults(func=_cmd_triangulate)
 

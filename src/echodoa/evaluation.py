@@ -17,16 +17,18 @@ from typing import get_type_hints
 import numpy as np
 
 from . import container
-from .datasets import pool_map, pool_size
+from .datasets import generate_dataset, pool_map, pool_size, save_dataset
 from .doa_music import FALLBACK, MusicOptions, estimate_doa_music
 from .errors import (
+    EchoDoaError,
     EmptyDatasetError,
     FileFormatError,
     InputError,
     NonOverlappingCurvesError,
 )
-from .neural.checkpoint import Checkpoint
-from .neural.training import predict_doa
+from .neural.checkpoint import Checkpoint, save_checkpoint
+from .neural.network import NetworkSpec
+from .neural.training import predict_doa, train, training_split, write_history
 
 DOMAIN_FULL = "full"
 DOMAIN_INSIDE_30 = "inside_30"
@@ -208,6 +210,47 @@ def snr_crossover(table: MetricsTable, estimator_a: str,
         raise NonOverlappingCurvesError(
             f"{estimator_a} and {estimator_b} error curves share no MAE range")
     return float(np.median(shifts))
+
+
+def run_sweep(spec, train_config, hyper, options: MusicOptions, out_dir,
+              workers: int = 1) -> dict:
+    """The paper's workflow: generate, split, train, evaluate, crossover.
+
+    Generates ``spec``'s dataset, trains the network on it (seeded with
+    ``spec.master_seed``) and scores MUSIC under ``options`` and the
+    trained network on the held-out records ``train`` selected on. Writes
+    ``dataset.edds``, ``checkpoint.edck``, ``history.txt``,
+    ``metrics.csv`` and ``summary.json`` into ``out_dir`` and returns the
+    summary it wrote; ``crossover_db`` is ``None`` when the two error
+    curves give no crossover. An empty held-out split raises before any
+    file or directory is written. ``workers`` processes generate and
+    evaluate; no output byte depends on their number.
+    """
+    ds = generate_dataset(spec, workers=workers)
+    # the split train() selects on, checked before any file is written
+    _, held_out = training_split(ds, train_config)
+    out_dir = Path(out_dir)
+    summary = {"dataset": str(out_dir / "dataset.edds"),
+               "checkpoint": str(out_dir / "checkpoint.edck"),
+               "metrics": str(out_dir / "metrics.csv"),
+               "held_out_records": len(held_out.records)}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_dataset(ds, summary["dataset"])
+
+    checkpoint, history = train(ds, NetworkSpec(), train_config, hyper,
+                                seed=spec.master_seed)
+    save_checkpoint(checkpoint, summary["checkpoint"])
+    write_history(history, out_dir / "history.txt")
+
+    estimators = [MusicEstimator(options), NeuralEstimator(checkpoint)]
+    table = evaluate(held_out, estimators, workers=workers)
+    emit_results(table, summary["metrics"], format="csv")
+    try:
+        summary["crossover_db"] = snr_crossover(table, "cnn", "music")
+    except EchoDoaError:
+        summary["crossover_db"] = None
+    (out_dir / "summary.json").write_text(container.json_text(summary))
+    return summary
 
 
 def emit_results(table: MetricsTable, path, format: str = "csv") -> None:

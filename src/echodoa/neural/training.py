@@ -9,10 +9,11 @@ degrees maps to +-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .. import container
 from ..doa_music import CONVERGED, DoaEstimate
 from ..errors import (
     EchoNotFoundError,
@@ -238,6 +239,12 @@ def train(dataset, spec: NetworkSpec, train_config: TrainConfig,
             "epochs_run": len(history),
         })
     return checkpoint, history
+
+
+def write_history(history, path) -> None:
+    """The ``EpochStats`` of ``history`` as a text table, one row an epoch."""
+    container.write_table(path, [f.name for f in fields(EpochStats)],
+                          map(astuple, history))
 
 
 def predict_doa(checkpoint: Checkpoint, base: ComplexBaseband) -> DoaEstimate:

@@ -89,6 +89,11 @@ class SimConfig:
                 f"{_MAX_RECORD_SAMPLES} padded samples a channel)")
         if self.sample_rate <= 2 * self.carrier_freq:
             raise InputError("sample_rate must exceed twice the carrier frequency")
+        # an echo of no sample has no power to set a noise level by
+        if self.echo_duration * self.sample_rate < 1.0:
+            raise InputError(
+                f"echo_duration {self.echo_duration:g} s is shorter than one "
+                f"sample at sample_rate {self.sample_rate:g} Hz")
         if self.echo_duration >= self.listen_window:
             raise InputError("echo_duration must be shorter than listen_window")
         if self.decimation_factor < 1:

@@ -26,6 +26,11 @@ FUSED = "fused"
 
 _REL_TOL = 1e-9
 
+# sigma_r / cross (see dilution_ellipse) at most this keeps every
+# covariance entry below 2e306, a hundredth of the largest float: room
+# for the inverse's rounding and the eigendecomposition
+_MAX_SIGMA_PER_CROSS = 1e153
+
 
 @dataclass(frozen=True)
 class SensorPose:
@@ -118,7 +123,8 @@ def dilution_ellipse(m1: RangeMeasurement, m2: RangeMeasurement,
     Rows of the measurement Jacobian are the unit lines of sight from
     each sensor; the position covariance is sigma_r^2 (J^T J)^-1 with
     sigma_r the mean of the two range deviations. Raises when the lines
-    of sight are parallel (point on the sensor baseline).
+    of sight are parallel (point on the sensor baseline), and with
+    InputError when sigma_r is too large for a finite ellipse there.
     """
     p = np.asarray(point, dtype=float)
     rows = []
@@ -133,6 +139,11 @@ def dilution_ellipse(m1: RangeMeasurement, m2: RangeMeasurement,
     if cross < 1e-12:
         raise SingularGeometryError("lines of sight are parallel")
     sigma_r = 0.5 * (m1.sigma_r + m2.sigma_r)
+    # J has unit rows, so (J^T J)^-1 has trace 2 / cross^2, and no entry
+    # exceeds it
+    if not sigma_r <= cross * _MAX_SIGMA_PER_CROSS:
+        raise InputError(f"sigma_r {sigma_r:g} leaves no finite error "
+                         f"ellipse at this geometry")
     cov = sigma_r ** 2 * np.linalg.inv(jac.T @ jac)
     eigvals, eigvecs = np.linalg.eigh(cov)
     major = math.sqrt(max(eigvals[1], 0.0))
@@ -204,6 +215,8 @@ def fuse_doa_with_ranges(doa: DoaEstimate, m1: RangeMeasurement,
     x, y = _ray_fix(mid, angle, mean_range)
     transverse = mean_range * math.tan(math.radians(sigma_theta_deg))
     sigma_r = _mean(m1.sigma_r, m2.sigma_r)
+    if sigma_r == math.inf:
+        raise InputError("sigma_r mean overflows: no finite error ellipse")
     radial = sigma_r / math.sqrt(2)
 
     # radial axis points along the ray; transverse is perpendicular

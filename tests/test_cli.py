@@ -138,9 +138,16 @@ class TestLibraryDefaults:
     def test_snr(self, name):
         assert defaults(name).snr == SourceScenario(0.0, 1.0).snr_db
 
-    def test_sigma_theta(self):
-        assert defaults("triangulate").sigma_theta == default_of(
-            fuse_doa_with_ranges, "sigma_theta_deg")
+    def test_sigma_theta(self, capsys):
+        # --doa without --sigma-theta fuses at the library's own default
+        code, out, _ = run(capsys, "triangulate", "--r1", "2", "--r2", "2",
+                           "--sigma-r", "0.02", "--doa", "12.5")
+        assert code == 0
+        m1 = RangeMeasurement(SensorPose(-0.25, 0.0), 2.0, sigma_r=0.02)
+        m2 = RangeMeasurement(SensorPose(0.25, 0.0), 2.0, sigma_r=0.02)
+        fix = fuse_doa_with_ranges(DoaEstimate(12.5, CONVERGED, (12.5,)),
+                                   m1, m2)
+        assert out == container.json_text(asdict(fix))
 
     def test_gradcheck_flags(self):
         args = defaults("gradcheck")
@@ -736,6 +743,46 @@ class TestTriangulateCommand:
         assert out == ""
         assert err.splitlines() == [
             "error: CoincidentSensorsError: sensors coincide"]
+
+
+class TestNoWarningOrTraceback:
+    """Argvs that would overflow an ellipse, simulate an echo of no
+    sample or pass a fusion flag without --doa: with warnings as errors,
+    each ends in one error line, no file and no output."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("triangulate", "--r1", "1", "--r2", "1",
+                      "--sigma-r", "1e200"), "InputError: sigma_r ",
+                     id="sigma_r_squared_overflows"),
+        pytest.param(("triangulate", "--r1", "0.25000000001",
+                      "--r2", "0.25000000001", "--sigma-r", "1e153"),
+                     "InputError: sigma_r ", id="covariance_overflows"),
+        pytest.param(("triangulate", "--r1", "1", "--r2", "1",
+                      "--sigma-r", "1e308", "--doa", "0"),
+                     "InputError: sigma_r ", id="fused_sigma_r_overflows"),
+        pytest.param(("simulate", "--doa", "30", "--range", "1", "--sim",
+                      "echo_duration=1e-300", "--snr", "0", "--out",
+                      "x.edcf"), "InputError: echo_duration ",
+                     id="simulate_echo_shorter_than_a_sample"),
+        pytest.param(("music", "--sim", "echo_duration=1e-300", "--snr", "0"),
+                     "InputError: echo_duration ",
+                     id="music_echo_shorter_than_a_sample"),
+        pytest.param(("triangulate", "--r1", "2", "--r2", "2",
+                      "--ambiguity=-5,40"), "InputError: --ambiguity ",
+                     id="ambiguity_without_doa"),
+        pytest.param(("triangulate", "--r1", "2", "--r2", "2",
+                      "--sigma-theta", "5"), "InputError: --sigma-theta ",
+                     id="sigma_theta_without_doa")])
+    def test_one_line_input_error(self, argv, message, tmp_path, capsys,
+                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " + message)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommand:

@@ -56,6 +56,15 @@ class TestSimConfig:
         with pytest.raises(InputError):
             SimConfig(echo_duration=9e-3)
 
+    @pytest.mark.parametrize("echo_duration", [0.999e-6, 1e-300])
+    def test_rejects_echo_shorter_than_one_sample(self, echo_duration):
+        # its record would have no support to measure signal power over
+        with pytest.raises(InputError, match="^echo_duration "):
+            SimConfig(echo_duration=echo_duration)
+
+    def test_accepts_one_sample_echo(self):
+        assert SimConfig(echo_duration=1e-6).echo_duration == 1e-6
+
     def test_rejects_nondividing_decimation(self):
         with pytest.raises(InputError):
             SimConfig(decimation_factor=7)

@@ -142,6 +142,24 @@ class TestDilutionEllipse:
             dilution_ellipse(meas(-0.25, 0, 1.0), meas(0.25, 0, 1.0),
                              (0.25, 0.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r, sigma", [
+        (1.0, 1e200),               # sigma_r ** 2 overflows
+        (0.25000000001, 1e153)])    # 2e-6 m off the baseline
+    def test_sigma_r_too_large_for_a_finite_ellipse(self, r, sigma):
+        with pytest.raises(InputError, match="^sigma_r "):
+            triangulate(meas(-0.25, 0, r, sigma), meas(0.25, 0, r, sigma))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r, sigma", [(math.hypot(0.25, 0.25), 0.99e153),
+                                          (0.25000000001, 1.7e148)])
+    def test_largest_accepted_sigma_r_gives_finite_axes(self, r, sigma):
+        ell = triangulate(meas(-0.25, 0, r, sigma),
+                          meas(0.25, 0, r, sigma)).ellipse
+        assert all(map(math.isfinite, (ell.semi_major, ell.semi_minor,
+                                       ell.orientation_deg)))
+        assert ell.semi_major > 1e152
+
 
 class TestTriangulate:
     def test_forward_intersection_with_its_dilution_ellipse(self):
@@ -248,6 +266,12 @@ class TestFuseDoaWithRanges:
         with pytest.raises(InputError, match="sigma_theta_deg"):
             fuse_doa_with_ranges(est, meas(-0.25, 0, 2.0), meas(0.25, 0, 2.0),
                                  sigma_theta_deg=sigma_theta)
+
+    def test_rejects_sigma_r_whose_mean_overflows(self):
+        est = DoaEstimate(0.0, CONVERGED, (0.0,))
+        with pytest.raises(InputError, match="^sigma_r "):
+            fuse_doa_with_ranges(est, meas(-0.25, 0, 1.0, 1e308),
+                                 meas(0.25, 0, 1.0, 1e308))
 
     @pytest.mark.parametrize("angle", [-90.0, 90.0])
     def test_accepts_the_edges_of_the_half_plane(self, angle):
