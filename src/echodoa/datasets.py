@@ -405,7 +405,13 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
 
 def write_capture(path, wave: RealWaveform, geometry: ArrayGeometry,
                   annotation: str = "") -> None:
-    """Persist a raw real waveform as an ``EDCF`` capture file."""
+    """Persist a raw real waveform as an ``EDCF`` capture file.
+
+    A sample that is not finite raises ``InputError`` before any byte is
+    written.
+    """
+    if not np.isfinite(wave.data).all():
+        raise InputError("a sample is not finite")
     header = {
         "sample_rate": wave.sample_rate,
         "channels": wave.channels,

@@ -22,6 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .. import container
+from ..errors import FileFormatError, InputError
 from .network import NetworkSpec, _blocked_taps, _check_params
 
 MAGIC = b"EDCK"
@@ -108,7 +109,24 @@ def _read_only(array):
     return array
 
 
+def _non_finite(checkpoint):
+    """Name of the first parameter with a weight that is not finite.
+
+    Its least and greatest weights tell, since both propagate NaN, and
+    reading them makes no temporary the size of the weights.
+    """
+    return next((name for name, p in checkpoint.params32.items()
+                 if not np.isfinite([p.min(), p.max()]).all()), None)
+
+
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
+    """Write ``checkpoint`` as an EDCK file of the current version.
+
+    A weight that is not finite raises ``InputError`` before any byte is
+    written.
+    """
+    if (name := _non_finite(checkpoint)) is not None:
+        raise InputError(f"{name}: a weight is not finite")
     spec = checkpoint.spec
     header = {
         "spec": {**{k: getattr(spec, k) for k in _FIXED_SPEC_KEYS},
@@ -125,16 +143,22 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint of either version, its weights cast to float32.
 
-    A defect in the framing, the checksum, the header or the payload
-    raises ``FileFormatError`` (or a subclass of it).
+    A defect in the framing, the checksum, the header or the payload,
+    or a weight that is not finite once cast, raises ``FileFormatError``
+    (or a subclass of it).
     """
     (spec, metadata), weights = container.read(
         path, MAGIC, {version: partial(_checkpoint_header, weight_type=kind)
                       for version, kind in _WEIGHT_TYPES.items()})
-    return Checkpoint(spec=spec,
-                      params={name: weights[0][name]
-                              for name in weights.dtype.names},
-                      metadata=metadata)
+    # a version-1 weight beyond float32's range casts to inf, refused below
+    with np.errstate(over="ignore"):
+        checkpoint = Checkpoint(spec=spec,
+                                params={name: weights[0][name]
+                                        for name in weights.dtype.names},
+                                metadata=metadata)
+    if (name := _non_finite(checkpoint)) is not None:
+        raise FileFormatError(f"{path}: {name}: a weight is not finite")
+    return checkpoint
 
 
 def _checkpoint_header(header, weight_type):

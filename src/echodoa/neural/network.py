@@ -20,26 +20,28 @@ bias in floating point and ReLU never reorder two values, so both
 commute with max, a NaN survives either order, and ReLU leaves no
 -0.0.
 
-Each convolution runs in one of two forms, picked by ``_conv_form``
-from the shape alone:
+``_conv_form`` names the form that runs each convolution, from the
+shape and whether the caller holds tap spectra; it is the one place
+that picks one:
 
 - folded (``_conv_folded``): the column buffer holds every input row's
   16-tap time windows side by side, copied at once from one strided
   (B, T, R, kt, C) view of the input zero-padded in time, so each
   output row is one GEMM whose inner dimension spans all the input
   rows it reads (16-64 taps deep per input map), written straight
-  into the output. It takes
-  every stage with fewer than 32 input maps, so every first stage and
-  every stage of a narrower network, and every stage whose rows times
-  batch is below 32, so every stage of a batch-1 ``forward``. The
-  first stage (one input map) runs in chunks of
-  ``_FOLDED_CHUNK`` (2) records at every batch size: each chunk's
-  columns, GEMMs, bias, ReLU and pooling run while its output is still
-  in cache, so no full-resolution first-stage array exists in either
-  pass. Its input gradient is never needed. A later stage's input
-  gradient is the folded convolution of the output gradient with the
-  kernel flipped in space and its channel axes swapped, under mirrored
-  padding.
+  into the output. It takes every stage with fewer than 32 input maps,
+  so every first stage and every stage of a narrower network, and,
+  without tap spectra, every stage whose rows times batch is below 32,
+  so every stage of a batch-1 ``forward``. Every folded stage runs
+  through ``_folded_stage`` and ``_folded_stage_grads``. The first
+  stage (one input map) runs in chunks of ``_FOLDED_CHUNK`` (2)
+  records at every batch size: each chunk's columns, GEMMs, bias, ReLU
+  and pooling run while its output is still in cache, so no
+  full-resolution first-stage array exists in either pass. Its input
+  gradient is never needed. A later folded stage runs the whole batch
+  as one chunk; its input gradient is the folded convolution of the
+  output gradient with the kernel flipped in space and its channel
+  axes swapped, under mirrored padding.
 - spectral (``_conv_spectral``): ``rfft`` along time to
   ``next_fast_len(T + kt - 1)`` points, one batched complex GEMM per
   row offset and frequency, and one ``irfft``. It takes stages with at
@@ -49,23 +51,23 @@ from the shape alone:
   multiply-adds. The ``rfft`` runs ``_RFFT_CHUNK`` (4) records per call
   into one preallocated spectrum, so only a chunk is ever zero-padded;
   the output is a strided view into the ``irfft`` result, not a copy.
-
-Inference has a third, forward-only path, which ``_conv_form`` never
-picks: ``predict_doa`` passes the checkpoint's cached tap spectra, and
-then stages 2-5 run ``_conv_blocked``, an overlap-save convolution
-over blocks of ``_BLOCK_TIME`` (48) samples that step by 33, with one
-complex GEMM per frequency and row band against a stored tap spectrum.
-The ``rfft`` reads the overlapping blocks through one strided view of
-the zero-padded input.
-``_blocked_taps`` derives those spectra once per checkpoint
-(``Checkpoint.tap_spectra``, read-only, about 4.9 MB for the default
-spec; pickles carry only the float32 weights). At batch 1 stage 2 it
-does about 13 M real multiply-adds against the folded form's 67 M, and
-its short blocks keep the tap spectra small: the spectral form's
-whole-record spectra would take about 19 MB for stages 2-5. A network
-narrower than 32 maps derives none and stays folded, and everything
-that runs without the cache (``forward``, training, the held-out loss,
-the first stage) keeps the two forms above and their bytes.
+- blocked (``_conv_blocked``), forward only: it takes every stage with
+  at least 32 input maps when ``predict_doa`` passes the checkpoint's
+  cached tap spectra, so stages 2-5 of the default spec. It is an
+  overlap-save convolution over blocks of ``_BLOCK_TIME`` (48) samples
+  that step by 33, with one complex GEMM per frequency and row band
+  against a stored tap spectrum. The ``rfft`` reads the overlapping
+  blocks through one strided view of the zero-padded input.
+  ``_blocked_taps`` derives the spectra of exactly the stages that
+  ``_conv_form`` names blocked, once per checkpoint
+  (``Checkpoint.tap_spectra``, read-only, about 4.9 MB for the default
+  spec; pickles carry only the float32 weights). At batch 1 stage 2 it
+  does about 13 M real multiply-adds against the folded form's 67 M,
+  and its short blocks keep the tap spectra small: the spectral form's
+  whole-record spectra would take about 19 MB for stages 2-5. A
+  network narrower than 32 maps derives none and stays folded, and
+  everything that runs without the cache (``forward``, training, the
+  held-out loss) keeps the two forms above and their bytes.
 
 The forms are float reorderings of the same sums. In float64 each
 agrees to about 1e-14 relative with a reference that the tests keep:
@@ -86,12 +88,12 @@ change can flip a max-pool or ReLU near-tie; compare the forms per
 stage, not per network.
 
 The training pass caches, per convolution stage, three things: the
-stage input in the form its gradient needs (the folded column buffer;
-the input spectrum, about 14x smaller; for the chunked first stage the
-input itself, 16x smaller than its columns, which each chunk
-rebuilds), the int8 window index of each pooled maximum, and a bool
-mask of the positive pooled outputs (one byte per pooling window, in
-place of the full-size ReLU output).
+stage input in the form its gradient needs (for a folded stage the
+input itself, 16x smaller than its columns, which the
+reverse pass rebuilds; for a spectral stage the input spectrum, about
+14x smaller than those columns), the int8 window index of each pooled
+maximum, and a bool mask of the positive pooled outputs (one byte per
+pooling window, in place of the full-size ReLU output).
 
 A spectral stage frees each full-size array as soon as it is spent,
 so it holds about three at once. At stage 2 of a batch-64 step
@@ -118,8 +120,9 @@ tap spectrum 4.7 MB each:
 
 The convolution output of every form is freed once pooled, and the
 reverse pass takes each stage's cache out as it reaches that stage. A
-folded stage drops its forward column buffer before its input
-gradient builds columns of its own. The stage functions free their
+folded stage frees its rebuilt columns once its weight gradient
+exists, and its input and pooled gradient before its input gradient
+builds columns of its own. The stage functions free their
 inputs only when the caller passes its last reference, and CPython
 before 3.11 keeps call arguments on the caller's stack until the call
 returns.
@@ -305,12 +308,14 @@ def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx=True):
         dwm[d_lo * k:d_hi * k] += (cols[:, i_lo * k:i_hi * k].T
                                    @ dy[r].reshape(b_dim * t_dim, f_out))
     del cols
-    if not need_dx:
-        return dw, db, None
+    return dw, db, _folded_input_grad(dy, w, pad_r, pad_t) if need_dx else None
+
+
+def _folded_input_grad(dy, w, pad_r, pad_t):
+    """Input gradient of ``_conv_folded`` for output gradient ``dy``."""
     wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-    dx, _ = _conv_folded(dy, wflip, (pad_r[1], pad_r[0]),
-                         (pad_t[1], pad_t[0]))
-    return dw, db, dx
+    return _conv_folded(dy, wflip, (pad_r[1], pad_r[0]),
+                        (pad_t[1], pad_t[0]))[0]
 
 
 # Records per ``rfft`` call of a spectral stage (``_rfft_records``), and
@@ -476,10 +481,6 @@ def _conv_spectral_grads(dy, w, xf, pad_r, pad_t):
     return dw, db, _spectral_output(dxf, n, kt, (pad_t[1], pad_t[0]), t_dim)
 
 
-_FORMS = {"folded": (_conv_folded, _conv_folded_grads),
-          "spectral": (_conv_spectral, _conv_spectral_grads)}
-
-
 # Time samples per overlap-save block of the blocked inference form
 # (``_conv_blocked``); each block keeps its last 48 - kt + 1 = 33.
 # ``to_baseband`` plus ``predict_doa`` over one 286-echo benchmark
@@ -528,31 +529,29 @@ def _conv_blocked(x, w, taps, pad_r, pad_t):
 
 
 def _blocked_taps(spec, params):
-    """Tap spectra of ``_conv_blocked`` for conv stages 2-5, or None.
+    """Tap spectra of ``_conv_blocked`` for the stages it runs, or None.
 
-    One read-only mapping per stage from each kernel row offset that
-    ``_row_bands`` uses at the stage's input row count (three at stage
-    2, one at stages 3-5) to its ``_tap_spectrum`` at ``_BLOCK_TIME``
-    points, complex64 for float32 weights: about 4.9 MB for the default
-    spec. A network narrower than 32 maps gets None and stays folded,
-    as ``_conv_form`` keeps it in training.
+    One read-only mapping per stage that ``_conv_form`` names blocked,
+    in stage order, from each kernel row offset that ``_row_bands`` uses
+    at the stage's input row count (three at stage 2, one at stages 3-5)
+    to its ``_tap_spectrum`` at ``_BLOCK_TIME`` points, complex64 for
+    float32 weights: about 4.9 MB for the default spec. A network
+    narrower than 32 maps has no blocked stage and gets None.
     """
-    if spec.feature_maps < 32:
-        return None
     pad_r = _same_pads(spec.kernel_rows)
-    rows = spec.input_rows
+    rows, time = spec.input_rows, spec.input_time
     taps = []
-    for s, (pr, _) in enumerate(spec.pool_schedule(), start=1):
-        if s > 1:
-            w = params[f"conv{s}_w"]
+    for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
+        w = params[f"conv{s}_w"]
+        if _conv_form((rows, 1, time, w.shape[2]), w.shape, True) == "blocked":
             ctype = np.result_type(w.dtype, np.complex64)
             stage = {}
             for dr, *_ in _row_bands(spec.kernel_rows, rows, pad_r):
                 stage[dr] = _tap_spectrum(w[dr], _BLOCK_TIME, ctype)
                 stage[dr].setflags(write=False)
             taps.append(MappingProxyType(stage))
-        rows //= pr
-    return tuple(taps)
+        rows, time = rows // pr, time // pt
+    return tuple(taps) or None
 
 
 # Crossover of the convolution forms, measured on 2 CPUs with OpenBLAS
@@ -585,12 +584,17 @@ def _blocked_taps(spec, params):
 _FOLDED_CHUNK = 2
 
 
-def _conv_form(x_shape, w_shape) -> str:
-    """Name of the form, a key of ``_FORMS``, that runs this convolution."""
-    r_dim, b_dim, _, _ = x_shape
-    if w_shape[2] >= 32 and r_dim * b_dim >= 32:
-        return "spectral"
-    return "folded"
+def _conv_form(x_shape, w_shape, blocked) -> str:
+    """The form that runs this convolution: the one place that picks it.
+
+    "folded" for fewer than 32 input maps (so every first stage), or for
+    rows times batch below 32 without tap spectra; "blocked" when the
+    caller holds tap spectra (``blocked``, ``predict_doa`` only);
+    "spectral" otherwise.
+    """
+    if w_shape[2] < 32 or (x_shape[0] * x_shape[1] < 32 and not blocked):
+        return "folded"
+    return "blocked" if blocked else "spectral"
 
 
 def _pool_slots(x, pr, pt):
@@ -662,18 +666,21 @@ def _bias_relu_pool(conv, b, pr, pt, keep):
     return out, None
 
 
-def _folded_stage(x, w, b, pad_r, pad_t, pr, pt, keep):
-    """A folded stage through pooling, ``_FOLDED_CHUNK`` records at a time.
+def _folded_stage(x, w, b, pad_r, pad_t, pr, pt, keep, first):
+    """A folded stage through pooling, a chunk of records at a time.
 
-    Each chunk's convolution output stays in cache from its GEMMs to its
-    pooling; only the pooled output and window index are written out.
+    The ``first`` stage runs ``_FOLDED_CHUNK`` records per chunk, so each
+    chunk's convolution output stays in cache from its GEMMs to its
+    pooling and only the pooled output and window index are written
+    out. Any other stage runs the whole batch as one chunk.
     """
     r_dim, b_dim, t_dim, _ = x.shape
+    chunk = _FOLDED_CHUNK if first else b_dim
     out = np.empty((r_dim // pr, b_dim, t_dim // pt, w.shape[3]),
                    dtype=x.dtype)
     arg = np.empty(out.shape, dtype=np.int8) if keep else None
-    for lo in range(0, b_dim, _FOLDED_CHUNK):
-        part = np.s_[:, lo:lo + _FOLDED_CHUNK]
+    for lo in range(0, b_dim, chunk):
+        part = np.s_[:, lo:lo + chunk]
         conv, _ = _conv_folded(x[part], w, pad_r, pad_t)
         out[part], chunk_arg = _bias_relu_pool(conv, b, pr, pt, keep)
         if keep:
@@ -681,16 +688,22 @@ def _folded_stage(x, w, b, pad_r, pad_t, pr, pt, keep):
     return out, arg
 
 
-def _folded_stage_grads(dact, arg, x, w, pad_r, pad_t, pr, pt):
-    """Weight and bias gradients of ``_folded_stage``, chunk by chunk.
+def _folded_stage_grads(dact, arg, x, w, pad_r, pad_t, pr, pt, first):
+    """Gradients of ``_folded_stage``, chunk by chunk as it ran.
 
     ``dact`` is the masked pooled gradient and ``x`` the stage input;
-    each chunk rebuilds its columns and routes its own gradient.
+    each chunk routes its own gradient and rebuilds its columns, which
+    are freed once its weight gradient exists. The ``first`` stage's
+    input is the network's, so it gets None for an input gradient. Any
+    other stage is one chunk: the stage input and the pooled gradient
+    are dropped before the input gradient builds columns of its own, so
+    a caller that passes its last references frees them then.
     """
+    chunk = _FOLDED_CHUNK if first else x.shape[1]
     dw = np.zeros(w.shape, dtype=x.dtype)
     db = np.zeros(w.shape[3], dtype=x.dtype)
-    for lo in range(0, x.shape[1], _FOLDED_CHUNK):
-        part = np.s_[:, lo:lo + _FOLDED_CHUNK]
+    for lo in range(0, x.shape[1], chunk):
+        part = np.s_[:, lo:lo + chunk]
         xs = x[part]
         dconv = _maxpool_grad(dact[part], arg[part],
                               xs.shape[:3] + (w.shape[3],), pr, pt)
@@ -699,7 +712,10 @@ def _folded_stage_grads(dact, arg, x, w, pad_r, pad_t, pr, pt):
             need_dx=False)
         dw += chunk_dw
         db += chunk_db
-    return dw, db
+    if first:
+        return dw, db, None
+    del dact, arg, x, xs
+    return dw, db, _folded_input_grad(dconv, w, pad_r, pad_t)
 
 
 def _check_input(spec, x):
@@ -723,36 +739,36 @@ def _check_params(spec, params):
 def _forward_impl(spec, params, x, keep, taps=None):
     """Predictions, and the training cache when ``keep``.
 
-    With ``taps`` from ``_blocked_taps`` (inference only, never with
-    ``keep``) stages 2-5 run ``_conv_blocked``; without, each stage
-    takes the form ``_conv_form`` picks.
+    Each stage takes the form ``_conv_form`` names; ``taps`` from
+    ``_blocked_taps`` (inference only, never with ``keep``) holds the
+    tap spectra of the stages it names blocked, in stage order.
     """
     dtype = params["conv1_w"].dtype
     act = np.ascontiguousarray(
         x.astype(dtype, copy=False).transpose(1, 0, 2))[..., None]
-    pad_r = _same_pads(spec.kernel_rows)
-    pad_t = _same_pads(spec.kernel_time)
+    pad_r, pad_t = _same_pads(spec.kernel_rows), _same_pads(spec.kernel_time)
+    blocked_taps = iter(taps or ())
     stages = []
     for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
         w, b = params[f"conv{s}_w"], params[f"conv{s}_b"]
-        form = _conv_form(act.shape, w.shape)
+        form = _conv_form(act.shape, w.shape, taps is not None)
         conv_shape = act.shape[:3] + w.shape[3:]
-        if s == 1:
-            # one input map, so no input gradient: chunks of records
+        if form == "folded":
             saved = act
-            act, arg = _folded_stage(act, w, b, pad_r, pad_t, pr, pt, keep)
-        elif taps is not None:
-            saved = None
-            act, arg = _bias_relu_pool(
-                _conv_blocked(act, w, taps[s - 2], pad_r, pad_t), b, pr, pt,
-                keep)
+            act, arg = _folded_stage(act, w, b, pad_r, pad_t, pr, pt, keep,
+                                     first=s == 1)
         else:
             # the input goes in without a caller name, so a spectral
             # stage frees it once its spectrum exists (CPython 3.11 on;
             # older ones hold call arguments until the return)
             held = [act]
             del act
-            conv, saved = _FORMS[form][0](held.pop(), w, pad_r, pad_t)
+            if form == "blocked":
+                saved = None
+                conv = _conv_blocked(held.pop(), w, next(blocked_taps), pad_r,
+                                     pad_t)
+            else:
+                conv, saved = _conv_spectral(held.pop(), w, pad_r, pad_t)
             act, arg = _bias_relu_pool(conv, b, pr, pt, keep)
             del conv
         if keep:
@@ -787,10 +803,9 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
     ``labels`` are normalized targets in [-1, 1]. Gradient arrays
     mirror the parameter shapes one to one.
 
-    Each stage's cache entry (column buffer, input spectrum or stage
-    input, window index, pooled mask) is taken out of the cache and
-    freed once that stage's gradients exist; a folded stage drops its
-    column buffer before its input gradient builds columns of its own.
+    Each stage's cache entry (stage input or input spectrum, window
+    index, pooled mask) is taken out of the cache and freed once that
+    stage's gradients exist.
     The ReLU mask is applied to the pooled gradient before routing:
     a routed slot holds its window's maximum, so its ReLU output is
     positive exactly when the pooled output is, and unrouted slots
@@ -829,8 +844,7 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
     grads["dense1_b"] = dz1.sum(axis=0)
 
     dact = (dz1 @ params["dense1_w"].T).reshape(cache["flat_shape"])
-    pad_r = _same_pads(spec.kernel_rows)
-    pad_t = _same_pads(spec.kernel_time)
+    pad_r, pad_t = _same_pads(spec.kernel_rows), _same_pads(spec.kernel_time)
     schedule = spec.pool_schedule()
     stages = cache.pop("stages")
     for s in range(spec.conv_stages, 0, -1):
@@ -838,20 +852,20 @@ def backward(spec: NetworkSpec, params: dict, x, labels):
         pr, pt = schedule[s - 1]
         w = params[f"conv{s}_w"]
         dact *= stage.pop("mask")
-        if s == 1:
-            dw, db = _folded_stage_grads(dact, stage.pop("arg"),
-                                         stage.pop("saved"), w, pad_r, pad_t,
-                                         pr, pt)
-            dact = None
+        # the pooled gradient, the routed gradient and the saved input
+        # go in without a caller name, so the form can free them part
+        # way (CPython 3.11 on; older ones hold call arguments until the
+        # return)
+        held = [dact]
+        del dact
+        if stage["form"] == "folded":
+            dw, db, dact = _folded_stage_grads(
+                held.pop(), stage.pop("arg"), stage.pop("saved"), w, pad_r,
+                pad_t, pr, pt, first=s == 1)
         else:
-            # the pooled gradient is dropped once routed, and the routed
-            # gradient and the saved input go in without a caller name,
-            # so the form can free them part way (CPython 3.11 on; older
-            # ones hold call arguments until the return)
-            held = [_maxpool_grad(dact, stage.pop("arg"),
-                                  stage["pre_pool_shape"], pr, pt)]
-            del dact
-            dw, db, dact = _FORMS[stage["form"]][1](
+            held.append(_maxpool_grad(held.pop(), stage.pop("arg"),
+                                      stage["pre_pool_shape"], pr, pt))
+            dw, db, dact = _conv_spectral_grads(
                 held.pop(), w, stage.pop("saved"), pad_r, pad_t)
         grads[f"conv{s}_w"] = dw
         grads[f"conv{s}_b"] = db

@@ -51,6 +51,10 @@ DETECTION_THRESHOLD = 5.0
 # Leading share of the record taken as noise only.
 _LEAD_FRACTION = 0.125
 
+# Largest scenario range in meters, the bound ``triangulation`` puts on
+# ranges: the round-trip time stays finite in any unit a message shows.
+_MAX_RANGE_M = 1e153
+
 # Most samples per channel a two-channel complex128 array can hold: the
 # largest array of a record is to_baseband's padded FFT buffer, and
 # NumPy refuses any array of more than intp-max bytes.
@@ -201,8 +205,8 @@ class SourceScenario:
         # written so that NaN fails every check
         if not abs(self.doa_deg) <= 90.0:
             raise InputError("doa_deg must lie in [-90, 90]")
-        if not self.range_m > 0:
-            raise InputError("range_m must be positive")
+        if not 0 < self.range_m <= _MAX_RANGE_M:
+            raise InputError(f"range_m must lie in (0, {_MAX_RANGE_M:g}]")
         if not self.snr_db > -math.inf:
             raise InputError("snr_db must be finite, or +inf for noiseless")
 
@@ -288,6 +292,12 @@ def _envelope(t: np.ndarray, duration: float, kind: str) -> np.ndarray:
     return np.where(inside, env, 0.0)
 
 
+def _ms(seconds: float) -> str:
+    """Milliseconds to three decimals, or to six digits from a million."""
+    ms = seconds * 1e3
+    return f"{ms:.3f}" if abs(ms) < 1e6 else f"{ms:.6g}"
+
+
 def synthesize_echo(scenario: SourceScenario, geometry: ArrayGeometry,
                     config: SimConfig) -> RealWaveform:
     """Noiseless carrier burst as received by every array element.
@@ -312,9 +322,9 @@ def synthesize_echo(scenario: SourceScenario, geometry: ArrayGeometry,
         tau = base_delay + x_m * sin_theta / c
         if tau < 0.0 or tau + config.echo_duration > config.listen_window:
             raise ScenarioOutOfWindowError(
-                f"echo on element {m} spans [{tau * 1e3:.3f}, "
-                f"{(tau + config.echo_duration) * 1e3:.3f}] ms, outside the "
-                f"{config.listen_window * 1e3:.3f} ms listen window")
+                f"echo on element {m} spans [{_ms(tau)}, "
+                f"{_ms(tau + config.echo_duration)}] ms, outside the "
+                f"{_ms(config.listen_window)} ms listen window")
         # the guard samples leave the edges to _envelope's own mask; the
         # times are element for element those of np.arange(n) / fs
         lo = max(0, math.floor(tau * fs) - 1)
@@ -374,20 +384,33 @@ def _fft_length(samples: int) -> int:
     return sp_fft.next_fast_len(samples + _LOWPASS_TAPS - 1, False)
 
 
+def _lowpass_taps(carrier_freq: float, sample_rate: float) -> np.ndarray:
+    """Hamming-windowed sinc low pass, cutoff at half the carrier.
+
+    Bit for bit ``scipy.signal.firwin(_LOWPASS_TAPS, cutoff=carrier_freq
+    / 2, fs=sample_rate)``, the same operations in the same order: the
+    ideal low pass at the cutoff relative to Nyquist, times the
+    symmetric Hamming window, scaled to unit DC gain. Built here so that
+    no command imports ``scipy.signal``.
+    """
+    cutoff = (carrier_freq / 2.0) / (0.5 * sample_rate)
+    m = np.arange(_LOWPASS_TAPS, dtype=float) - 0.5 * (_LOWPASS_TAPS - 1)
+    window = 0.54 + (1.0 - 0.54) * np.cos(
+        np.linspace(-np.pi, np.pi, _LOWPASS_TAPS))
+    taps = cutoff * np.sinc(cutoff * m) * window
+    return taps / np.sum(taps)
+
+
 @lru_cache(maxsize=8)
 def _demodulation_plan(samples: int, carrier_freq: float, sample_rate: float):
     """Oscillator, FFT length and low-pass spectrum for one record shape.
 
     These are exactly the values ``fftconvolve(mixed, taps, mode="same")``
-    would rebuild on every call; the arrays are read-only. ``firwin`` is
-    imported here, its only use: ``scipy.signal`` pulls in
-    ``scipy.stats`` and would roughly double the import cost of the
-    package.
+    would rebuild on every call; the arrays are read-only.
     """
-    from scipy.signal import firwin
     t = np.arange(samples) / sample_rate
     oscillator = np.exp(-2j * np.pi * carrier_freq * t)
-    taps = firwin(_LOWPASS_TAPS, cutoff=carrier_freq / 2.0, fs=sample_rate)
+    taps = _lowpass_taps(carrier_freq, sample_rate)
     nfft = _fft_length(samples)
     spectrum = sp_fft.fftn(taps[None, :], [nfft], axes=[1])
     oscillator.flags.writeable = False

@@ -637,6 +637,21 @@ class TestTrainEvalCommands:
         self.check_checkpoint_rejected(b"[" * 100_000, tiny_dataset_path,
                                        cli_error)
 
+    def test_non_finite_checkpoint_weight_is_file_format_error(
+            self, tiny_dataset_path, cli_error):
+        # output_b, the last weight, made NaN in a file whose digest holds
+        spec = NetworkSpec(input_time=256, feature_maps=8,
+                           dense_widths=(16, 8))
+        save_checkpoint(Checkpoint(spec=spec, params=init_params(
+            spec, 2, np.float64)), "nan.edck")
+        body = bytearray(Path("nan.edck").read_bytes()[:-32])
+        struct.pack_into("<f", body, len(body) - 4, math.nan)
+        Path("nan.edck").write_bytes(body + hashlib.sha256(body).digest())
+        cli_error(("eval", "--dataset", str(tiny_dataset_path),
+                   "--checkpoint", "nan.edck", "--out", "m.csv"), 3,
+                  "FileFormatError",
+                  "nan.edck: output_b: a weight is not finite\n")
+
     def test_one_record_dataset_is_validation_error(self, cli_error):
         assert main(["dataset", "--angles=0", "--snrs=20",
                      "--records-per-cell", "1", "--out", "one.edds"]) == 0
@@ -684,8 +699,9 @@ class TestTriangulateCommand:
 
 class TestNoWarningOrTraceback:
     """Argvs that would overflow a float, simulate an echo of no sample
-    or pass a fusion flag without --doa: each ends in one error line, no
-    file, no output and no warning."""
+    or far outside the listen window, or pass a fusion flag without
+    --doa: each ends in one readable error line, no file, no output and
+    no warning."""
 
     @pytest.mark.parametrize("argv, text", [
         pytest.param(("triangulate", "--r1", "1", "--r2", "1",
@@ -723,9 +739,25 @@ class TestNoWarningOrTraceback:
                      id="ambiguity_without_doa"),
         pytest.param(("triangulate", "--r1", "2", "--r2", "2",
                       "--sigma-theta", "5"), "--sigma-theta ",
-                     id="sigma_theta_without_doa")])
+                     id="sigma_theta_without_doa"),
+        pytest.param(("music", "--range", "1e308"),
+                     "range_m must lie in (0, 1e+153]\n",
+                     id="music_range_overflows"),
+        pytest.param(("simulate", "--doa", "30", "--range", "1e308",
+                      "--out", "x.edcf"), "range_m must lie in (0, 1e+153]\n",
+                     id="simulate_range_overflows")])
     def test_one_line_input_error(self, argv, text, cli_error):
         cli_error(argv, 3, "InputError", text)
+
+    @pytest.mark.parametrize("argv, span", [
+        pytest.param(("music", "--spacing-wl", "1e300"),
+                     "[9.76562e+297, 9.76562e+297]", id="spacing_wl_1e300"),
+        pytest.param(("music", "--sim", "carrier_freq=1e-300"),
+                     "[2.5e+302, 2.5e+302]", id="carrier_freq_1e-300")])
+    def test_far_out_of_window_span_is_readable(self, argv, span, cli_error):
+        cli_error(argv, 3, "ScenarioOutOfWindowError",
+                  f"echo on element 1 spans {span} ms, outside the 8.000 ms "
+                  "listen window\n")
 
 
 class TestSweepCommand:
@@ -1099,21 +1131,31 @@ class TestWorkersFlag:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_out_scipy_signal(self):
-        # scipy.signal pulls in scipy.stats; only the baseband plan needs
-        # it, and it imports it when first built
+    @staticmethod
+    def run_fresh(code):
+        """Exit status of ``code`` in a fresh interpreter on this tree."""
         import os
         import subprocess
         import sys
-        from pathlib import Path
 
         import echodoa
         src = str(Path(echodoa.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ,
                "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.DEVNULL,
+                              timeout=60).returncode
+
+    def test_cli_import_leaves_out_scipy_signal(self):
+        # scipy.signal pulls in scipy.stats; no command needs it
         code = ("import sys, echodoa.cli; "
                 "sys.exit('scipy.signal' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              timeout=60)
-        assert done.returncode == 0
+        assert self.run_fresh(code) == 0
+
+    def test_music_run_leaves_out_scipy_signal(self):
+        # the demo echo runs the baseband low pass, built in NumPy
+        code = ("import sys; from echodoa.cli import main; "
+                "assert main(['music']) == 0; "
+                "sys.exit('scipy.signal' in sys.modules)")
+        assert self.run_fresh(code) == 0

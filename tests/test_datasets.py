@@ -388,10 +388,21 @@ class TestCaptureFiles:
             SourceScenario(doa_deg=30.0, range_m=1.0), GEO, CFG), 10.0, seed=0)
         wave.data[channel, wave.data.shape[1] // 2] = value
         path = tmp_path / "echo.edcf"
-        write_capture(path, wave, GEO)
+        # framed without write_capture, which would refuse the sample
+        path.write_bytes(framed_capture(wave, GEO, ""))
         # raised while reading, before anything is demodulated or estimated
         with pytest.raises(FileFormatError, match="not finite"):
             ingest_capture(path, GEO, CFG)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sample_writes_nothing(self, value, tmp_path):
+        wave = synthesize_echo(SourceScenario(doa_deg=30.0, range_m=1.0),
+                               GEO, CFG)
+        wave.data[1, -1] = value
+        path = tmp_path / "echo.edcf"
+        with pytest.raises(InputError, match="a sample is not finite"):
+            write_capture(path, wave, GEO)
+        assert not path.exists()
 
     def test_declared_frame_count_must_match(self, tmp_path):
         wave = synthesize_echo(SourceScenario(doa_deg=0.0, range_m=0.8),

@@ -630,9 +630,11 @@ class TestLeanBackward:
             assert forward(spec, params, x).tobytes() == want.tobytes()
 
     def test_training_step_peak_memory_near_the_column_buffers(self):
-        # the only large buffers a training step must hold at once are the
-        # forward column buffers; the conv outputs, the input-gradient
-        # columns and the full-size ReLU masks must not add a second set
+        # bounded by the columns of every stage summed, though a training
+        # step caches no column buffer: each folded stage caches its input
+        # and rebuilds its columns in the reverse pass, one stage's at a
+        # time. Traced peak on CPython 3.11: 26.4 MB against a bound of
+        # 32.8 MB (27.9 MB when each later stage cached its columns)
         import tracemalloc
         spec, batch = NetworkSpec(), 8
         params = init_params(spec, 0)
@@ -820,6 +822,26 @@ class TestConvolutionDispatch:
         limit = 33.0e6 if sys.version_info >= (3, 11) else 42.5e6
         assert peak <= limit, peak
 
+    def test_batch_15_peak_memory_without_cached_columns(self):
+        # every stage of a batch-15 step is folded. Traced peak on
+        # CPython 3.11: 44.0 MB, while stage 2 rebuilds its 31.5 MB of
+        # columns in the reverse pass; it read 49.8 MB when each later
+        # folded stage cached its forward columns (45.2 MB of them), so
+        # this bound sits between the two. Before 3.11 the caller's stack
+        # holds call arguments until the call returns, so the stage input
+        # and the pooled gradient stay through the input gradient: 46.0
+        # MB, measured with the references held (73.9 MB with cached
+        # columns); that bound is about 15% above its reading
+        spec, batch = NetworkSpec(), 15
+        params = init_params(spec, 0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(batch, 4, spec.input_time)).astype(np.float32)
+        y = rng.uniform(-0.9, 0.9, batch).astype(np.float32)
+        assert stage_paths(spec, params, batch) == ["folded"] * 5
+        peak = traced_peak(lambda: backward(spec, params, x, y))
+        limit = 47.0e6 if sys.version_info >= (3, 11) else 53.0e6
+        assert peak <= limit, peak
+
 
 def traced_peak(run):
     """tracemalloc peak in bytes of one ``run()`` after a warm-up call."""
@@ -838,23 +860,26 @@ def traced_peak(run):
 def whole_batch_forward(spec, params, x, taps=None):
     """Predictions with each stage run over the whole batch at once.
 
-    Every stage takes the form ``_conv_form`` picks, or with ``taps``
-    stages 2-5 the blocked form on those tap spectra, then adds the
-    bias, applies ReLU and pools its full-resolution output.
+    Every stage takes the form ``_conv_form`` names, the blocked one on
+    ``taps`` (stages 2-5), then adds the bias, applies ReLU and pools
+    its full-resolution output.
     """
     from echodoa.neural.network import (
-        _FORMS, _conv_blocked, _conv_form, _maxpool, _same_pads)
+        _conv_blocked, _conv_folded, _conv_form, _conv_spectral, _maxpool,
+        _same_pads)
     dtype = params["conv1_w"].dtype
     act = np.ascontiguousarray(
         x.astype(dtype, copy=False).transpose(1, 0, 2))[..., None]
     pad_r, pad_t = _same_pads(spec.kernel_rows), _same_pads(spec.kernel_time)
     for s, (pr, pt) in enumerate(spec.pool_schedule(), start=1):
         w = params[f"conv{s}_w"]
-        if s > 1 and taps is not None:
+        form = _conv_form(act.shape, w.shape, taps is not None)
+        if form == "blocked":
             conv = _conv_blocked(act, w, taps[s - 2], pad_r, pad_t)
+        elif form == "spectral":
+            conv, _ = _conv_spectral(act, w, pad_r, pad_t)
         else:
-            conv, _ = _FORMS[_conv_form(act.shape, w.shape)][0](
-                act, w, pad_r, pad_t)
+            conv, _ = _conv_folded(act, w, pad_r, pad_t)
         conv += params[f"conv{s}_b"]
         np.maximum(conv, 0.0, out=conv)
         act, _ = _maxpool(conv, pr, pt, keep=False)
@@ -1080,8 +1105,6 @@ def forms_called(monkeypatch, run):
             calls[_form] += 1
             return _real(*args)
         monkeypatch.setattr(network, f"_conv_{form}", counted)
-    monkeypatch.setitem(network._FORMS, "folded",
-                        (network._conv_folded, network._conv_folded_grads))
     run()
     return calls
 

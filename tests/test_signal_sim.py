@@ -199,7 +199,8 @@ class TestSteeringVector:
 class TestSourceScenario:
     @pytest.mark.parametrize("field, value", [
         ("doa_deg", math.nan), ("doa_deg", -90.5), ("range_m", math.nan),
-        ("range_m", 0.0), ("snr_db", math.nan), ("snr_db", -math.inf)])
+        ("range_m", 0.0), ("range_m", 1.0000001e153), ("range_m", math.inf),
+        ("snr_db", math.nan), ("snr_db", -math.inf)])
     def test_rejects_nan_and_out_of_range(self, field, value):
         kwargs = {"doa_deg": 30.0, "range_m": 1.0, "snr_db": 10.0,
                   field: value}
@@ -349,6 +350,8 @@ class TestSynthesizeEchoSupport:
     @pytest.mark.parametrize("doa,range_m,element,span", [
         (0.0, 2.0, 0, "[11.765, 12.065]"),
         (-90.0, 1e-4, 1, "[-0.009, 0.291]"),
+        # the largest range a scenario takes: six digits, not 150
+        (0.0, 1e153, 0, "[5.88235e+153, 5.88235e+153]"),
     ])
     def test_out_of_window_message(self, doa, range_m, element, span):
         with pytest.raises(ScenarioOutOfWindowError) as info:
@@ -541,6 +544,24 @@ class TestBasebandPlan:
             again = to_baseband(wave, cfg)
             assert again.data.tobytes() == base.data.tobytes()
             assert not np.shares_memory(again.data, base.data)
+
+    def test_lowpass_taps_equal_scipy_firwin(self):
+        # every baseband, dataset and MUSIC byte rests on these taps
+        from scipy.signal import firwin
+        from echodoa.signal_sim import _LOWPASS_TAPS, _lowpass_taps
+        rng = np.random.default_rng(3)
+        carriers = 10.0 ** rng.uniform(-3.0, 7.0, 400)
+        rates = carriers * (2.0 + 10.0 ** rng.uniform(-9.0, 4.0, 400))
+        pairs = [(CFG.carrier_freq, CFG.sample_rate), (40_000.0, 1e6),
+                 (51_200.0, 500_000.0), (1.0, 3.0),
+                 *zip(carriers.tolist(), rates.tolist())]
+        for carrier, rate in pairs:
+            SimConfig(carrier_freq=carrier, sample_rate=rate,
+                      listen_window=16.0 / rate, echo_duration=2.0 / rate,
+                      decimation_factor=1)
+            want = firwin(_LOWPASS_TAPS, cutoff=carrier / 2.0, fs=rate)
+            assert _lowpass_taps(carrier, rate).tobytes() == \
+                want.tobytes(), (carrier, rate)
 
     def test_other_carrier_and_rate(self):
         for cfg in (SimConfig(carrier_freq=40_000.0),

@@ -577,6 +577,31 @@ class TestCheckpointIO:
         with pytest.raises(ShapeMismatchError):
             Checkpoint(spec=TINY, params=params)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weight_writes_nothing(self, value, tmp_path):
+        params = init_params(TINY, seed=3, dtype=np.float64)
+        params["output_b"][0] = value
+        path = tmp_path / "model.edck"
+        with pytest.raises(InputError,
+                           match="output_b: a weight is not finite"):
+            save_checkpoint(Checkpoint(spec=TINY, params=params), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("version, value", [
+        (2, math.nan), (2, math.inf), (1, -math.inf), (1, math.nan),
+        (1, 1e39)])
+    def test_non_finite_weight_fails_to_load(self, version, value,
+                                             tmp_path):
+        # framed without save_checkpoint, which would refuse the weight;
+        # 1e39 is finite in version 1's float64 and inf once cast
+        params = init_params(TINY, seed=3, dtype=np.float64)
+        params["conv1_w"][0, 0, 0, 0] = value
+        path = tmp_path / "model.edck"
+        path.write_bytes(framed_checkpoint(TINY, params, {}, version))
+        with pytest.raises(FileFormatError,
+                           match="conv1_w: a weight is not finite"):
+            load_checkpoint(path)
+
 
 def framed_checkpoint(spec, weights, metadata, version):
     """The EDCK image built in memory: magic, version, header, weights, hash.
