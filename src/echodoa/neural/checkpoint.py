@@ -48,6 +48,7 @@ class Checkpoint:
     read-only and derived on each read. ``tap_spectra`` holds the
     blocked inference form's tap spectra of ``params32``, derived on
     first use; since nothing can write the weights, it cannot go stale.
+    A weight that is not finite, once cast, raises ``InputError``.
     """
 
     # the per-record input scaling of ``baseband_to_input``
@@ -60,12 +61,22 @@ class Checkpoint:
     def __init__(self, spec: NetworkSpec, params: Mapping,
                  metadata: dict | None = None):
         _check_params(spec, params)
-        self._hold(spec, {name: np.array(params[name],
-                                         dtype=_WEIGHT_TYPES[VERSION])
-                          for name in spec.param_shapes()}, metadata)
+        # a float64 weight beyond float32's range casts to inf, which
+        # _hold refuses
+        with np.errstate(over="ignore"):
+            params32 = {name: np.array(params[name],
+                                       dtype=_WEIGHT_TYPES[VERSION])
+                        for name in spec.param_shapes()}
+        self._hold(spec, params32, metadata)
 
     def _hold(self, spec, params32, metadata):
-        """Take over ``params32``, float32 arrays no caller holds."""
+        """Take over ``params32``, float32 arrays no caller holds.
+
+        A weight that is not finite raises ``InputError`` naming its
+        parameter.
+        """
+        if (name := _non_finite(params32)) is not None:
+            raise InputError(f"{name}: a weight is not finite")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "params32", MappingProxyType(
             {name: _read_only(params32[name])
@@ -109,24 +120,21 @@ def _read_only(array):
     return array
 
 
-def _non_finite(checkpoint):
+def _non_finite(params):
     """Name of the first parameter with a weight that is not finite.
 
     Its least and greatest weights tell, since both propagate NaN, and
     reading them makes no temporary the size of the weights.
     """
-    return next((name for name, p in checkpoint.params32.items()
+    return next((name for name, p in params.items()
                  if not np.isfinite([p.min(), p.max()]).all()), None)
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Write ``checkpoint`` as an EDCK file of the current version.
 
-    A weight that is not finite raises ``InputError`` before any byte is
-    written.
+    Its weights are finite, since a ``Checkpoint`` holds no other.
     """
-    if (name := _non_finite(checkpoint)) is not None:
-        raise InputError(f"{name}: a weight is not finite")
     spec = checkpoint.spec
     header = {
         "spec": {**{k: getattr(spec, k) for k in _FIXED_SPEC_KEYS},
@@ -150,15 +158,12 @@ def load_checkpoint(path) -> Checkpoint:
     (spec, metadata), weights = container.read(
         path, MAGIC, {version: partial(_checkpoint_header, weight_type=kind)
                       for version, kind in _WEIGHT_TYPES.items()})
-    # a version-1 weight beyond float32's range casts to inf, refused below
-    with np.errstate(over="ignore"):
-        checkpoint = Checkpoint(spec=spec,
-                                params={name: weights[0][name]
-                                        for name in weights.dtype.names},
-                                metadata=metadata)
-    if (name := _non_finite(checkpoint)) is not None:
-        raise FileFormatError(f"{path}: {name}: a weight is not finite")
-    return checkpoint
+    try:
+        return Checkpoint(spec=spec, params={name: weights[0][name]
+                                             for name in weights.dtype.names},
+                          metadata=metadata)
+    except InputError as exc:       # a weight that is not finite
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def _checkpoint_header(header, weight_type):

@@ -35,6 +35,7 @@ ENVELOPE_KINDS = ("hann", "flat_top")
 # FIR low-pass used in quadrature demodulation; odd length keeps the
 # symmetric kernel zero-delay under "same" convolution.
 _LOWPASS_TAPS = 129
+_LOWPASS_DELAY = (_LOWPASS_TAPS - 1) // 2
 
 # Detection floor relative to the record peak; protects the noiseless
 # case from triggering on filter tails while staying far below any
@@ -85,12 +86,6 @@ class SimConfig:
         if not math.isfinite(count):
             raise InputError("listen_window * sample_rate (the sample "
                              "count) must be finite")
-        if (count > _MAX_RECORD_SAMPLES
-                or _fft_length(self.n_samples) > _MAX_RECORD_SAMPLES):
-            raise InputError(
-                f"listen_window * sample_rate ({count:.6g} samples) leaves "
-                f"a record larger than NumPy can hold (at most "
-                f"{_MAX_RECORD_SAMPLES} padded samples a channel)")
         if self.sample_rate <= 2 * self.carrier_freq:
             raise InputError("sample_rate must exceed twice the carrier frequency")
         # an echo of no sample has no power to set a noise level by
@@ -104,6 +99,13 @@ class SimConfig:
             raise InputError("decimation_factor must be a positive integer")
         if self.n_samples % self.decimation_factor != 0:
             raise InputError("decimation_factor must divide the listen-window sample count")
+        if (count > _MAX_RECORD_SAMPLES
+                or _fft_length(self.n_samples, self.decimation_factor)
+                > _MAX_RECORD_SAMPLES):
+            raise InputError(
+                f"listen_window * sample_rate ({count:.6g} samples) leaves "
+                f"a record larger than NumPy can hold (at most "
+                f"{_MAX_RECORD_SAMPLES} padded samples a channel)")
         if self.envelope not in ENVELOPE_KINDS:
             raise InputError(f"envelope must be one of {ENVELOPE_KINDS}")
 
@@ -379,9 +381,15 @@ def add_awgn(wave: RealWaveform, snr_db: float, seed: int) -> RealWaveform:
     return replace(wave, data=out)
 
 
-def _fft_length(samples: int) -> int:
-    """Padded length of the demodulation FFT for a record of ``samples``."""
-    return sp_fft.next_fast_len(samples + _LOWPASS_TAPS - 1, False)
+def _fft_length(samples: int, decimation: int) -> int:
+    """Padded length of the demodulation FFT for a record of ``samples``.
+
+    A multiple of ``decimation`` whose quotient, the length of the
+    output-rate inverse FFT, is a fast length: room for the whole linear
+    convolution with the low pass, so no output wraps around.
+    """
+    span = -(-(samples + _LOWPASS_TAPS - 1) // decimation)
+    return decimation * sp_fft.next_fast_len(span, False)
 
 
 def _lowpass_taps(carrier_freq: float, sample_rate: float) -> np.ndarray:
@@ -402,17 +410,27 @@ def _lowpass_taps(carrier_freq: float, sample_rate: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _demodulation_plan(samples: int, carrier_freq: float, sample_rate: float):
-    """Oscillator, FFT length and low-pass spectrum for one record shape.
+def _demodulation_plan(samples: int, carrier_freq: float, sample_rate: float,
+                       decimation: int):
+    """Oscillator, FFT length and folded low-pass spectrum for one record
+    shape and decimation factor.
 
-    These are exactly the values ``fftconvolve(mixed, taps, mode="same")``
-    would rebuild on every call; the arrays are read-only.
+    The oscillator and the low pass's padded spectrum are exactly what
+    ``fftconvolve(mixed, taps, mode="same")`` would rebuild on every
+    call. The spectrum also carries the two factors that the folded
+    inverse in ``to_baseband`` needs: the 1/decimation scale and, only
+    when decimation does not divide the filter delay, the phase ramp
+    that advances the output by the delay's remainder. The arrays are
+    read-only.
     """
     t = np.arange(samples) / sample_rate
     oscillator = np.exp(-2j * np.pi * carrier_freq * t)
     taps = _lowpass_taps(carrier_freq, sample_rate)
-    nfft = _fft_length(samples)
-    spectrum = sp_fft.fftn(taps[None, :], [nfft], axes=[1])
+    nfft = _fft_length(samples, decimation)
+    spectrum = sp_fft.fftn(taps[None, :], [nfft], axes=[1]) / decimation
+    shift = _LOWPASS_DELAY % decimation
+    if shift:
+        spectrum *= np.exp(2j * np.pi * shift * np.arange(nfft) / nfft)
     oscillator.flags.writeable = False
     spectrum.flags.writeable = False
     return oscillator, nfft, spectrum
@@ -427,29 +445,39 @@ def to_baseband(wave: RealWaveform, config: SimConfig) -> ComplexBaseband:
     baseband magnitude 0.5 (analytic-signal halving).
 
     The oscillator and the filter's spectrum come from a read-only plan
-    cached per (record length, carrier, sample rate); the filter runs as
-    one FFT product, bit for bit what ``scipy.signal.fftconvolve`` in
-    "same" mode computes.
+    cached per (record length, carrier, sample rate, decimation). The
+    filter runs as one FFT product, and decimation happens in frequency
+    before the inverse: the product's ``decimation`` aliases are summed
+    into one output-rate spectrum, whose inverse FFT holds exactly the
+    kept samples (Crochiere & Rabiner, 1983). In exact arithmetic that
+    is ``scipy.signal.fftconvolve`` in "same" mode followed by the
+    stride. In floats it differs by round-off only, within the bound
+    README's float contract states, and at decimation 1 it is that
+    computation bit for bit.
     """
     if wave.sample_rate != config.sample_rate:
         raise RateMismatchError(
             f"waveform sampled at {wave.sample_rate} Hz, config expects "
             f"{config.sample_rate} Hz")
     n = wave.samples_per_channel
+    d = config.decimation_factor
     oscillator, nfft, spectrum = _demodulation_plan(
-        n, config.carrier_freq, config.sample_rate)
-    # the mixed record and its zero padding in one buffer, which both
-    # FFTs and the filter product then overwrite in place
+        n, config.carrier_freq, config.sample_rate, d)
+    # the mixed record and its zero padding in one buffer, which the
+    # forward FFT and the filter product then overwrite in place
     buf = np.empty((wave.channels, nfft), dtype=complex)
     np.multiply(wave.data, oscillator, out=buf[:, :n])
     buf[:, n:] = 0.0
     buf = sp_fft.fft(buf, axis=1, overwrite_x=True)
     buf *= spectrum
-    buf = sp_fft.ifft(buf, axis=1, overwrite_x=True)
-    delay = (_LOWPASS_TAPS - 1) // 2
-    return ComplexBaseband(
-        data=buf[:, delay:delay + n:config.decimation_factor].copy(),
-        sample_rate=config.effective_rate)
+    # the d aliases summed in index order: the spectrum at the output
+    # rate, whose inverse holds every d-th filtered sample from the
+    # delay's remainder on; the record's ceil(n / d) start at delay // d
+    folded = buf.reshape(wave.channels, d, nfft // d).sum(axis=1)
+    folded = sp_fft.ifft(folded, axis=1, overwrite_x=True)
+    first = _LOWPASS_DELAY // d
+    return ComplexBaseband(data=folded[:, first:first + -(-n // d)].copy(),
+                           sample_rate=config.effective_rate)
 
 
 def detect_echo_window(base: ComplexBaseband, *, min_len: int = 1) -> EchoWindow:

@@ -117,10 +117,13 @@ def memorization_runs(noiseless_32):
 
 
 # train seeds whose returned weights miss 1 degree on their own training
-# records (5.232, 4.851, 1.569 and 2.415 degrees); CHANGES.md records the
-# two causes as FOUND: the returned epoch is the one with the lowest loss
-# on the four held-out records, which stay near 7.8 degrees, so it is
-# arbitrary; and ADAM at batch 8 swings the training fit late in training
+# records: 4.433, 5.320 and 1.852 degrees for seeds 0, 1 and 3 (seeds 2
+# and 4 read 0.242 and 0.878). The fixture's silent stretches hold only
+# demodulation round-off, so where these land moves with it. CHANGES.md
+# records the two causes as FOUND: the returned epoch is the one with the
+# lowest loss on the four held-out records, which stay near 7.8 degrees,
+# so it is arbitrary; and ADAM at batch 8 swings the training fit late in
+# training
 RETURNED_WEIGHTS_MISS = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="best-held-out epoch is arbitrary on four held-out records")
@@ -139,7 +142,7 @@ class TestTrain:
         pytest.param(1, marks=RETURNED_WEIGHTS_MISS),
         2,
         pytest.param(3, marks=RETURNED_WEIGHTS_MISS),
-        pytest.param(4, marks=RETURNED_WEIGHTS_MISS),
+        4,
     ])
     def test_returned_weights_fit_training_records(
             self, noiseless_32, memorization_runs, seed):
@@ -586,6 +589,16 @@ class TestCheckpointIO:
                            match="output_b: a weight is not finite"):
             save_checkpoint(Checkpoint(spec=TINY, params=params), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, 1e39])
+    def test_non_finite_weight_is_refused_on_construction(self, value):
+        # 1e39 is finite in float64 and inf once cast to float32, and the
+        # cast must not warn (pytest makes a warning an error)
+        params = init_params(TINY, seed=3, dtype=np.float64)
+        params["output_b"][0] = value
+        with pytest.raises(InputError,
+                           match="^output_b: a weight is not finite$"):
+            Checkpoint(spec=TINY, params=params)
 
     @pytest.mark.parametrize("version, value", [
         (2, math.nan), (2, math.inf), (1, -math.inf), (1, math.nan),
