@@ -19,6 +19,11 @@ sets a library dataclass field defaults to that field. ``sweep`` is one
 call of ``evaluation.run_sweep``. Exit codes: 0 success, 1 runtime
 failure, 2 usage error, 3 validation error, each failure printing one
 ``error: <Kind>: <message>`` line on stderr.
+
+A command that fails prints nothing on stdout, writes no file, and
+leaves every existing file as it was: ``main`` runs it inside
+``container.staged`` and prints the document it returns only once its
+files have landed.
 """
 
 from __future__ import annotations
@@ -115,20 +120,18 @@ def _scenario(args) -> SourceScenario:
     return SourceScenario(args.doa, args.range, args.snr)
 
 
-def _print_json(payload) -> None:
-    print(container.json_text(payload), end="")
-
-
 def _write_spectrum(spectrum, path) -> None:
-    """The ``--spectrum-out`` table, fallbacks included; no echo, no file."""
+    """The ``--spectrum-out`` table, fallbacks included; EchoNotFoundError
+    without an echo."""
     if spectrum is None:
         raise EchoNotFoundError("no sample crossed the detection threshold")
     spectrum.write_table(path)
 
 
 # --- subcommands ------------------------------------------------------------
+# each returns the document ``main`` prints on stdout once its files land
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     config = args.sim_config
     geometry = _geometry(args, config)
     scenario = _scenario(args)
@@ -153,8 +156,7 @@ def _cmd_simulate(args) -> int:
     if not outputs:
         raise InputError("nothing to do: pass --out, --baseband-out, "
                          "or --spectrum-out")
-    _print_json({"scenario": asdict(scenario), "outputs": outputs})
-    return 0
+    return {"scenario": asdict(scenario), "outputs": outputs}
 
 
 def _sweep_spec(args, config) -> datasets.SweepSpec:
@@ -169,14 +171,13 @@ def _sweep_spec(args, config) -> datasets.SweepSpec:
         master_seed=args.seed)
 
 
-def _cmd_dataset(args) -> int:
+def _cmd_dataset(args) -> dict:
     spec = _sweep_spec(args, args.sim_config)
     ds = datasets.generate_dataset(spec, workers=args.workers)
     datasets.save_dataset(ds, args.out)
     if args.index_out:
         datasets.write_index_text(ds, args.index_out)
-    _print_json({"records": len(ds.records), "out": str(args.out)})
-    return 0
+    return {"records": len(ds.records), "out": str(args.out)}
 
 
 def _train_config(args) -> neural.TrainConfig:
@@ -188,7 +189,7 @@ def _train_config(args) -> neural.TrainConfig:
                               mirror_augment=args.mirror_augment)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> dict:
     train_config = _train_config(args)
     hyper = neural.AdamHyper(learning_rate=args.learning_rate)
     ds = datasets.load_dataset(args.dataset)
@@ -197,11 +198,10 @@ def _cmd_train(args) -> int:
     neural.save_checkpoint(checkpoint, args.out)
     if args.history:
         neural.training.write_history(history, args.history)
-    _print_json({"checkpoint": str(args.out),
-                 "best_epoch": checkpoint.metadata["best_epoch"],
-                 "best_val_loss": checkpoint.metadata["best_val_loss"],
-                 "epochs_run": checkpoint.metadata["epochs_run"]})
-    return 0
+    return {"checkpoint": str(args.out),
+            "best_epoch": checkpoint.metadata["best_epoch"],
+            "best_val_loss": checkpoint.metadata["best_val_loss"],
+            "epochs_run": checkpoint.metadata["epochs_run"]}
 
 
 def _estimators(args):
@@ -218,16 +218,15 @@ def _estimators(args):
     return estimators
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     ds = datasets.load_dataset(args.dataset)
     table = evaluation.evaluate(ds, _estimators(args), args.domain,
                                 workers=args.workers)
     evaluation.emit_results(table, args.out, format=args.format)
-    _print_json({"rows": len(table.rows), "out": str(args.out)})
-    return 0
+    return {"rows": len(table.rows), "out": str(args.out)}
 
 
-def _cmd_music(args) -> int:
+def _cmd_music(args) -> dict:
     config = args.sim_config
     if args.dataset:
         ds = datasets.load_dataset(args.dataset)
@@ -249,11 +248,10 @@ def _cmd_music(args) -> int:
                                              args.music_options)
     if args.spectrum_out:
         _write_spectrum(spectrum, args.spectrum_out)
-    _print_json(asdict(estimate))
-    return 0
+    return asdict(estimate)
 
 
-def _cmd_triangulate(args) -> int:
+def _cmd_triangulate(args) -> dict:
     s1 = SensorPose(*_parse_point(args.sensor1, "--sensor1"))
     s2 = SensorPose(*_parse_point(args.sensor2, "--sensor2"))
     m1 = RangeMeasurement(sensor=s1, range_m=args.r1, sigma_r=args.sigma_r)
@@ -274,24 +272,20 @@ def _cmd_triangulate(args) -> int:
         raise InputError(f"{flag} fuses a DoA estimate and needs --doa")
     else:
         fix = triangulate(m1, m2)
-    text = container.json_text(asdict(fix))
     if args.out:
-        Path(args.out).write_text(text)
-    print(text, end="")
-    return 0
+        container.write_json(args.out, asdict(fix))
+    return asdict(fix)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     train_config = _train_config(args)
     hyper = neural.AdamHyper(learning_rate=args.learning_rate)
     spec = _sweep_spec(args, args.sim_config)
-    _print_json(evaluation.run_sweep(spec, train_config, hyper,
-                                     args.music_options, args.out_dir,
-                                     workers=args.workers))
-    return 0
+    return evaluation.run_sweep(spec, train_config, hyper, args.music_options,
+                                args.out_dir, workers=args.workers)
 
 
-def _cmd_gradcheck(args) -> int:
+def _cmd_gradcheck(args) -> dict:
     if args.seeds < 1:
         raise InputError(f"--seeds must be at least 1, got {args.seeds}")
     worst = 0.0
@@ -302,14 +296,12 @@ def _cmd_gradcheck(args) -> int:
                                    samples=args.samples)
         worst = max(worst, report.max_rel_error)
         checked += report.checked
-    passed = worst < args.tolerance
-    _print_json({"max_rel_error": worst, "tolerance": args.tolerance,
-                 "parameters_checked": checked, "seeds": args.seeds,
-                 "passed": passed})
-    if not passed:
+    if worst >= args.tolerance:
         raise ProcessingError(
             f"gradient check failed: {worst:.3e} >= {args.tolerance:.3e}")
-    return 0
+    return {"max_rel_error": worst, "tolerance": args.tolerance,
+            "parameters_checked": checked, "seeds": args.seeds,
+            "passed": True}
 
 
 # --- parser -----------------------------------------------------------------
@@ -459,11 +451,11 @@ def main(argv=None) -> int:
             raise InputError(f"--seed must lie in [0, 2**64), got {args.seed}")
         if args.workers < 1:
             raise InputError(f"--workers must be at least 1, got {args.workers}")
-        # checked before any subcommand writes a file
         if "grid_step" in args:
             args.music_options = MusicOptions(grid_step_deg=args.grid_step)
         args.sim_config = _sim_config(args)
-        return args.func(args)
+        with container.staged():
+            text = container.json_text(args.func(args))
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -473,6 +465,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:      # numpy raises a private subclass
         print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
+    print(text, end="")
+    return 0
 
 
 if __name__ == "__main__":

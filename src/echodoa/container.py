@@ -13,10 +13,16 @@ Text tables are a header line, then one line of separated values per
 row, each float written ``.17g`` so that ``float`` reads it back
 exactly. JSON documents are indented by 2 with sorted keys, and hold
 each non-finite float as the string ``float`` reads back.
+
+Every file, binary or text, is written by ``_land``: to a temporary
+name beside its target, renamed into place once complete. Inside a
+``staged`` block the renames wait for the block to succeed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import hashlib
 import itertools
 import json
@@ -41,28 +47,92 @@ def write(path, magic: bytes, version: int, header: dict, chunks,
 
     Each chunk (bytes or a C-contiguous array) goes straight to the file
     while a running SHA-256 hashes it, so no image of the whole file is
-    built; each is written before the next is taken from ``chunks``.
-    The bytes go to a temporary file beside ``path`` that replaces it
-    only once complete, so a writer that fails part way leaves the old
-    file, or none, and never a truncated one.
+    built; each is written before the next is taken from ``chunks``,
+    and ``_land`` lands the file.
     """
-    path = Path(path)
     blob = json.dumps(header, sort_keys=True).encode()
-    digest = hashlib.sha256()
-    temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(temp, "xb") as f:
-            for chunk in itertools.chain(
-                    [_PREFIX.pack(magic, version, len(blob)), blob], chunks):
-                if checksum:
-                    digest.update(chunk)
-                f.write(chunk)
+
+    def body(f):
+        digest = hashlib.sha256()
+        for chunk in itertools.chain(
+                [_PREFIX.pack(magic, version, len(blob)), blob], chunks):
             if checksum:
-                f.write(digest.digest())
-        os.replace(temp, path)
+                digest.update(chunk)
+            f.write(chunk)
+        if checksum:
+            f.write(digest.digest())
+
+    _land(path, body)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, landed by ``_land``."""
+    _land(path, lambda f: f.write(text.encode()))
+
+
+_pending = None     # the open ``staged`` block's (temporary, target) pairs
+
+
+@contextlib.contextmanager
+def staged():
+    """Land the files written in the block only if the block succeeds.
+
+    Inside the block each file waits under its temporary name. When
+    the block ends without an exception they are renamed into place in
+    the order they were written; on an exception, Ctrl-C included,
+    every temporary file is deleted and no target changes.
+    """
+    global _pending
+    _pending = pending = []
+    try:
+        yield
+        while pending:
+            temp, path = pending[0]
+            with _naming(path):
+                os.replace(temp, path)
+            del pending[0]
+    finally:
+        _pending = None
+        for temp, _ in pending:
+            temp.unlink(missing_ok=True)
+
+
+def _land(path, write) -> None:
+    """Write a file through ``write(f)`` and land it at ``path``.
+
+    The bytes go to a temporary file beside ``path`` that replaces it
+    only once complete (outside ``staged``, at once), so a writer that
+    fails part way leaves the old file, or none, and never a truncated
+    one. A ``path`` that is a directory is refused before any byte is
+    written, and an OSError names ``path``, never the temporary file.
+    """
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                os.fspath(path))
+    temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with _naming(path):
+            with open(temp, "xb") as f:
+                write(f)
+            if _pending is None:
+                os.replace(temp, path)
+            else:
+                _pending.append((temp, path))
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """An OSError of the block that names a file names ``path`` instead."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def read(path, magic: bytes, decoders: dict, checksum: bool = True):
@@ -157,7 +227,7 @@ def write_table(path, columns, rows, sep: str = " ",
     """
     lines = [comment + sep.join(columns)]
     lines += [sep.join(_table_value(value) for value in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _table_value(value) -> str:
@@ -175,6 +245,11 @@ def json_text(document) -> str:
     """
     return json.dumps(_finite(document), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
+
+
+def write_json(path, document) -> None:
+    """Write ``document`` to ``path`` as ``json_text`` gives it."""
+    write_text(path, json_text(document))
 
 
 def _finite(value):

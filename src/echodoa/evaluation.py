@@ -222,34 +222,31 @@ def run_sweep(spec, train_config, hyper, options: MusicOptions, out_dir,
     ``dataset.edds``, ``checkpoint.edck``, ``history.txt``,
     ``metrics.csv`` and ``summary.json`` into ``out_dir`` and returns the
     summary it wrote; ``crossover_db`` is ``None`` when the two error
-    curves give no crossover. An empty held-out split raises before any
-    file or directory is written. ``workers`` processes generate and
-    evaluate; no output byte depends on their number.
+    curves give no crossover. Every stage runs before ``out_dir`` is
+    made. ``workers`` processes generate and evaluate; no output byte
+    depends on their number.
     """
     ds = generate_dataset(spec, workers=workers)
-    # the split train() selects on, checked before any file is written
-    _, held_out = training_split(ds, train_config)
+    _, held_out = training_split(ds, train_config)  # train() selects on it
+    checkpoint, history = train(ds, NetworkSpec(), train_config, hyper,
+                                seed=spec.master_seed)
+    estimators = [MusicEstimator(options), NeuralEstimator(checkpoint)]
+    table = evaluate(held_out, estimators, workers=workers)
     out_dir = Path(out_dir)
     summary = {"dataset": str(out_dir / "dataset.edds"),
                "checkpoint": str(out_dir / "checkpoint.edck"),
                "metrics": str(out_dir / "metrics.csv"),
                "held_out_records": len(held_out.records)}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_dataset(ds, summary["dataset"])
-
-    checkpoint, history = train(ds, NetworkSpec(), train_config, hyper,
-                                seed=spec.master_seed)
-    save_checkpoint(checkpoint, summary["checkpoint"])
-    write_history(history, out_dir / "history.txt")
-
-    estimators = [MusicEstimator(options), NeuralEstimator(checkpoint)]
-    table = evaluate(held_out, estimators, workers=workers)
-    emit_results(table, summary["metrics"], format="csv")
     try:
         summary["crossover_db"] = snr_crossover(table, "cnn", "music")
     except EchoDoaError:
         summary["crossover_db"] = None
-    (out_dir / "summary.json").write_text(container.json_text(summary))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_dataset(ds, summary["dataset"])
+    save_checkpoint(checkpoint, summary["checkpoint"])
+    write_history(history, out_dir / "history.txt")
+    emit_results(table, summary["metrics"], format="csv")
+    container.write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -259,9 +256,8 @@ def emit_results(table: MetricsTable, path, format: str = "csv") -> None:
         container.write_table(path, _COLUMNS, map(astuple, table.rows),
                               sep=",", comment="")
     elif format == "json":
-        payload = {"provenance": table.provenance,
-                   "rows": [asdict(r) for r in table.rows]}
-        Path(path).write_text(container.json_text(payload))
+        container.write_json(path, {"provenance": table.provenance,
+                                    "rows": [asdict(r) for r in table.rows]})
     else:
         raise InputError("format must be 'csv' (delimited text) or "
                          "'json' (structured text)")

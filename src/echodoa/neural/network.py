@@ -262,7 +262,7 @@ def _folded_cols(x, kt, pad_t):
 
 
 def _conv_folded(x, w, pad_r, pad_t):
-    """Same-size 2-D convolution; returns output and the column buffer.
+    """Same-size 2-D convolution through a column buffer.
 
     ``x`` is (R, B, T, C) and ``w`` is (kr, kt, C, F); time padding is
     explicit. The column buffer is (B * T, R * kt * C): each row holds
@@ -282,20 +282,15 @@ def _conv_folded(x, w, pad_r, pad_t):
         np.matmul(cols[:, i_lo * k:i_hi * k],
                   w[d_lo:d_hi].reshape(-1, f_out),
                   out=y[r].reshape(b_dim * t_dim, f_out))
-    return y, cols
+    return y
 
 
-def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx=True):
-    """Gradients of ``_conv_folded``; ``cols`` is its column buffer.
+def _conv_folded_grads(dy, w, cols, pad_r, pad_t):
+    """Weight and bias gradients of ``_conv_folded``; ``cols`` is its
+    column buffer (``_folded_cols``).
 
     The weight gradient sums, output row by output row, that row's band
-    of columns against its output gradient. The input gradient is the
-    folded convolution of ``dy`` with the kernel flipped in space and
-    its channel axes swapped, under mirrored padding. ``cols`` is
-    dropped before that convolution builds its own columns, so a caller
-    that passes its last reference holds one column buffer at a time.
-    The first stage, whose input needs no gradient, passes ``need_dx``
-    false and gets None in its place.
+    of columns against its output gradient.
     """
     kr, kt, c_in, f_out = w.shape
     r_dim, b_dim, t_dim, _ = dy.shape
@@ -307,15 +302,16 @@ def _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx=True):
         i_hi = i_lo + d_hi - d_lo
         dwm[d_lo * k:d_hi * k] += (cols[:, i_lo * k:i_hi * k].T
                                    @ dy[r].reshape(b_dim * t_dim, f_out))
-    del cols
-    return dw, db, _folded_input_grad(dy, w, pad_r, pad_t) if need_dx else None
+    return dw, db
 
 
 def _folded_input_grad(dy, w, pad_r, pad_t):
-    """Input gradient of ``_conv_folded`` for output gradient ``dy``."""
+    """Input gradient of ``_conv_folded`` for output gradient ``dy``: the
+    folded convolution of ``dy`` with the kernel flipped in space and its
+    channel axes swapped, under mirrored padding."""
     wflip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
     return _conv_folded(dy, wflip, (pad_r[1], pad_r[0]),
-                        (pad_t[1], pad_t[0]))[0]
+                        (pad_t[1], pad_t[0]))
 
 
 # Records per ``rfft`` call of a spectral stage (``_rfft_records``), and
@@ -681,7 +677,7 @@ def _folded_stage(x, w, b, pad_r, pad_t, pr, pt, keep, first):
     arg = np.empty(out.shape, dtype=np.int8) if keep else None
     for lo in range(0, b_dim, chunk):
         part = np.s_[:, lo:lo + chunk]
-        conv, _ = _conv_folded(x[part], w, pad_r, pad_t)
+        conv = _conv_folded(x[part], w, pad_r, pad_t)
         out[part], chunk_arg = _bias_relu_pool(conv, b, pr, pt, keep)
         if keep:
             arg[part] = chunk_arg
@@ -707,9 +703,8 @@ def _folded_stage_grads(dact, arg, x, w, pad_r, pad_t, pr, pt, first):
         xs = x[part]
         dconv = _maxpool_grad(dact[part], arg[part],
                               xs.shape[:3] + (w.shape[3],), pr, pt)
-        chunk_dw, chunk_db, _ = _conv_folded_grads(
-            dconv, w, _folded_cols(xs, w.shape[1], pad_t), pad_r, pad_t,
-            need_dx=False)
+        chunk_dw, chunk_db = _conv_folded_grads(
+            dconv, w, _folded_cols(xs, w.shape[1], pad_t), pad_r, pad_t)
         dw += chunk_dw
         db += chunk_db
     if first:

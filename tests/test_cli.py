@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from echodoa import container, datasets
+from echodoa import container, datasets, evaluation
 from echodoa.cli import (
     _parse_grid,
     _parse_interval,
@@ -29,6 +29,7 @@ from echodoa.doa_music import (
     noise_subspace,
     pseudospectrum,
 )
+from echodoa.errors import TrainingDivergedError
 from echodoa.evaluation import load_results
 from echodoa.neural import (
     AdamHyper,
@@ -73,22 +74,27 @@ def cli_error(tmp_path, capsys, monkeypatch):
     ``cli_error(argv, code, kind, text)`` runs ``main(argv)`` there and
     asserts that it exits ``code`` with nothing on stdout and one stderr
     line that starts ``error: <kind>: <text>``, and that every file in
-    the directory is as it was. A ``text`` that ends in a newline is the
-    whole message. A warning fails the test as well, since pyproject.toml
+    the directory is as it was: no name added or removed, and the same
+    bytes in each file. A ``text`` that ends in a newline is the whole
+    message. A warning fails the test as well, since pyproject.toml
     makes every warning an error.
     """
     monkeypatch.chdir(tmp_path)
 
+    def listing():
+        return {path: path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")}
+
     def check(argv, code, kind, text=""):
         capsys.readouterr()
-        before = sorted(tmp_path.rglob("*"))
+        before = listing()
         status = main(list(argv))
         out, err = capsys.readouterr()
         assert (status, out) == (code, ""), err
         lines = err.splitlines()
         assert len(lines) == 1 and err == lines[0] + "\n", err
         assert err.startswith(f"error: {kind}: {text}"), err
-        assert sorted(tmp_path.rglob("*")) == before
+        assert listing() == before
 
     return check
 
@@ -666,6 +672,48 @@ class TestTrainEvalCommands:
                   "directory: 'absent.edds'\n")
 
 
+def missing(path):
+    return f"[Errno 2] No such file or directory: {path!r}\n"
+
+
+SIMULATE = ("simulate", "--doa", "30", "--range", "1.0")
+
+
+class TestFailedCommandKeepsEveryFile:
+    """A command that fails on one output writes none of the others, and
+    an existing target keeps its bytes. The error names the path the
+    user gave, never a temporary file's."""
+
+    @pytest.mark.parametrize("argv, kind, text", [
+        pytest.param((*SIMULATE, "--snr", "-40", "--out", "o.edcf",
+                      "--baseband-out", "b.edds", "--spectrum-out", "s.txt"),
+                     "EchoNotFoundError", NO_ECHO, id="simulate_no_echo"),
+        pytest.param(("dataset", "--angles=0", "--snrs=20",
+                      "--records-per-cell", "1", "--out", "n.edds",
+                      "--index-out", "nodir/i.txt"), "FileNotFoundError",
+                     missing("nodir/i.txt"), id="dataset_index_out_no_dir"),
+        pytest.param(("train", "--dataset", "d.edds", "--epochs", "1",
+                      "--out", "m.edck", "--history", "nodir/h.txt"),
+                     "FileNotFoundError", missing("nodir/h.txt"),
+                     id="train_history_no_dir"),
+        pytest.param(("train", "--dataset", "d.edds", "--epochs", "1",
+                      "--out", "m.edck", "--history", "adir"),
+                     "IsADirectoryError", "[Errno 21] Is a directory: "
+                     "'adir'\n", id="train_history_is_a_directory"),
+        pytest.param((*SIMULATE, "--out", "nodir/o.edcf"),
+                     "FileNotFoundError", missing("nodir/o.edcf"),
+                     id="simulate_out_no_dir"),
+        pytest.param((*SIMULATE, "--out", "c.edcf", "--baseband-out",
+                      "adir"), "IsADirectoryError", "[Errno 21] Is a "
+                     "directory: 'adir'\n", id="simulate_out_is_a_directory")])
+    def test_runtime_error_writes_nothing(self, argv, kind, text,
+                                          tiny_dataset_path, cli_error):
+        Path("o.edcf").write_bytes(b"old!")
+        Path("d.edds").write_bytes(tiny_dataset_path.read_bytes())
+        Path("adir").mkdir()
+        cli_error(argv, 1, kind, text)
+
+
 class TestTriangulateCommand:
     def test_plain_intersection(self, capsys):
         r = math.hypot(0.25, 2.0)
@@ -781,6 +829,16 @@ class TestSweepCommand:
                    "1", "--epochs", "1", "--out-dir", "run"), 3,
                   "EmptyDatasetError")
 
+    def test_failed_training_leaves_no_directory(self, cli_error,
+                                                 monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("loss is not finite")
+
+        monkeypatch.setattr(evaluation, "train", diverge)
+        cli_error(("sweep", "--angles=0,10", "--snrs=20",
+                   "--records-per-cell", "2", "--epochs", "1", "--out-dir",
+                   "run"), 1, "TrainingDivergedError", "loss is not finite\n")
+
 
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):
@@ -789,6 +847,10 @@ class TestGradcheckCommand:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["max_rel_error"] < 1e-4
+
+    def test_failed_check_prints_no_report(self, cli_error):
+        cli_error(("gradcheck", "--tolerance", "1e-300"), 1,
+                  "ProcessingError", "gradient check failed: ")
 
     @pytest.mark.parametrize("argv, field", [
         (("--seeds", "0"), "--seeds"), (("--seeds=-2",), "--seeds"),

@@ -10,6 +10,7 @@ header byte, and cuts each image at every offset up to its payload.
 Only ``FileFormatError`` and its subclasses may come out of the readers.
 """
 
+import contextlib
 import hashlib
 import math
 import struct
@@ -136,6 +137,41 @@ def test_failed_write_leaves_the_old_file_or_none(old, tmp_path):
     assert list(tmp_path.iterdir()) == [path]
     assert container.read(path, b"TEST", {3: lambda h: (h, "u1", 2)}
                           )[1].tobytes() == b"xy"
+
+
+@pytest.mark.parametrize("error", [None, RuntimeError, KeyboardInterrupt])
+def test_staged_lands_files_only_when_the_block_succeeds(error, tmp_path):
+    old, new = tmp_path / "old.txt", tmp_path / "new.bin"
+    old.write_text("before\n")
+    with (pytest.raises(error) if error else contextlib.nullcontext()):
+        with container.staged():
+            container.write_text(old, "after\n")
+            container.write(new, b"TEST", 3, {}, [b"xy"])
+            assert old.read_text() == "before\n" and not new.exists()
+            if error:
+                raise error("the block failed")
+    if error:
+        assert list(tmp_path.iterdir()) == [old]
+        assert old.read_text() == "before\n"
+    else:
+        assert sorted(tmp_path.iterdir()) == [new, old]
+        assert old.read_text() == "after\n"
+    container.write_text(old, "at once\n")    # outside the block
+    assert old.read_text() == "at once\n"
+
+
+def test_write_errors_name_the_target(tmp_path):
+    path = tmp_path / "nodir" / "file.txt"
+    with pytest.raises(FileNotFoundError) as exc:
+        container.write_text(path, "x")
+    assert str(exc.value) == f"[Errno 2] No such file or directory: '{path}'"
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        container.write_text(directory, "x")
+    assert str(exc.value) == f"[Errno 21] Is a directory: '{directory}'"
+    assert list(tmp_path.iterdir()) == [directory]
+    assert list(directory.iterdir()) == []
 
 
 def _write_edds(path):

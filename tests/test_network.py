@@ -286,7 +286,7 @@ class TestConvolutionAgainstBruteForce:
         from echodoa.neural.network import _conv_folded, _same_pads
         x, w, _ = conv_case((4, 2, 20, 3), 5, seed=2)
         pad_r, pad_t = _same_pads(4), _same_pads(16)
-        got, _ = _conv_folded(x, w, pad_r, pad_t)
+        got = _conv_folded(x, w, pad_r, pad_t)
         np.testing.assert_allclose(got, direct_conv(x, w, pad_r, pad_t),
                                    atol=1e-12)
 
@@ -295,12 +295,10 @@ class TestConvolutionAgainstBruteForce:
     def test_folded_input_gradient_matches_direct_adjoint(self, rows, time,
                                                           maps, batch):
         # the default stage-2 shape and a narrow one-row stage
-        from echodoa.neural.network import (
-            _conv_folded, _conv_folded_grads, _same_pads)
+        from echodoa.neural.network import _folded_input_grad, _same_pads
         x, w, dy = conv_case((rows, batch, time, maps), maps, seed=batch)
         pad_r, pad_t = _same_pads(4), _same_pads(16)
-        _, cols = _conv_folded(x, w, pad_r, pad_t)
-        _, _, dx = _conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx=True)
+        dx = _folded_input_grad(dy, w, pad_r, pad_t)
         assert dx.dtype == np.float64
         assert rel_error(dx, direct_input_grad(dy, w, pad_r, pad_t)) <= 1e-12
 
@@ -879,7 +877,7 @@ def whole_batch_forward(spec, params, x, taps=None):
         elif form == "spectral":
             conv, _ = _conv_spectral(act, w, pad_r, pad_t)
         else:
-            conv, _ = _conv_folded(act, w, pad_r, pad_t)
+            conv = _conv_folded(act, w, pad_r, pad_t)
         conv += params[f"conv{s}_b"]
         np.maximum(conv, 0.0, out=conv)
         act, _ = _maxpool(conv, pr, pt, keep=False)
@@ -1026,13 +1024,16 @@ class TestSpectralStageBytes:
 def folded_and_im2col(x, w, dy):
     """(forward, dw, db, dx) of the im2col reference, then the folded form."""
     from echodoa.neural.network import (
-        _conv_folded, _conv_folded_grads, _same_pads)
+        _conv_folded, _conv_folded_grads, _folded_cols, _folded_input_grad,
+        _same_pads)
     pad_r, pad_t = _same_pads(w.shape[0]), _same_pads(w.shape[1])
     need_dx = w.shape[2] == w.shape[3]
     y, cols = reference_conv(x, w, pad_r, pad_t)
     im2col = (y, *reference_conv_grads(dy, w, cols, pad_r, pad_t, need_dx))
-    y, cols = _conv_folded(x, w, pad_r, pad_t)
-    folded = (y, *_conv_folded_grads(dy, w, cols, pad_r, pad_t, need_dx))
+    cols = _folded_cols(x, w.shape[1], pad_t)
+    folded = (_conv_folded(x, w, pad_r, pad_t),
+              *_conv_folded_grads(dy, w, cols, pad_r, pad_t),
+              _folded_input_grad(dy, w, pad_r, pad_t) if need_dx else None)
     return im2col, folded
 
 
@@ -1051,7 +1052,7 @@ class TestFoldedConvolution:
         from echodoa.neural.network import _conv_folded, _same_pads
         x, w, _ = conv_case(shape, f_out, seed=2)
         pad_r, pad_t = _same_pads(4), _same_pads(16)
-        got, _ = _conv_folded(x, w, pad_r, pad_t)
+        got = _conv_folded(x, w, pad_r, pad_t)
         np.testing.assert_allclose(got, direct_conv(x, w, pad_r, pad_t),
                                    atol=1e-12)
 
@@ -1128,7 +1129,7 @@ class TestBlockedConvolution:
         got = blocked_conv(x, w)
         assert got.dtype == np.float64 and got.shape == (rows, 1, time, 64)
         pad_r, pad_t = _same_pads(4), _same_pads(16)
-        folded, _ = _conv_folded(x, w, pad_r, pad_t)
+        folded = _conv_folded(x, w, pad_r, pad_t)
         assert rel_error(got, folded) <= 1e-12
         assert rel_error(got, direct_conv(x, w, pad_r, pad_t)) <= 1e-12
 
